@@ -3,8 +3,7 @@
 Every subcommand is driven by a plain sectioned key-value config file (INI
 syntax).  Validation collects every problem before exiting, output files are
 written atomically, and identical config + seed reproduces byte-identical
-CSVs.  The METAMORPH_THREADS environment variable caps the numeric backend's
-thread count and is applied before the compute modules load.
+CSVs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,13 +22,6 @@ class ConfigError(Exception):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("METAMORPH_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 class ConfigReader:
@@ -504,7 +495,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="metamorph",
         description="Indirect image registration for 2D parallel-beam tomography",

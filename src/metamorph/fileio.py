@@ -1,12 +1,14 @@
 """On-disk formats: raw images, PGM previews, sinograms, gated bundles.
 
-Raw image files round-trip exactly: 16-byte header (magic ``MIMG``, u32 nx,
-u32 ny, f32 half-width, little endian) followed by the float64 node values in
-x-major order.  Sinograms use magic ``SINO``, u32 n_angles, u32 n_det, the
-angle list and the row-major values, all little-endian float64; the detector
-extent is not part of the format and must be supplied on read.  PGM output is
-16-bit, min-max normalised, for viewing only.  All writers go through a
-temp-file-plus-rename so partially written files never appear.
+Raw image files round-trip exactly: a 20-byte header (magic ``MIM2``, u32
+nx, u32 ny, f64 half-width, little endian) followed by the float64 node
+values in x-major order.  Version-1 files (magic ``MIMG``, f32 half-width,
+16 bytes) still read, with the half-width they stored.  Sinograms use magic
+``SINO``, u32 n_angles, u32 n_det, the angle list and the row-major values,
+all little-endian float64; the detector extent is not part of the format and
+must be supplied on read.  PGM output is 16-bit, min-max normalised, for
+viewing only.  All writers go through a temp-file-plus-rename so partially
+written files never appear.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from .grid import GridSpec, Image
 from .ray import Geometry, Sinogram
 
-_IMG_MAGIC = b"MIMG"
+_IMG_MAGIC = b"MIM2"
+# header layout per raw-image magic; the first is the version-1 format
+_IMG_HEADERS = {b"MIMG": "<4sIIf", _IMG_MAGIC: "<4sIId"}
 _SINO_MAGIC = b"SINO"
 
 
@@ -39,17 +43,18 @@ def atomic_write_bytes(path, data: bytes):
 
 
 def write_image_raw(img: Image, path):
-    header = struct.pack("<4sIIf", _IMG_MAGIC, img.spec.nx, img.spec.ny,
+    header = struct.pack(_IMG_HEADERS[_IMG_MAGIC], _IMG_MAGIC, img.spec.nx, img.spec.ny,
                          float(img.spec.half_width))
     atomic_write_bytes(path, header + img.values.astype("<f8").tobytes())
 
 
 def read_image_raw(path) -> Image:
     blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:4] != _IMG_MAGIC:
+    layout = _IMG_HEADERS.get(blob[:4])
+    if layout is None or len(blob) < struct.calcsize(layout):
         raise ValueError(f"{path} is not a raw image file")
-    magic, nx, ny, half_width = struct.unpack("<4sIIf", blob[:16])
-    values = np.frombuffer(blob[16:], dtype="<f8")
+    magic, nx, ny, half_width = struct.unpack_from(layout, blob)
+    values = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize(layout))
     if values.size != nx * ny:
         raise ValueError(f"{path}: expected {nx * ny} samples, found {values.size}")
     return Image(GridSpec(float(half_width), nx, ny), values.reshape(nx, ny).copy())
@@ -124,13 +129,26 @@ def _parse_manifest(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _manifest_value(manifest: dict[str, dict[str, str]], path: Path,
+                    section: str, key: str) -> str:
+    if section not in manifest:
+        raise ValueError(f"{path}: missing section [{section}]")
+    if key not in manifest[section]:
+        where = f"section [{section}]" if section else "top level"
+        raise ValueError(f"{path}: {where} lacks key {key!r}")
+    return manifest[section][key]
+
+
 def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
     directory = Path(directory)
-    manifest = _parse_manifest((directory / "gates.toml").read_text())
-    n_gates = int(manifest[""]["n_gates"])
+    path = directory / "gates.toml"
+    manifest = _parse_manifest(path.read_text())
+    n_gates = int(_manifest_value(manifest, path, "", "n_gates"))
     gates = []
     for num in range(1, n_gates + 1):
-        sec = manifest[f"gate_{num}"]
-        sino = read_sinogram(directory / sec["file"], float(sec["det_extent"]))
-        gates.append((int(sec["t_index"]), sino))
+        section = f"gate_{num}"
+        t_index, fname, det_extent = (_manifest_value(manifest, path, section, key)
+                                      for key in ("t_index", "file", "det_extent"))
+        sino = read_sinogram(directory / fname, float(det_extent))
+        gates.append((int(t_index), sino))
     return gates

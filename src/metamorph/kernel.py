@@ -3,9 +3,8 @@
 The smoothing realises the change of metric that turns plain L2 gradients of
 the data term into descent directions for the velocity: each component is
 convolved with exp(-|x-y|^2 / (2 sigma^2)) and weighted by the pixel area.
-Small grids use a truncated separable convolution, large grids an FFT
-convolution with the identical truncated kernel; the two paths agree to
-machine precision and are cross-checked in the tests.
+The kernel is truncated at a few sigma and applied as two 1D convolutions,
+one per axis, with zero padding outside the domain.
 """
 
 from __future__ import annotations
@@ -15,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import convolve1d
-from scipy.signal import fftconvolve
 
 from .grid import GridSpec, VectorImage
-
-# grids smaller than this (pixel count) use the direct separable convolution
-_DIRECT_LIMIT = 128 * 128
 
 
 @dataclass(frozen=True)
@@ -44,29 +39,17 @@ def kernel_taps_1d(k: KernelSpec, spec: GridSpec) -> np.ndarray:
     return np.exp(-(d * d) / (2.0 * k.sigma ** 2))
 
 
-def _smooth_direct(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _smooth(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
     out = convolve1d(values, taps, axis=0, mode="constant", cval=0.0)
     return convolve1d(out, taps, axis=1, mode="constant", cval=0.0)
 
 
-def _smooth_fft(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    return fftconvolve(values, np.outer(taps, taps), mode="same")
-
-
-def kernel_apply(v: VectorImage, k: KernelSpec, method: str = "auto") -> VectorImage:
+def kernel_apply(v: VectorImage, k: KernelSpec) -> VectorImage:
     """Apply the kernel: (K * v)(y) = sum_x K(x, y) v(x) h^2, componentwise."""
     spec = v.spec
     taps = kernel_taps_1d(k, spec)
-    if method == "auto":
-        method = "direct" if spec.nx * spec.ny < _DIRECT_LIMIT else "fft"
-    if method == "direct":
-        smooth = _smooth_direct
-    elif method == "fft":
-        smooth = _smooth_fft
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
     hsq = spec.h ** 2
-    return VectorImage(spec, smooth(v.vx, taps) * hsq, smooth(v.vy, taps) * hsq)
+    return VectorImage(spec, _smooth(v.vx, taps) * hsq, _smooth(v.vy, taps) * hsq)
 
 
 def vfield_l2_inner(u: VectorImage, v: VectorImage) -> float:

@@ -3,21 +3,46 @@
 A line with angle theta is parametrised as p(t) = s * u + t * w with ray
 direction w = (cos theta, sin theta) and detector axis u = (-sin theta,
 cos theta).  Line integrals are midpoint sums with step h/2 and bilinear
-image lookups; the backprojection is the algebraic transpose of exactly that
-stencil (weighted for the angle/detector quadrature), so the pair passes
-inner-product adjoint tests at machine precision.  The FBP baseline filters
-detector rows with a Ram-Lak kernel under a cosine window and backprojects.
+image lookups.  That stencil, for all rays of a geometry with the step folded
+in, is one sparse CSR matrix A: forward projection is A @ f and the
+backprojection is the transpose A.T @ g (weighted for the angle/detector
+quadrature), so the pair passes inner-product adjoint tests at machine
+precision.  The FBP baseline filters detector rows with a Ram-Lak kernel
+under a cosine window and backprojects.
+
+A is built once per grid and geometry.  Each Geometry keeps the matrices it
+has used, so a caller holding its geometries (a gated solve, whatever its
+number of gates) never rebuilds one; an LRU cache of 32 entries keyed by value,
+(GridSpec, n_det, det_extent, angle bytes), lets separately built but equal
+geometries share one.  A takes 12 bytes per nonzero, about 215 nonzeros per ray
+at 128^2: 40 MB for 60 angles x 256 bins, 1.6 MB for 10 angles x 128 bins at
+64^2, 187 MB at the CLI defaults (256^2, 100 angles x 362 bins).  On one core
+of a 2-vCPU host it builds in about 0.6 s at 128^2 with 60 angles and 3 s at
+the CLI defaults, adding about 1.2 times its bytes to peak memory; each
+product then takes about 5 ms at 128^2.  The gain rests on repeated geometry:
+a descent solve applies A or its transpose three times per step, while a
+one-shot projection or FBP pays the build for one product (3 s against 2.6 s
+for the per-angle loops this replaced, at the CLI defaults) and holds the
+matrix until the process ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .grid import GridSpec, Image
+
+# operators kept for geometries built again with equal values, such as the
+# ones every preset set-up builds anew
+_CACHE_ENTRIES = 32
+# ray samples per build chunk, which bounds the build's temporary arrays
+_CHUNK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -25,15 +50,20 @@ class Geometry:
     """Parallel-beam sampling: angles in [0, pi), n_det uniform offsets.
 
     Detector offsets are bin midpoints in [-det_extent, det_extent].  The
-    angle quadrature weight is fixed to pi / n_angles.
+    angle quadrature weight is fixed to pi / n_angles.  The angles are kept
+    as a read-only copy, since the ray operators kept per geometry depend on
+    them.
     """
 
     angles: np.ndarray
     n_det: int
     det_extent: float
+    # ray operators by grid, filled by _ray_operator
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        angles = np.atleast_1d(np.asarray(self.angles, dtype=np.float64))
+        angles = np.array(self.angles, dtype=np.float64, ndmin=1)
+        angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
         if not np.isfinite(angles).all():
             raise ValueError("angles must be finite")
@@ -135,21 +165,107 @@ def _stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray):
     return corners
 
 
-def forward_project(img: Image, geo: Geometry) -> Sinogram:
-    """Line integrals of the image over the geometry's rays."""
-    spec = img.spec
+def _ray_operator(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
+    """The matrix of forward_project on this grid and geometry.
+
+    The geometry keeps every matrix it has used, so a caller that holds its
+    geometries (a gated solve holds its gates) never rebuilds one, however
+    many it holds.  Separately built but equal geometries share one matrix
+    through the value-keyed cache.
+    """
+    op = geo._operators.get(spec)
+    if op is None:
+        op = _build_operator(spec, geo.n_det, geo.det_extent, geo.angles.tobytes())
+        geo._operators[spec] = op
+    return op
+
+
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
+def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
+                    angles: bytes) -> scipy.sparse.csr_matrix:
+    """Row a * n_det + d holds ray (angle a, bin d): step * bilinear weights.
+
+    A ray's nonzeros lie in a band: along the axis it runs closer to (the
+    major axis), each pixel line holds at most 4 of them, within two pixels
+    of where the ray crosses that line.  So each chunk of rays sums its
+    stencil weights by bincount into a dense (ray, major index, band offset)
+    array, without sorting, and copies the nonzeros into preallocated arrays,
+    which are trimmed in place at the end: the build holds little beyond the
+    final matrix.  Column indices are sorted within a row only for rays
+    closer to the x axis; the products do not need them sorted.  The arrays
+    are read-only because every caller with an equal key shares them.
+    """
+    geo = Geometry(np.frombuffer(angles), n_det, det_extent)
     t, step = _ray_params(spec)
-    flat = img.values.ravel()
-    ny = spec.ny
-    out = np.empty((geo.n_angles, geo.n_det))
+    nx, ny = spec.nx, spec.ny
+    L, h = spec.half_width, spec.h
+    s = geo.det_offsets()
+    n_rays = geo.n_angles * n_det
+    # margin of one pixel on each side of the 4 that can hold a weight
+    band = 6
+    capacity = n_rays * max(nx, ny) * band
+    data = np.empty(capacity)
+    indices = np.empty(capacity, dtype=np.int32)
+    indptr = np.zeros(n_rays + 1, dtype=np.int32)
+    rows_per_chunk = max(1, _CHUNK_SAMPLES // t.size)
+    nnz = 0
     for a, theta in enumerate(geo.angles):
         px, py = _line_points(geo, theta, t)
-        acc = None
-        for ii, jj, wt in _stencil(spec, px, py):
-            term = wt * flat[ii * ny + jj]
-            acc = term if acc is None else acc + term
-        out[a] = acc.sum(axis=1) * step
-    return Sinogram(geo, out)
+        wx, wy = math.cos(theta), math.sin(theta)
+        # pixel-index coordinates of each ray's point at t = 0
+        u0, w0 = (L - s * wy) / h - 0.5, (L + s * wx) / h - 0.5
+        steep = abs(wy) >= abs(wx)
+        if steep:
+            n_major, major0, minor0, slope = ny, w0, u0, wx / wy
+        else:
+            n_major, major0, minor0, slope = nx, u0, w0, wy / wx
+        crossing = minor0[:, None] + (np.arange(n_major) - major0[:, None]) * slope
+        first = np.floor(crossing).astype(np.int64).ravel() - 2
+        # samples outside the domain weigh nothing: a chunk runs only over
+        # the sample range where one of its rays is inside
+        inside = (np.abs(px) <= L) & (np.abs(py) <= L)
+        hit = inside.any(axis=1)
+        k_first = np.argmax(inside, axis=1)
+        k_end = t.size - np.argmax(inside[:, ::-1], axis=1)
+        for r0 in range(0, n_det, rows_per_chunk):
+            rows = slice(r0, r0 + rows_per_chunk)
+            row0 = a * n_det + r0
+            n = min(rows_per_chunk, n_det - r0)
+            if not hit[rows].any():
+                indptr[row0 + 1:row0 + n + 1] = nnz
+                continue
+            span = slice(k_first[rows][hit[rows]].min(), k_end[rows][hit[rows]].max())
+            chunk_first = first[r0 * n_major:(r0 + n) * n_major]
+            ray_major = (np.arange(n) * n_major)[:, None]
+            sums = np.zeros(n * n_major * band)
+            for ii, jj, wt in _stencil(spec, px[rows, span], py[rows, span]):
+                major, minor = (jj, ii) if steep else (ii, jj)
+                key = major + ray_major
+                offset = minor - chunk_first[key]
+                # zero weights (outside the grid) may fall off the band: clip them
+                np.clip(offset, 0, band - 1, out=offset)
+                key *= band
+                key += offset
+                sums += np.bincount(key.ravel(), wt.ravel(), minlength=sums.size)
+            nz = np.flatnonzero(sums)
+            major = (nz // band) % n_major
+            minor = chunk_first[nz // band] + nz % band
+            data[nnz:nnz + nz.size] = step * sums[nz]
+            indices[nnz:nnz + nz.size] = minor * ny + major if steep else major * ny + minor
+            counts = np.bincount(nz // (n_major * band), minlength=n)
+            indptr[row0 + 1:row0 + n + 1] = nnz + np.cumsum(counts)
+            nnz += nz.size
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    for arr in (data, indices, indptr):
+        arr.flags.writeable = False
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rays, nx * ny))
+
+
+def forward_project(img: Image, geo: Geometry) -> Sinogram:
+    """Line integrals of the image over the geometry's rays."""
+    values = _ray_operator(img.spec, geo) @ img.values.ravel()
+    return Sinogram(geo, values.reshape(geo.n_angles, geo.n_det))
 
 
 def back_project(sino: Sinogram, spec: GridSpec) -> Image:
@@ -159,17 +275,9 @@ def back_project(sino: Sinogram, spec: GridSpec) -> Image:
     delta_angle * delta_det and image weight h^2.
     """
     geo = sino.geometry
-    t, step = _ray_params(spec)
-    nx, ny = spec.nx, spec.ny
-    scale = geo.delta_angle * geo.delta_det * step / spec.h ** 2
-    acc = np.zeros(nx * ny)
-    for a, theta in enumerate(geo.angles):
-        px, py = _line_points(geo, theta, t)
-        q = sino.values[a][:, None] * scale
-        for ii, jj, wt in _stencil(spec, px, py):
-            flat = (ii * ny + jj).ravel()
-            acc += np.bincount(flat, weights=(wt * q).ravel(), minlength=nx * ny)
-    return Image(spec, acc.reshape(nx, ny))
+    scale = geo.delta_angle * geo.delta_det / spec.h ** 2
+    values = _ray_operator(spec, geo).T @ sino.values.ravel()
+    return Image(spec, (scale * values).reshape(spec.shape))
 
 
 def ramp_kernel(n: int, delta: float) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Shared builders for the gradient finite-difference checks.
+"""Shared builders for the gradient finite-difference checks, and a per-sample
+reference for the ray transform.
 
 The fields are kernel-smoothed noise, tapered to vanish near the boundary
 (velocities are compactly supported in the model), and the template/target
 are broad smooth bumps so the central-difference factors inside the gradient
 stay within their accuracy range on the coarse 32x32 check grid.
 """
+
+import math
 
 import numpy as np
 
@@ -89,3 +92,34 @@ def central_fd(objective, eps):
     """Four-point central difference along a parametrised line."""
     return (8.0 * (objective(eps) - objective(-eps))
             - (objective(2.0 * eps) - objective(-2.0 * eps))) / (12.0 * eps)
+
+
+def midpoint_ray_sums(img, geo):
+    """Per-sample reference for forward_project, one ray sample at a time.
+
+    Each ray s * u + t * w is sampled at the midpoints of steps of h/2 over
+    [-sqrt(2) L, sqrt(2) L]; a sample inside the domain adds the bilinear
+    interpolant of the pixel-centre values (missing neighbours count zero).
+    """
+    spec = img.spec
+    L, h = spec.half_width, spec.h
+    step = h / 2.0
+    reach = L * math.sqrt(2.0)
+    n_samples = math.ceil(2.0 * reach / step)
+    out = np.zeros((geo.n_angles, geo.n_det))
+    for a, theta in enumerate(geo.angles):
+        wx, wy = math.cos(theta), math.sin(theta)
+        for d, s in enumerate(geo.det_offsets()):
+            total = 0.0
+            for k in range(n_samples):
+                t = -reach + (k + 0.5) * step
+                x, y = -s * wy + t * wx, s * wx + t * wy
+                if not (-L <= x <= L and -L <= y <= L):
+                    continue
+                u, w = (x + L) / h - 0.5, (y + L) / h - 0.5
+                for i in (math.floor(u), math.floor(u) + 1):
+                    for j in (math.floor(w), math.floor(w) + 1):
+                        if 0 <= i < spec.nx and 0 <= j < spec.ny:
+                            total += (1 - abs(u - i)) * (1 - abs(w - j)) * img.values[i, j]
+            out[a, d] = total * step
+    return out

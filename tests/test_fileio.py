@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,10 +23,25 @@ def test_image_raw_roundtrip_exact(tmp_path):
     img = Image(spec, rng.normal(size=spec.shape))
     path = tmp_path / "img.mimg"
     write_image_raw(img, path)
-    assert path.stat().st_size == 16 + 32 * 32 * 8
+    assert path.stat().st_size == 20 + 32 * 32 * 8
     back = read_image_raw(path)
     assert back.spec == spec
     assert np.array_equal(back.values, img.values)
+
+
+def test_image_raw_keeps_half_width_exactly(tmp_path):
+    spec = GridSpec(16.1, 8, 8)
+    write_image_raw(Image.zeros(spec), tmp_path / "img.mimg")
+    assert read_image_raw(tmp_path / "img.mimg").spec == spec
+
+
+def test_image_raw_reads_version_1(tmp_path):
+    values = np.arange(64, dtype="<f8").reshape(8, 8)
+    path = tmp_path / "v1.mimg"
+    path.write_bytes(struct.pack("<4sIIf", b"MIMG", 8, 8, 16.0) + values.tobytes())
+    img = read_image_raw(path)
+    assert img.spec == GridSpec(16.0, 8, 8)
+    assert np.array_equal(img.values, values)
 
 
 def test_image_raw_rejects_garbage(tmp_path):
@@ -94,6 +110,38 @@ def test_gated_bundle_roundtrip(tmp_path):
         assert s1.geometry.det_extent == 22.0
     text = (out / "gates.toml").read_text()
     assert "seed = 99" in text
+
+
+def _bundle_without(tmp_path, line_start):
+    """A two-gate bundle whose manifest lacks every line starting with line_start."""
+    geo = Geometry(np.array([0.2, 1.3]), 8, 12.0)
+    gates = [(k, Sinogram(geo, np.full((2, 8), float(k)))) for k in (1, 3)]
+    out = tmp_path / "bundle"
+    write_gated_bundle(out, gates)
+    manifest = out / "gates.toml"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(x for x in lines if not x.startswith(line_start)) + "\n")
+    return out
+
+
+def test_gated_manifest_missing_n_gates(tmp_path):
+    out = _bundle_without(tmp_path, "n_gates")
+    with pytest.raises(ValueError, match=r"gates\.toml: top level lacks key 'n_gates'"):
+        read_gated_bundle(out)
+
+
+def test_gated_manifest_missing_gate_section(tmp_path):
+    out = _bundle_without(tmp_path, "[gate_2]")
+    # the keys of gate 2 now belong to [gate_1], and [gate_2] is gone
+    with pytest.raises(ValueError, match=r"gates\.toml: missing section \[gate_2\]"):
+        read_gated_bundle(out)
+
+
+@pytest.mark.parametrize("key", ["t_index", "file", "det_extent"])
+def test_gated_manifest_missing_gate_key(tmp_path, key):
+    out = _bundle_without(tmp_path, key)
+    with pytest.raises(ValueError, match=rf"gates\.toml: section \[gate_1\] lacks key '{key}'"):
+        read_gated_bundle(out)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -31,7 +31,7 @@ def test_impulse_response_against_double_loop(spec16):
     k = KernelSpec(2.0)
     u = VectorImage.zeros(spec16)
     u.vx[8, 8] = 1.0
-    out = kernel_apply(u, k, method="direct")
+    out = kernel_apply(u, k)
     assert out.vx[8, 8] == pytest.approx(spec16.h ** 2)
 
     xs, ys = spec16.xs(), spec16.ys()
@@ -64,16 +64,22 @@ def test_linearity(alpha, beta, seed):
     assert np.allclose(lhs.vy, alpha * ku.vy + beta * kv.vy, rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_direct_and_fft_agree():
+def test_matches_numpy_fft_convolution():
+    # independent oracle: zero-padded FFT convolution with the same truncated
+    # 2D kernel, cropped to the grid
+    spec = GridSpec(16.0, 128, 128)
     rng = np.random.default_rng(7)
-    for nx, sigma in ((32, 0.8), (48, 2.0), (64, 5.0)):
-        spec = GridSpec(16.0, nx, nx)
-        u = VectorImage(spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
-        a = kernel_apply(u, KernelSpec(sigma), method="direct")
-        b = kernel_apply(u, KernelSpec(sigma), method="fft")
-        scale = np.abs(a.vx).max()
-        assert np.abs(a.vx - b.vx).max() <= 1e-10 * scale
-        assert np.abs(a.vy - b.vy).max() <= 1e-10 * scale
+    u = VectorImage(spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
+    for sigma in (0.8, 2.0, 5.0):
+        taps = kernel_taps_1d(KernelSpec(sigma), spec)
+        radius = (len(taps) - 1) // 2
+        size = 128 + 2 * radius
+        kernel_ft = np.fft.rfft2(np.outer(taps, taps), s=(size, size))
+        out = kernel_apply(u, KernelSpec(sigma))
+        for got, field in ((out.vx, u.vx), (out.vy, u.vy)):
+            full = np.fft.irfft2(np.fft.rfft2(field, s=(size, size)) * kernel_ft, s=(size, size))
+            expected = full[radius:radius + 128, radius:radius + 128] * spec.h ** 2
+            assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_operator_symmetric_positive(spec16):

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from helpers import midpoint_ray_sums
 from metamorph.grid import GridSpec, Image, image_l2_inner
 from metamorph.harness import Disc, PhantomSpec, make_phantom, ssim
-from metamorph.ray import Geometry, Sinogram, back_project, fbp, forward_project
+from metamorph.ray import (
+    Geometry,
+    Sinogram,
+    _build_operator,
+    _ray_operator,
+    back_project,
+    fbp,
+    forward_project,
+)
+from metamorph.spatiotemporal import gate_angles
 
 
 def sino_inner(a, b):
@@ -68,6 +78,40 @@ def test_adjoint_identity_random_pairs():
         rhs = image_l2_inner(f, back_project(g, spec))
         scale = np.linalg.norm(forward_project(f, geo).values) * np.linalg.norm(g.values)
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def test_forward_matches_per_sample_reference():
+    spec = GridSpec(16.0, 8, 8)
+    geo = Geometry(np.array([0.0, 0.7, 2.3]), 12, EXTENT)
+    f = Image(spec, np.random.default_rng(4).normal(size=spec.shape))
+    expected = midpoint_ray_sums(f, geo)
+    got = forward_project(f, geo).values
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_equal_geometries_share_one_operator():
+    spec = GridSpec(16.0, 16, 16)
+    first = Geometry(np.array([0.25, 1.5, 2.75]), 24, EXTENT)
+    second = Geometry(np.array([0.25, 1.5, 2.75]), 24, EXTENT)
+    assert first is not second
+    forward_project(Image.zeros(spec), first)
+    before = _build_operator.cache_info()
+    back_project(Sinogram.zeros(second), spec)
+    after = _build_operator.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert _ray_operator(spec, first) is _ray_operator(spec, second)
+
+
+def test_adjoint_identity_gate_geometry():
+    spec = GridSpec(16.0, 64, 64)
+    geo = Geometry(gate_angles(10, 10, seed=3)[4], 128, EXTENT)
+    rng = np.random.default_rng(5)
+    f = Image(spec, rng.normal(size=spec.shape))
+    g = Sinogram(geo, rng.normal(size=(10, 128)))
+    tf = forward_project(f, geo)
+    lhs = sino_inner(tf, g)
+    rhs = image_l2_inner(f, back_project(g, spec))
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf.values) * np.linalg.norm(g.values)
 
 
 def test_backproject_zero():

@@ -15,8 +15,8 @@ from helpers import (
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import Image
 from metamorph.metamorphosis import TimeVaryingScalarField
-from metamorph.objective import RegParams, evaluate, gradient
-from metamorph.ray import Geometry, forward_project
+from metamorph.objective import RegParams, evaluate, evaluate_parts, gradient
+from metamorph.ray import Geometry, Sinogram, _build_operator, forward_project
 from metamorph.spatiotemporal import (
     GatedData,
     gate_angles,
@@ -41,8 +41,6 @@ def make_gated_problem(n_steps=6):
 
 def test_gated_data_validation():
     geo = Geometry.uniform(4, 16, EXTENT)
-    from metamorph.ray import Sinogram
-
     s = Sinogram.zeros(geo)
     with pytest.raises(ValueError):
         GatedData([])
@@ -78,6 +76,20 @@ def test_consistent_static_gates_give_zero():
     geos = [Geometry.uniform(m, 40, EXTENT) for m in (8, 9, 10)]
     gated = GatedData([(k, forward_project(I0, geos[k - 1])) for k in (1, 2, 3)])
     assert gated_evaluate(v, zeta, I0, gated, RegParams(1.0, 1.0)) == 0.0
+
+
+def test_repeated_gated_evaluation_builds_no_operator():
+    # more gates than the value-keyed cache holds: the gates keep their own
+    n_gates = 40
+    I0 = smooth_bump(1.5, -1.0, 5.5, 1.0)
+    gated = GatedData([(k, Sinogram.zeros(Geometry(angles, 24, EXTENT)))
+                       for k, angles in enumerate(gate_angles(n_gates, 2, seed=6), start=1)])
+    v, zeta = random_state(n_gates, seed=8, amp_v=0.2, amp_z=0.3)
+    params = RegParams(1e-4, 1e-3)
+    first = evaluate_parts(v, zeta, I0, gated.gates, params)
+    misses = _build_operator.cache_info().misses
+    assert evaluate_parts(v, zeta, I0, gated.gates, params) == first
+    assert _build_operator.cache_info().misses == misses
 
 
 def test_single_gate_collapses_to_single_target():
