@@ -10,10 +10,7 @@ from .flow import (
     JacobianChain,
     TimeGrid,
     TimeVaryingVectorField,
-    intermediate_map,
-    jacobian_chain,
     maps_from_zero,
-    maps_to_one,
 )
 from .grid import (
     GridSpec,

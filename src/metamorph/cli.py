@@ -303,8 +303,10 @@ def _load_common(cfg: ConfigReader):
     return spec, tgrid, kernel, params
 
 
-def _dump_trajectories(report, out: Path):
+def _write_report(report, out: Path):
+    """Trajectory frames, report.csv and a one-line summary of a solve."""
     from .fileio import write_image_raw, write_pgm
+    from .optimizer import LOG_FIELDS
 
     for name, traj in (("image", report.trajectories.image_traj),
                        ("deformation", report.trajectories.deformation_traj),
@@ -312,6 +314,9 @@ def _dump_trajectories(report, out: Path):
         for i, frame in enumerate(traj):
             write_image_raw(frame, out / f"{name}_{i:02d}.mimg")
             write_pgm(frame, out / f"{name}_{i:02d}.pgm")
+    _write_rows_csv(out / "report.csv", LOG_FIELDS, report.log_rows)
+    print(f"stop={report.stop_reason} iters={report.iterations_used} "
+          f"objective={report.objective_history[-1]:.6g}")
 
 
 def cmd_reconstruct(args) -> int:
@@ -340,12 +345,7 @@ def cmd_reconstruct(args) -> int:
         return 0
     template = read_image_raw(template_path)
     report = reconstruct(template, data, data.geometry, kernel, params, tgrid, solver)
-    _dump_trajectories(report, out)
-    _write_rows_csv(out / "report.csv",
-                    ["iter", "objective", "data_term", "v_term", "zeta_term",
-                     "step_v", "step_zeta"], report.log_rows)
-    print(f"stop={report.stop_reason} iters={report.iterations_used} "
-          f"objective={report.objective_history[-1]:.6g}")
+    _write_report(report, out)
     return 0
 
 
@@ -367,12 +367,7 @@ def cmd_gated(args) -> int:
     template = read_image_raw(template_path)
     gated = GatedData(read_gated_bundle(bundle))
     report = reconstruct_gated(template, gated, kernel, params, tgrid, solver)
-    _dump_trajectories(report, out)
-    _write_rows_csv(out / "report.csv",
-                    ["iter", "objective", "data_term", "v_term", "zeta_term",
-                     "step_v", "step_zeta"], report.log_rows)
-    print(f"stop={report.stop_reason} iters={report.iterations_used} "
-          f"objective={report.objective_history[-1]:.6g}")
+    _write_report(report, out)
     return 0
 
 

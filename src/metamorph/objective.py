@@ -13,20 +13,26 @@ surrogate; the descent direction is unaffected since the kernel smoothing is
 applied to the data term only.
 
 Velocity sample k drives the step from t_k to t_{k+1}, so its data gradient
-pairs the transported residual, determinant and template-content factors of
-level k+1; the intensity sample k enters the template sum at its own level:
+pairs the carried residual and the image gradient of level k+1; the
+intensity sample k enters the template sum at its own level:
 
-    grad_v(t_k)    = gamma v_k - K * ( det_{k+1} * (r o phi_{t_{k+1},end}) * G_{k+1} )
-    grad_zeta(t_k) = tau zeta_k + det_k * (r o phi_{t_k,end})
+    grad_v(t_k)    = gamma v_k - K * ( L_{k+1} G_{k+1} )
+    grad_zeta(t_k) = tau zeta_k + L_k'
 
-with r = 2 T^*(T f_end - g) the image-space residual gradient, det_i the
-Jacobian-determinant chain, and
+with G_i = grad f_{t_i} the central-difference gradient of the image
+trajectory.  L is the residual transported back along the flow by one
+first-order continuity (adjoint) sweep over all gates at once:
 
-    G_i = grad(I_0 o phi_{t_i,0}) + (1/N) sum_{j<i} grad(zeta_j o phi_{t_i,t_j}).
+    L_{M} = r_M,   L_k' = max(1 + (1/N) div v_k, DET_FLOOR) * L_{k+1} o (Id + (1/N) v_k),
+    L_k = L_k' + r_k
 
-This index alignment makes the gradient exact against finite differences in
-the zero-velocity limit.  The same core runs any list of (end index, data)
-pairs so the gated multi-time-point objective reuses it verbatim.
+where r_e = 2 T^*(T f_{t_e} - g) is the image-space residual gradient of
+the gates at index e (zero where no gate ends, summed where several do), M
+is the last gate index, and DET_FLOOR keeps each step's volume factor
+positive.  This index alignment makes the gradient exact against finite
+differences in the zero-velocity limit.  The same core runs any list of
+(end index, data) pairs, so the gated multi-time-point objective reuses it
+verbatim; a gate contributes only to samples before its index.
 """
 
 from __future__ import annotations
@@ -35,15 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (
-    TimeVaryingVectorField,
-    _maps_backward_to,
-    backward_advected_points,
-    jacobian_chain_to_index,
-    maps_from_zero,
-    maps_to_index,
+from .flow import DET_FLOOR, TimeVaryingVectorField, _one_step_queries, maps_from_zero
+from .grid import (
+    GridSpec,
+    Image,
+    VectorImage,
+    divergence,
+    gradient_central,
+    sample_values_xy,
 )
-from .grid import GridSpec, Image, VectorImage, gradient_central, sample_values_xy
 from .kernel import KernelSpec, kernel_apply, vfield_l2_norm_sq
 from .metamorphosis import TimeVaryingScalarField, evolve_template, group_action
 from .ray import Sinogram, back_project, forward_project
@@ -108,7 +114,7 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     _check_inputs(v, zeta, I0)
     template = evolve_template(v, zeta, I0)
     # the backward recursion's prefix property makes one chain serve all gates
-    back = _maps_backward_to(v, max(end for end, _ in gates), 0)
+    back = maps_from_zero(v, max(end for end, _ in gates))
     data = 0.0
     for end, g in gates:
         if end == 0:
@@ -131,52 +137,43 @@ def _data_gradient_arrays(v: TimeVaryingVectorField, zeta: TimeVaryingScalarFiel
                           I0: Image, gates: list[tuple[int, Sinogram]]):
     """Pre-smoothing data-term gradients per sample.
 
-    Velocity sample k drives the step from t_k to t_{k+1}, so its gradient
-    pairs the transport, determinant and G factors of level k+1; the
-    intensity sample k enters the template sum at its own level k.  Returns
-    (gv_x, gv_y, gz) lists over samples 0..N, zero past the last gate.
+    One forward pass builds the image trajectory f_i and its gradients G_i;
+    one backward sweep carries the summed gate residuals to every level.
+    Velocity sample k pairs the carried residual and G of level k+1; the
+    intensity sample k takes the residual carried to its own level k.
+    Returns (gv_x, gv_y, gz) lists over samples 0..N, zero past the last gate.
     """
     spec = v.spec
     n = v.tgrid.n_steps
     dt = v.tgrid.dt
-    template = evolve_template(v, zeta, I0)
-    back = maps_from_zero(v)
     max_end = max(end for end, _ in gates)
+    template = evolve_template(v, zeta, I0)
+    back = maps_from_zero(v, max_end)
+    images = [template[0]] + [group_action(back[i], template[i])
+                              for i in range(1, max_end + 1)]
 
-    # G at level i is gate-independent: gradient of the template content
-    # carried to time t_i, G_i = grad(I0 o phi_{t_i,0})
-    #                            + (1/N) sum_{j<i} grad(zeta_j o phi_{t_i,t_j})
-    g_terms: dict[int, VectorImage] = {}
-    for i in range(1, max_end + 1):
-        gi = gradient_central(group_action(back[i], I0))
-        gx, gy = gi.vx.copy(), gi.vy.copy()
-        for j, pts in backward_advected_points(v, i):
-            carried = sample_values_xy(zeta.samples[j].values, spec,
-                                       pts[..., 0], pts[..., 1])
-            gj = gradient_central(Image(spec, carried))
-            gx += dt * gj.vx
-            gy += dt * gj.vy
-        g_terms[i] = VectorImage(spec, gx, gy)
+    residuals: dict[int, np.ndarray] = {}
+    for end, g in gates:
+        if end == 0:
+            continue  # no sample precedes index 0, so its residual reaches none
+        r = discrepancy_gradient(forward_project(images[end], g.geometry), g, spec).values
+        residuals[end] = residuals.get(end, 0.0) + r
 
     gv_x = [np.zeros(spec.shape) for _ in range(n + 1)]
     gv_y = [np.zeros(spec.shape) for _ in range(n + 1)]
     gz = [np.zeros(spec.shape) for _ in range(n + 1)]
-    for end, g in gates:
-        if end == 0:
-            continue
-        f_end = group_action(back[end], template[end])
-        residual = discrepancy_gradient(forward_project(f_end, g.geometry), g, spec)
-        transports = maps_to_index(v, end)
-        dets = jacobian_chain_to_index(v, end)
-        levels = []
-        for i in range(end + 1):
-            pts = transports[i].points
-            carried = sample_values_xy(residual.values, spec, pts[..., 0], pts[..., 1])
-            levels.append(dets.entries[i].values * carried)
-        for k in range(end):
-            gz[k] += levels[k]
-            gv_x[k] += levels[k + 1] * g_terms[k + 1].vx
-            gv_y[k] += levels[k + 1] * g_terms[k + 1].vy
+    # L holds the residual carried back to level k+1, summed over the gates
+    # at k+1 and later
+    L = residuals.get(max_end, 0.0)
+    for k in range(max_end - 1, -1, -1):
+        vk = v.samples[k]
+        G = gradient_central(images[k + 1])
+        gv_x[k] = L * G.vx
+        gv_y[k] = L * G.vy
+        qx, qy = _one_step_queries(vk, dt)
+        factor = np.maximum(1.0 + dt * divergence(vk).values, DET_FLOOR)
+        gz[k] = factor * sample_values_xy(L, spec, qx, qy)
+        L = gz[k] + residuals.get(k, 0.0)
     return gv_x, gv_y, gz
 
 

@@ -9,7 +9,6 @@ gradient only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,9 @@ from .objective import GradientPair, RegParams, evaluate_parts, gradient_core
 from .ray import Geometry, Sinogram
 
 MODES = ("metamorphosis", "lddmm")
+# columns of SolveReport.log_rows, in report.csv order
+LOG_FIELDS = ("iter", "objective", "data_term", "v_term", "zeta_term",
+              "step_v", "step_zeta")
 
 
 class DivergenceError(RuntimeError):
@@ -56,16 +58,6 @@ class SolveReport:
     log_rows: list[dict] = field(default_factory=list)
     final_v: TimeVaryingVectorField | None = None
     final_zeta: TimeVaryingScalarField | None = None
-
-    def write_log_csv(self, path):
-        fields = ["iter", "objective", "data_term", "v_term", "zeta_term",
-                  "step_v", "step_zeta"]
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=fields)
-            writer.writeheader()
-            for row in self.log_rows:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v
-                                 for k, v in row.items()})
 
 
 def _grad_is_zero(grad: GradientPair, lddmm: bool) -> bool:

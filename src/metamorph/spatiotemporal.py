@@ -2,9 +2,9 @@
 
 Each gate pins the image trajectory at one time index with its own limited
 geometry; the data terms add up and every gate contributes gradient only to
-instants before its time (its transport maps and determinant chains end at
-the gate time instead of 1).  With a single gate at the final index this
-collapses to the single-target objective exactly.
+instants before its time (its residual enters the gradient's backward sweep
+at the gate index instead of at 1).  With a single gate at the final index
+this collapses to the single-target objective exactly.
 """
 
 from __future__ import annotations

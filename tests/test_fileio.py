@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -141,6 +142,23 @@ def test_gated_manifest_missing_gate_section(tmp_path):
 def test_gated_manifest_missing_gate_key(tmp_path, key):
     out = _bundle_without(tmp_path, key)
     with pytest.raises(ValueError, match=rf"gates\.toml: section \[gate_1\] lacks key '{key}'"):
+        read_gated_bundle(out)
+
+
+@pytest.mark.parametrize("section, key, bad", [
+    ("top level", "n_gates", "two"),
+    ("section [gate_1]", "t_index", "x"),
+    ("section [gate_1]", "det_extent", "wide"),
+])
+def test_gated_manifest_bad_value(tmp_path, section, key, bad):
+    out = _bundle_without(tmp_path, key)
+    manifest = out / "gates.toml"
+    lines = manifest.read_text().splitlines()
+    at = 0 if key == "n_gates" else lines.index("[gate_1]") + 1
+    lines.insert(at, f"{key} = {bad}")
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"gates\.toml: {re.escape(section)} key '{key}' "
+                                         rf"has bad value '{bad}'"):
         read_gated_bundle(out)
 
 

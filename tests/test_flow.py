@@ -6,10 +6,9 @@ from metamorph.flow import (
     TimeGrid,
     TimeVaryingVectorField,
     forward_maps,
-    intermediate_map,
-    jacobian_chain,
+    jacobian_chain_to_index,
     maps_from_zero,
-    maps_to_one,
+    maps_to_index,
 )
 
 
@@ -49,11 +48,10 @@ def test_zero_field_gives_identity_maps():
     ident = SPEC.identity_points()
     for m in maps_from_zero(v):
         assert np.array_equal(m.points, ident)
-    for m in maps_to_one(v):
+    for m in maps_to_index(v, 6):
         assert np.array_equal(m.points, ident)
-    for i in range(7):
-        for j in range(7):
-            assert np.array_equal(intermediate_map(v, i, j).points, ident)
+    for m in forward_maps(v):
+        assert np.array_equal(m.points, ident)
 
 
 def test_translation_flow_closed_form():
@@ -63,26 +61,10 @@ def test_translation_flow_closed_form():
         v = constant_field(tg, c, 0.0)
         end, ident = interior(maps_from_zero(v)[-1].points)
         assert np.abs(end - (ident - [c, 0.0])).max() <= 1e-10
-        start, ident = interior(maps_to_one(v)[0].points)
+        start, ident = interior(maps_to_index(v, n)[0].points)
         assert np.abs(start - (ident + [c, 0.0])).max() <= 1e-10
-
-
-def test_translation_intermediate_map():
-    c = 2.0
-    tg = TimeGrid(8)
-    v = constant_field(tg, c, 0.0)
-    for i, j in ((0, 4), (2, 6), (7, 3), (5, 5)):
-        m, ident = interior(intermediate_map(v, i, j).points)
-        shift = (j - i) / 8 * c
-        assert np.abs(m - (ident + [shift, 0.0])).max() <= 1e-10
-
-
-def test_intermediate_map_index_errors():
-    v = constant_field(TimeGrid(4), 0.5, 0.0)
-    with pytest.raises(IndexError):
-        intermediate_map(v, 0, 5)
-    with pytest.raises(IndexError):
-        intermediate_map(v, -1, 2)
+        fwd, ident = interior(forward_maps(v)[-1].points)
+        assert np.abs(fwd - (ident + [c, 0.0])).max() <= 1e-10
 
 
 def test_rotation_flow_first_order_convergence():
@@ -105,7 +87,7 @@ def test_forward_backward_composition_near_identity():
     errs = []
     for n in (8, 16):
         v = rotation_field(TimeGrid(n), omega)
-        fwd = maps_to_one(v)[0].points      # phi_{0,1}
+        fwd = maps_to_index(v, n)[0].points  # phi_{0,1}
         back = maps_from_zero(v)[-1].points  # phi_{1,0}
         composed = sample_points_xy(fwd, SPEC, back[..., 0], back[..., 1])
         comp, ident = interior(composed)
@@ -114,30 +96,29 @@ def test_forward_backward_composition_near_identity():
     assert 1.4 <= errs[0] / errs[1] <= 2.8
 
 
-def test_group_property_bitwise():
+def test_maps_from_zero_end_is_prefix_bitwise():
     rng = np.random.default_rng(0)
-    tg = TimeGrid(5)
-    v = TimeVaryingVectorField(tg, [
+    v = TimeVaryingVectorField(TimeGrid(5), [
         VectorImage(SPEC, rng.normal(0, 0.5, SPEC.shape), rng.normal(0, 0.5, SPEC.shape))
         for _ in range(6)
     ])
-    fwd = forward_maps(v)
-    for j in range(6):
-        assert np.array_equal(intermediate_map(v, 0, j).points, fwd[j].points)
-    back = maps_from_zero(v)
-    for i in range(6):
-        assert np.array_equal(intermediate_map(v, i, 0).points, back[i].points)
+    full = maps_from_zero(v)
+    for end in range(6):
+        part = maps_from_zero(v, end)
+        assert len(part) == end + 1
+        for a, b in zip(part, full):
+            assert np.array_equal(a.points, b.points)
 
 
 def test_jacobian_chain_zero_field_is_one():
     v = TimeVaryingVectorField.zeros(TimeGrid(5), SPEC)
-    for entry in jacobian_chain(v).entries:
+    for entry in jacobian_chain_to_index(v, 5).entries:
         assert np.all(entry.values == 1.0)
 
 
 def test_jacobian_chain_rotation_volume_preserving():
     v = rotation_field(TimeGrid(8), 0.4)
-    chain = jacobian_chain(v)
+    chain = jacobian_chain_to_index(v, 8)
     ident = SPEC.identity_points()
     mask = (np.abs(ident[..., 0]) <= 8.0) & (np.abs(ident[..., 1]) <= 8.0)
     for entry in chain.entries:
@@ -155,7 +136,7 @@ def test_jacobian_chain_scaling_closed_form():
             VectorImage.from_function(SPEC, lambda x, y: (lam * x, lam * y))
             for _ in range(n + 1)
         ])
-        vals = jacobian_chain(v).entries[0].values[mask]
+        vals = jacobian_chain_to_index(v, n).entries[0].values[mask]
         rels.append(np.abs(vals - np.exp(2 * lam)).max() / np.exp(2 * lam))
     assert rels[0] <= 0.03
     assert rels[2] < rels[1] < rels[0]
@@ -169,7 +150,7 @@ def test_jacobian_chain_positive_under_compression():
         VectorImage.from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))
         for _ in range(n + 1)
     ])
-    for entry in jacobian_chain(v).entries:
+    for entry in jacobian_chain_to_index(v, n).entries:
         assert np.all(entry.values > 0.0)
 
 

@@ -15,7 +15,13 @@ from helpers import (
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import Image
 from metamorph.metamorphosis import TimeVaryingScalarField
-from metamorph.objective import RegParams, evaluate, evaluate_parts, gradient
+from metamorph.objective import (
+    RegParams,
+    _data_gradient_arrays,
+    evaluate,
+    evaluate_parts,
+    gradient,
+)
 from metamorph.ray import Geometry, Sinogram, _build_operator, forward_project
 from metamorph.spatiotemporal import (
     GatedData,
@@ -123,6 +129,20 @@ def test_two_identical_gates_double_data_term():
     single = gated_evaluate(v, zeta, I0, GatedData([(4, g)]), params)
     double = gated_evaluate(v, zeta, I0, GatedData([(2, g), (4, g)]), params)
     assert double == pytest.approx(2.0 * single, rel=1e-12)
+
+
+def test_data_gradient_adds_up_over_gates():
+    # the backward sweep carries all gates at once; each gate's residual must
+    # enter it at its own level, so the result is the sum of single-gate runs
+    _, I0, gated = make_gated_problem(n_steps=6)
+    v, zeta = random_state(6, seed=29, amp_v=0.3, amp_z=0.3)
+    together = _data_gradient_arrays(v, zeta, I0, gated.gates)
+    alone = [_data_gradient_arrays(v, zeta, I0, [gate]) for gate in gated.gates]
+    for part, parts in zip(together, zip(*alone)):
+        scale = max(np.abs(a).max() for p in parts for a in p)
+        assert scale > 0.0
+        for k, got in enumerate(part):
+            assert np.abs(got - sum(p[k] for p in parts)).max() <= 1e-12 * scale
 
 
 def test_gate_locality_of_data_gradient():
