@@ -41,25 +41,21 @@ class ConfigReader:
             self.problems.append(f"[{section}] {key}: missing required key")
         return default
 
-    def get_float(self, section, key, default=None, required=False):
+    def _number(self, section, key, default, required, kind, what):
         raw = self._raw(section, key, default, required)
-        if raw is None or isinstance(raw, float):
+        if raw is None or isinstance(raw, kind):
             return raw
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            self.problems.append(f"[{section}] {key}: not a number ({raw!r})")
+            self.problems.append(f"[{section}] {key}: not {what} ({raw!r})")
             return default
 
+    def get_float(self, section, key, default=None, required=False):
+        return self._number(section, key, default, required, float, "a number")
+
     def get_int(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            self.problems.append(f"[{section}] {key}: not an integer ({raw!r})")
-            return default
+        return self._number(section, key, default, required, int, "an integer")
 
     def get_bool(self, section, key, default=None, required=False):
         raw = self._raw(section, key, default, required)
@@ -104,17 +100,22 @@ class ConfigReader:
             raise ConfigError(self.problems)
 
 
+def _build(cfg: ConfigReader, section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), or None with its error recorded as a problem."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        cfg.problems.append(f"[{section}]: {exc}")
+        return None
+
+
 def _grid(cfg: ConfigReader):
     from .grid import GridSpec
 
     half_width = cfg.get_float("grid", "half_width", 16.0)
     nx = cfg.get_int("grid", "nx", 256)
     ny = cfg.get_int("grid", "ny", nx)
-    try:
-        return GridSpec(half_width, nx, ny)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[grid]: {exc}")
-        return None
+    return _build(cfg, "grid", GridSpec, half_width, nx, ny)
 
 
 def _geometry(cfg: ConfigReader, spec):
@@ -124,11 +125,7 @@ def _geometry(cfg: ConfigReader, spec):
     n_det = cfg.get_int("geometry", "n_det", 362)
     default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
     det_extent = cfg.get_float("geometry", "det_extent", default_extent)
-    try:
-        return Geometry.uniform(n_angles, n_det, det_extent)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[geometry]: {exc}")
-        return None
+    return _build(cfg, "geometry", Geometry.uniform, n_angles, n_det, det_extent)
 
 
 def _solver(cfg: ConfigReader):
@@ -144,11 +141,7 @@ def _solver(cfg: ConfigReader):
         rel_tol=cfg.get_float("solver", "rel_tol", 1e-6),
         mode="metamorphosis" if mode == "fbp" else mode,
     )
-    try:
-        return mode, SolveConfig(**kw)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[solver]: {exc}")
-        return mode, None
+    return mode, _build(cfg, "solver", SolveConfig, **kw)
 
 
 def _phantom_spec(cfg: ConfigReader):
@@ -198,11 +191,7 @@ def _phantom_spec(cfg: ConfigReader):
         appear = cfg.get_floats("phantom", "appear", None)
         if appear:
             kw["appear"] = Disc(*appear)
-    try:
-        return PhantomSpec(**kw)
-    except (TypeError, ValueError) as exc:
-        cfg.problems.append(f"[phantom]: {exc}")
-        return None
+    return _build(cfg, "phantom", PhantomSpec, **kw)
 
 
 def _out_dir(cfg: ConfigReader, args) -> Path:
@@ -287,20 +276,9 @@ def _load_common(cfg: ConfigReader):
     trunc = cfg.get_float("kernel", "truncation_radius", 4.0)
     gamma = cfg.get_float("reg", "gamma", 1e-5)
     tau = cfg.get_float("reg", "tau", 1e-5)
-    tgrid = kernel = params = None
-    try:
-        tgrid = TimeGrid(steps)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[time]: {exc}")
-    try:
-        kernel = KernelSpec(sigma, trunc)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[kernel]: {exc}")
-    try:
-        params = RegParams(gamma, tau)
-    except (ValueError, TypeError) as exc:
-        cfg.problems.append(f"[reg]: {exc}")
-    return spec, tgrid, kernel, params
+    return (spec, _build(cfg, "time", TimeGrid, steps),
+            _build(cfg, "kernel", KernelSpec, sigma, trunc),
+            _build(cfg, "reg", RegParams, gamma, tau))
 
 
 def _write_report(report, out: Path):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,24 @@ def atomic_write_bytes(path, data: bytes):
         raise
 
 
+@contextmanager
+def _naming(path):
+    """Prefix the file's path to a ValueError raised while building from it."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _samples(path, blob: bytes, offset: int, count: int) -> np.ndarray:
+    """The count little-endian float64 samples that fill blob after offset."""
+    size = len(blob) - offset
+    if size != 8 * count:
+        raise ValueError(f"{path}: expected {8 * count} bytes of samples after the "
+                         f"{offset}-byte header, found {size}")
+    return np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+
+
 def write_image_raw(img: Image, path):
     header = struct.pack(_IMG_HEADERS[_IMG_MAGIC], _IMG_MAGIC, img.spec.nx, img.spec.ny,
                          float(img.spec.half_width))
@@ -54,10 +73,9 @@ def read_image_raw(path) -> Image:
     if layout is None or len(blob) < struct.calcsize(layout):
         raise ValueError(f"{path} is not a raw image file")
     magic, nx, ny, half_width = struct.unpack_from(layout, blob)
-    values = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize(layout))
-    if values.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} samples, found {values.size}")
-    return Image(GridSpec(float(half_width), nx, ny), values.reshape(nx, ny).copy())
+    values = _samples(path, blob, struct.calcsize(layout), nx * ny)
+    with _naming(path):
+        return Image(GridSpec(float(half_width), nx, ny), values.reshape(nx, ny))
 
 
 def write_pgm(values_or_img, path):
@@ -84,14 +102,10 @@ def read_sinogram(path, det_extent: float) -> Sinogram:
     if len(blob) < 12 or blob[:4] != _SINO_MAGIC:
         raise ValueError(f"{path} is not a sinogram file")
     magic, n_angles, n_det = struct.unpack("<4sII", blob[:12])
-    offset = 12
-    angles = np.frombuffer(blob[offset:offset + 8 * n_angles], dtype="<f8").copy()
-    offset += 8 * n_angles
-    values = np.frombuffer(blob[offset:], dtype="<f8")
-    if values.size != n_angles * n_det:
-        raise ValueError(f"{path}: expected {n_angles * n_det} samples, found {values.size}")
-    geo = Geometry(angles, n_det, det_extent)
-    return Sinogram(geo, values.reshape(n_angles, n_det).copy())
+    samples = _samples(path, blob, 12, n_angles * (1 + n_det))
+    with _naming(path):
+        geo = Geometry(samples[:n_angles], n_det, det_extent)
+        return Sinogram(geo, samples[n_angles:].reshape(n_angles, n_det))
 
 
 def write_gated_bundle(directory, gates: list[tuple[int, Sinogram]], seed: int | None = None):
@@ -157,6 +171,8 @@ def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
     path = directory / "gates.toml"
     manifest = _parse_manifest(path.read_text())
     n_gates = _manifest_number(manifest, path, "", "n_gates", int)
+    if n_gates < 1:
+        raise ValueError(f"{path}: top level key 'n_gates' must be at least 1, got {n_gates}")
     gates = []
     for num in range(1, n_gates + 1):
         section = f"gate_{num}"

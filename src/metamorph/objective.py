@@ -33,6 +33,11 @@ positive.  This index alignment makes the gradient exact against finite
 differences in the zero-velocity limit.  The same core runs any list of
 (end index, data) pairs, so the gated multi-time-point objective reuses it
 verbatim; a gate contributes only to samples before its index.
+
+The forward model (template evolution, flow maps, image trajectory and gate
+projections) is built in one place, evaluate_parts.  It returns the image
+trajectory and the projections as a ForwardState, and the gradient at the
+same (v, zeta) reads them instead of building the model again.
 """
 
 from __future__ import annotations
@@ -100,31 +105,30 @@ def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
     return dt * sum(float(np.sum(s.values * s.values)) * hsq for s in zeta.samples[:-1])
 
 
-def _check_inputs(v, zeta, I0):
-    if zeta.tgrid != v.tgrid:
-        raise ValueError("velocity and intensity control must share one time grid")
-    if zeta.spec != v.spec or I0.spec != v.spec:
-        raise ValueError("velocity, intensity control and template must share one grid")
+@dataclass
+class ForwardState:
+    """Image trajectory f_0..f_M (M the last gate index) and T f_e per gate,
+    as one evaluation built them for the gradient at the same (v, zeta)."""
+
+    images: list[Image]
+    projections: list[Sinogram]
 
 
 def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                    I0: Image, gates: list[tuple[int, Sinogram]],
-                   params: RegParams) -> tuple[float, float, float, float]:
-    """(total, data term, velocity term, intensity term) for gated data."""
-    _check_inputs(v, zeta, I0)
+                   params: RegParams) -> tuple[float, float, float, float, ForwardState]:
+    """(total, data, velocity and intensity terms, forward state) for gated data."""
     template = evolve_template(v, zeta, I0)
+    max_end = max(end for end, _ in gates)
     # the backward recursion's prefix property makes one chain serve all gates
-    back = maps_from_zero(v, max(end for end, _ in gates))
-    data = 0.0
-    for end, g in gates:
-        if end == 0:
-            f_end = template[0]
-        else:
-            f_end = group_action(back[end], template[end])
-        data += data_discrepancy(forward_project(f_end, g.geometry), g)
+    back = maps_from_zero(v, max_end)
+    images = [template[0]] + [group_action(back[i], template[i])
+                              for i in range(1, max_end + 1)]
+    projections = [forward_project(images[end], g.geometry) for end, g in gates]
+    data = sum(data_discrepancy(proj, g) for proj, (_, g) in zip(projections, gates))
     v_term = 0.5 * params.gamma * velocity_norm_sq(v)
     z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
-    return v_term + z_term + data, data, v_term, z_term
+    return v_term + z_term + data, data, v_term, z_term, ForwardState(images, projections)
 
 
 def evaluate(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
@@ -133,30 +137,28 @@ def evaluate(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     return evaluate_parts(v, zeta, I0, [(v.tgrid.n_steps, g)], params)[0]
 
 
-def _data_gradient_arrays(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                          I0: Image, gates: list[tuple[int, Sinogram]]):
+def _data_gradient_arrays(v: TimeVaryingVectorField, state: ForwardState,
+                          gates: list[tuple[int, Sinogram]]):
     """Pre-smoothing data-term gradients per sample.
 
-    One forward pass builds the image trajectory f_i and its gradients G_i;
-    one backward sweep carries the summed gate residuals to every level.
-    Velocity sample k pairs the carried residual and G of level k+1; the
-    intensity sample k takes the residual carried to its own level k.
-    Returns (gv_x, gv_y, gz) lists over samples 0..N, zero past the last gate.
+    The forward state supplies the image trajectory f_i, whose gradients are
+    the G_i, and the gate projections, whose residuals one backward sweep
+    carries to every level.  Velocity sample k pairs the carried residual and
+    G of level k+1; the intensity sample k takes the residual carried to its
+    own level k.  Returns (gv_x, gv_y, gz) lists over samples 0..N, zero past
+    the last gate.
     """
     spec = v.spec
     n = v.tgrid.n_steps
     dt = v.tgrid.dt
-    max_end = max(end for end, _ in gates)
-    template = evolve_template(v, zeta, I0)
-    back = maps_from_zero(v, max_end)
-    images = [template[0]] + [group_action(back[i], template[i])
-                              for i in range(1, max_end + 1)]
+    images = state.images
+    max_end = len(images) - 1
 
     residuals: dict[int, np.ndarray] = {}
-    for end, g in gates:
+    for proj, (end, g) in zip(state.projections, gates):
         if end == 0:
             continue  # no sample precedes index 0, so its residual reaches none
-        r = discrepancy_gradient(forward_project(images[end], g.geometry), g, spec).values
+        r = discrepancy_gradient(proj, g, spec).values
         residuals[end] = residuals.get(end, 0.0) + r
 
     gv_x = [np.zeros(spec.shape) for _ in range(n + 1)]
@@ -178,13 +180,12 @@ def _data_gradient_arrays(v: TimeVaryingVectorField, zeta: TimeVaryingScalarFiel
 
 
 def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                  I0: Image, gates: list[tuple[int, Sinogram]],
+                  state: ForwardState, gates: list[tuple[int, Sinogram]],
                   params: RegParams, kernel: KernelSpec) -> GradientPair:
-    """Full gradient for a list of (end index, sinogram) gates."""
-    _check_inputs(v, zeta, I0)
+    """Full gradient for (end index, sinogram) gates from evaluate_parts' state."""
     spec = v.spec
     n = v.tgrid.n_steps
-    gv_x, gv_y, gz = _data_gradient_arrays(v, zeta, I0, gates)
+    gv_x, gv_y, gz = _data_gradient_arrays(v, state, gates)
     grad_v = []
     grad_z = []
     for i in range(n + 1):
@@ -207,4 +208,6 @@ def gradient(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
              I0: Image, g: Sinogram, params: RegParams,
              kernel: KernelSpec) -> GradientPair:
     """Gradient of the single-data-set objective."""
-    return gradient_core(v, zeta, I0, [(v.tgrid.n_steps, g)], params, kernel)
+    gates = [(v.tgrid.n_steps, g)]
+    state = evaluate_parts(v, zeta, I0, gates, params)[4]
+    return gradient_core(v, zeta, state, gates, params, kernel)

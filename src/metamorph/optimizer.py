@@ -5,6 +5,10 @@ separate step sizes for the velocity and the intensity control (their scales
 differ by orders of magnitude), halving both on failure to decrease the
 objective.  The 'lddmm' mode freezes zeta at zero and follows the velocity
 gradient only.
+
+Between the line search and the next gradient, descend keeps the accepted
+candidate's (v, zeta), objective terms and forward state (image trajectory
+and gate projections); the gradient reads that state, and is its last use.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ class SolveConfig:
             raise ValueError("max_iters must be at least 1")
         if self.step_v <= 0 or self.step_zeta <= 0:
             raise ValueError("step sizes must be positive")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -79,7 +85,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     v = TimeVaryingVectorField.zeros(tgrid, spec)
     zeta = TimeVaryingScalarField.zeros(tgrid, spec)
 
-    total, data, v_term, z_term = evaluate_parts(v, zeta, I0, gates, params)
+    total, data, v_term, z_term, state = evaluate_parts(v, zeta, I0, gates, params)
     initial = total
     history = [total]
     rows = [{"iter": 0, "objective": total, "data_term": data,
@@ -90,27 +96,20 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
 
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        grad = gradient_core(v, zeta, I0, gates, params, kernel)
+        grad = gradient_core(v, zeta, state, gates, params, kernel)
+        state = cand = None  # the line search holds one trajectory at a time
         if _grad_is_zero(grad, lddmm):
             stop_reason = "zero_gradient"
             break
 
         sv, sz = cfg.step_v, cfg.step_zeta
-        accepted = False
-        halvings = 0
-        while True:
+        for _ in range(cfg.max_halvings + 1):
             v_new = v.add_scaled(grad.grad_v, -sv)
             zeta_new = zeta if lddmm else zeta.add_scaled(grad.grad_zeta, -sz)
             cand = evaluate_parts(v_new, zeta_new, I0, gates, params)
-            if not cfg.backtracking:
-                accepted = True
+            if not cfg.backtracking or cand[0] <= total:
                 break
-            if cand[0] <= total:
-                accepted = True
-                break
-            halvings += 1
-            if halvings > cfg.max_halvings:
-                break
+            cand = None  # rejected; None after the loop means no step was accepted
             sv *= 0.5
             sz *= 0.5
 
@@ -119,13 +118,13 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
                 f"objective {cand[0]:.6g} exceeds 1000x the initial value "
                 f"{initial:.6g} at iteration {it}; reduce the step sizes"
             )
-        if not accepted:
+        if cand is None:
             stop_reason = "no_decrease"
             break
 
         v, zeta = v_new, zeta_new
         previous = total
-        total, data, v_term, z_term = cand
+        total, data, v_term, z_term, state = cand
         history.append(total)
         rows.append({"iter": it, "objective": total, "data_term": data,
                      "v_term": v_term, "zeta_term": z_term,

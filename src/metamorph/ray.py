@@ -65,6 +65,8 @@ class Geometry:
         angles = np.array(self.angles, dtype=np.float64, ndmin=1)
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
+        if angles.size == 0:
+            raise ValueError("need at least one angle")
         if not np.isfinite(angles).all():
             raise ValueError("angles must be finite")
         if np.any(angles < 0.0) or np.any(angles >= np.pi):

@@ -70,7 +70,8 @@ def gated_gradient(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                    kernel: KernelSpec) -> GradientPair:
     """Gradient of the gated objective; regulariser terms added once."""
     gated.check_against(v.tgrid)
-    return gradient_core(v, zeta, I0, gated.gates, params, kernel)
+    state = evaluate_parts(v, zeta, I0, gated.gates, params)[4]
+    return gradient_core(v, zeta, state, gated.gates, params, kernel)
 
 
 def reconstruct_gated(I0: Image, gated: GatedData, kernel: KernelSpec,

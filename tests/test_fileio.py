@@ -1,9 +1,14 @@
 import math
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metamorph.fileio import (
     read_gated_bundle,
@@ -167,3 +172,125 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_image_raw(Image.zeros(spec), tmp_path / "a.mimg")
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _named(path):
+    """pytest.raises for a ValueError whose message starts with the path."""
+    return pytest.raises(ValueError, match="^" + re.escape(str(path)))
+
+
+def _image_file(nx, ny, half_width, payload: bytes) -> bytes:
+    return struct.pack("<4sIId", b"MIM2", nx, ny, half_width) + payload
+
+
+def _sino_file(angles, n_det, payload: bytes) -> bytes:
+    angles = np.asarray(angles, dtype="<f8")
+    return struct.pack("<4sII", b"SINO", angles.size, n_det) + angles.tobytes() + payload
+
+
+def test_image_raw_payload_of_partial_samples_is_named(tmp_path):
+    path = tmp_path / "odd.mimg"
+    path.write_bytes(_image_file(2, 2, 16.0, b"\x00" * 33))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected 32 bytes .* found 33"):
+        read_image_raw(path)
+
+
+def test_sinogram_payload_of_partial_samples_is_named(tmp_path):
+    path = tmp_path / "odd.sino"
+    path.write_bytes(struct.pack("<4sII", b"SINO", 3, 2) + b"\x00" * 13)
+    # three angles and 3 x 2 values
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected 72 bytes .* found 13"):
+        read_sinogram(path, det_extent=20.0)
+
+
+@pytest.mark.parametrize("nx, ny, half_width, values", [
+    (2, 2, 16.0, [0.0, math.nan, 1.0, 2.0]),
+    (1, 1, 16.0, [0.0]),
+    (2, 3, 16.0, [0.0] * 6),
+    (2, 2, math.nan, [0.0] * 4),
+])
+def test_image_raw_bad_contents_are_named(tmp_path, nx, ny, half_width, values):
+    path = tmp_path / "bad.mimg"
+    path.write_bytes(_image_file(nx, ny, half_width, np.array(values, dtype="<f8").tobytes()))
+    with _named(path):
+        read_image_raw(path)
+
+
+@pytest.mark.parametrize("angles, values, det_extent", [
+    ([0.5, math.pi], [0.0] * 4, 20.0),
+    ([0.5, 1.0], [0.0, math.nan, 0.0, 0.0], 20.0),
+    ([], [], 20.0),
+    ([0.5], [0.0, 0.0], math.nan),
+])
+def test_sinogram_bad_contents_are_named(tmp_path, angles, values, det_extent):
+    path = tmp_path / "bad.sino"
+    path.write_bytes(_sino_file(angles, 2, np.array(values, dtype="<f8").tobytes()))
+    with _named(path):
+        read_sinogram(path, det_extent)
+
+
+@pytest.mark.parametrize("n_gates", [0, -1])
+def test_gated_manifest_needs_a_gate(tmp_path, n_gates):
+    (tmp_path / "gates.toml").write_text(f"n_gates = {n_gates}\n")
+    with pytest.raises(ValueError, match=r"gates\.toml: top level key 'n_gates' must be at least 1"):
+        read_gated_bundle(tmp_path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_image_raw_roundtrip_and_prefixes(data):
+    n = data.draw(st.integers(2, 5))
+    spec = GridSpec(data.draw(st.floats(1e-6, 1e6)), n, n)
+    img = Image(spec, data.draw(arrays(np.float64, spec.shape, elements=finite)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img.mimg"
+        write_image_raw(img, path)
+        back = read_image_raw(path)
+        assert back.spec == spec
+        assert back.values.tobytes() == img.values.tobytes()
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with _named(path):
+                read_image_raw(path)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_sinogram_roundtrip_and_prefixes(data):
+    angles = data.draw(st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=1, max_size=4))
+    geo = Geometry(np.array(angles), data.draw(st.integers(1, 4)), 20.0)
+    sino = Sinogram(geo, data.draw(arrays(np.float64, (geo.n_angles, geo.n_det), elements=finite)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.sino"
+        write_sinogram(sino, path)
+        back = read_sinogram(path, det_extent=20.0)
+        assert back.geometry.same_sampling(geo)
+        assert back.values.tobytes() == sino.values.tobytes()
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with _named(path):
+                read_sinogram(path, det_extent=20.0)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_gated_manifest_without_a_required_key_is_named(data):
+    geo = Geometry(np.array([0.2, 1.3]), 4, 12.0)
+    gates = [(k, Sinogram(geo, np.full((2, 4), float(k))))
+             for k in range(1, data.draw(st.integers(1, 3)) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_gated_bundle(tmp, gates)
+        manifest = Path(tmp) / "gates.toml"
+        lines = manifest.read_text().splitlines()
+        required = [i for i, line in enumerate(lines)
+                    if line.split(" = ")[0] in ("n_gates", "t_index", "file", "det_extent")]
+        drop = data.draw(st.sampled_from(required))
+        key = lines.pop(drop).split(" = ")[0]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: .*'{key}'"):
+            read_gated_bundle(tmp)

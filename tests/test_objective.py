@@ -25,6 +25,7 @@ from metamorph.objective import (
     data_discrepancy,
     discrepancy_gradient,
     evaluate,
+    evaluate_parts,
     gradient,
 )
 from metamorph.ray import Geometry, Sinogram, forward_project
@@ -129,8 +130,6 @@ def test_evaluate_zero_at_consistent_data():
 
 
 def test_evaluate_intensity_term_quadratic():
-    from metamorph.objective import evaluate_parts
-
     tg, geo, I0, g = make_problem()
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     rng = np.random.default_rng(4)
@@ -231,7 +230,9 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     params = RegParams(0.3, 0.7)
     v, zeta = random_state(4, seed=11, amp_v=0.1, amp_z=0.3)
     grad = gradient(v, zeta, I0, g, params, FD_KERNEL)
-    gv_x, gv_y, gz = _data_gradient_arrays(v, zeta, I0, [(4, g)])
+    gates = [(4, g)]
+    state = evaluate_parts(v, zeta, I0, gates, params)[4]
+    gv_x, gv_y, gz = _data_gradient_arrays(v, state, gates)
     for i in range(4):
         smoothed = kernel_apply(VectorImage(FD_SPEC, gv_x[i], gv_y[i]), FD_KERNEL)
         expect_x = params.gamma * v.samples[i].vx - smoothed.vx

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metamorph import objective, optimizer
 from metamorph.experiments import shifted_disc_case, solve_case
 from metamorph.flow import TimeGrid
 from metamorph.grid import GridSpec
@@ -22,6 +23,8 @@ def test_solveconfig_validation():
         SolveConfig(step_v=0.0)
     with pytest.raises(ValueError):
         SolveConfig(mode="bogus")
+    with pytest.raises(ValueError):
+        SolveConfig(max_halvings=-1)
 
 
 def consistent_problem(nx=64):
@@ -102,3 +105,28 @@ def test_log_rows_schema():
                             "zeta_term", "step_v", "step_zeta"}
         assert row["objective"] == pytest.approx(
             row["data_term"] + row["v_term"] + row["zeta_term"])
+
+
+def test_forward_model_built_once_per_evaluation(monkeypatch):
+    # the gradient reads the accepted evaluation's forward state: k steps that
+    # never backtrack build the model 1 + k times (2k + 1 if it rebuilt it)
+    counts = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("evolve_template", "maps_from_zero", "forward_project"):
+        count(objective, name)
+    count(optimizer, "evaluate_parts")
+    k = 3
+    case = shifted_disc_case(nx=32, n_angles=20)
+    report, _ = solve_case(case, max_iters=k, step_v=5e-4, step_zeta=1e-2)
+    assert report.stop_reason == "max_iters" and report.iterations_used == k
+    assert counts["evaluate_parts"] == 1 + k  # every first step was accepted
+    assert counts == dict.fromkeys(counts, 1 + k)

@@ -33,6 +33,9 @@ def test_geometry_validation():
         Geometry(np.array([-0.1]), 10, EXTENT)
     with pytest.raises(ValueError):
         Geometry(np.array([0.5]), 0, EXTENT)
+    # an empty acquisition would otherwise divide by zero in delta_angle
+    with pytest.raises(ValueError, match="at least one angle"):
+        Geometry(np.array([]), 10, EXTENT)
     geo = Geometry.uniform(10, 32, EXTENT)
     assert geo.n_angles == 10
     assert geo.delta_angle == pytest.approx(np.pi / 10)
