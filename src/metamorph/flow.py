@@ -8,8 +8,11 @@ outer map at the inner map's points.  Two builders serve the model:
 
 * maps_from_zero: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
                   for i = 0..end (the image trajectory pulls back through it)
-* forward_maps:   phi_{0,t_j} by advecting the node points through the
-                  per-step displacements (the template transports zeta by it)
+* forward_levels: the points phi_{0,t_k}(x) of the nodes x, advected one
+                  Euler step per level, each with the bilinear stencil that
+                  samples v(t_k) there; the template evolution samples zeta
+                  through the same stencil, so a level builds one
+                  (forward_maps lists the maps it yields)
 
 maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
 determinants of those maps, by the first-order recursion
@@ -28,7 +31,9 @@ import numpy as np
 from .grid import (
     GridSpec,
     Image,
+    Stencil,
     VectorImage,
+    bilinear_stencil,
     divergence,
     sample_points_xy,
     sample_values_xy,
@@ -137,14 +142,14 @@ def _one_step_queries(v_i: VectorImage, sign: float) -> tuple[np.ndarray, np.nda
     return qx, qy
 
 
-def _advect(points: np.ndarray, v_i: VectorImage, dt_signed: float,
-            spec: GridSpec) -> np.ndarray:
-    """points + dt * v(points), sampling v with zero extension outside."""
-    px, py = points[..., 0], points[..., 1]
+def _advect(points: np.ndarray, stencil: Stencil, v_i: VectorImage,
+            dt_signed: float) -> np.ndarray:
+    """points + dt * v(points), sampling v through the points' stencil
+    (zero extension outside)."""
     out = np.empty_like(points)
-    out[..., 0] = px + dt_signed * sample_values_xy(v_i.vx, spec, px, py)
-    out[..., 1] = py + dt_signed * sample_values_xy(v_i.vy, spec, px, py)
-    return _clamp_points(out, spec)
+    out[..., 0] = points[..., 0] + dt_signed * stencil.apply(v_i.vx)
+    out[..., 1] = points[..., 1] + dt_signed * stencil.apply(v_i.vy)
+    return _clamp_points(out, stencil.spec)
 
 
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
@@ -179,18 +184,29 @@ def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
     return out
 
 
+def forward_levels(v: TimeVaryingVectorField, end: int):
+    """Yield (points of phi_{0,t_k}, their stencil) for k = 0..end.
+
+    The step to level k+1 samples v(t_k) through level k's stencil, so each
+    level builds one, and no step is taken past level end.
+    """
+    spec = v.spec
+    dt = v.tgrid.dt
+    pts = spec.identity_points()
+    for k in range(end + 1):
+        stencil = bilinear_stencil(spec, pts[..., 0], pts[..., 1])
+        yield pts, stencil
+        if k < end:
+            pts = _advect(pts, stencil, v.samples[k], dt)
+
+
+# the solver reads forward_levels; the tests check the advection through this
+# list, and the benchmark's tracer wraps it by name
 def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{0,t_j} for j = 0..end, built by advecting the node points."""
     if end is None:
         end = v.tgrid.n_steps
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    out = [DeformationMap(spec, pts)]
-    for k in range(end):
-        pts = _advect(pts, v.samples[k], dt, spec)
-        out.append(DeformationMap(spec, pts))
-    return out
+    return [DeformationMap(v.spec, pts) for pts, _ in forward_levels(v, end)]
 
 
 # kept only because the benchmark's tracer wraps it by name
@@ -203,7 +219,8 @@ def backward_advected_points(v: TimeVaryingVectorField, i: int):
     dt = v.tgrid.dt
     pts = spec.identity_points()
     for j in range(i - 1, -1, -1):
-        pts = _advect(pts, v.samples[j], -dt, spec)
+        pts = _advect(pts, bilinear_stencil(spec, pts[..., 0], pts[..., 1]),
+                      v.samples[j], -dt)
         yield j, pts
 
 

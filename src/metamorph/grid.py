@@ -4,6 +4,15 @@ Images are scalar fields sampled at pixel centres, vector fields carry one
 array per component.  Everything downstream (flows, ray transform, gradients)
 builds on the bilinear sampling and the central-difference operators defined
 here.  Fields are treated as zero outside the domain.
+
+Bilinear sampling is split in two.  A Stencil, built once from a grid and a
+point set, holds each point's four corner indices and weights; applying it
+to a nodal array reads the corners from a copy with a one-pixel zero border,
+so off-grid corners need no masks or clips.  Flows build one stencil per
+point set and apply it to every array sampled there (both velocity
+components, or a velocity and an intensity control); sample_values_xy is one
+build and one apply.  sample_points_xy uses the same stencil on queries
+clamped onto the node hull.
 """
 
 from __future__ import annotations
@@ -128,6 +137,72 @@ def _check_points(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """Bilinear weights of one point set on one grid.
+
+    index[c] and weights[c] address corner c = (0, 0), (1, 0), (0, 1), (1, 1)
+    of each point's cell in the nodal array padded with a one-pixel zero
+    border, so corners off the grid read zero and need no mask or clip.
+    Points in ``outside`` (None when there are none) read exactly zero.  One
+    stencil serves every array sampled at the same points.
+    """
+
+    spec: GridSpec
+    index: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    outside: np.ndarray | None
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Sample one nodal value array at the stencil's points."""
+        nx, ny = self.spec.shape
+        padded = np.zeros((nx + 2, ny + 2))
+        padded[1:-1, 1:-1] = values
+        flat = padded.ravel()
+        (i00, i10, i01, i11), (w00, w10, w01, w11) = self.index, self.weights
+        out = w00 * flat.take(i00)
+        out += w10 * flat.take(i10)
+        out += w01 * flat.take(i01)
+        out += w11 * flat.take(i11)
+        if self.outside is not None:
+            out[self.outside] = 0.0
+        return out
+
+
+def _stencil(spec: GridSpec, u, w, outside) -> Stencil:
+    # (u, w) are node coordinates; the padded array puts node (i, j) at
+    # (i + 1, j + 1)
+    i0 = np.floor(u)
+    j0 = np.floor(w)
+    fu = u - i0
+    fw = w - j0
+    stride = spec.ny + 2
+    k = ((i0 + 1.0) * stride + (j0 + 1.0)).astype(np.intp)
+    gu = 1.0 - fu
+    gw = 1.0 - fw
+    return Stencil(spec, (k, k + stride, k + 1, k + (stride + 1)),
+                   (gu * gw, fu * gw, gu * fw, fu * fw), outside)
+
+
+def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
+    """Stencil of the points (px, py) for sampling with zero extension.
+
+    Missing neighbours outside the grid contribute zero, and points outside
+    the domain itself return exactly zero.
+    """
+    L = spec.half_width
+    u = (px + L) / spec.h - 0.5
+    w = (py + L) / spec.h - 0.5
+    outside = (np.abs(px) > L) | (np.abs(py) > L)
+    if outside.any():
+        # any cell will do: the apply zeroes these points
+        u = np.where(outside, 0.0, u)
+        w = np.where(outside, 0.0, w)
+    else:
+        outside = None
+    return _stencil(spec, u, w, outside)
+
+
 def sample_values_xy(values: np.ndarray, spec: GridSpec,
                      px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Bilinear sample of a nodal value array at physical coordinates.
@@ -135,30 +210,7 @@ def sample_values_xy(values: np.ndarray, spec: GridSpec,
     Missing neighbours outside the grid contribute zero, and points outside
     the domain itself return exactly zero.
     """
-    L = spec.half_width
-    h = spec.h
-    nx, ny = spec.nx, spec.ny
-    u = (px + L) / h - 0.5
-    w = (py + L) / h - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(w).astype(np.int64)
-    fu = u - i0
-    fw = w - j0
-    flat = values.ravel()
-    out = None
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ii = i0 + di if di else i0
-        jj = j0 + dj if dj else j0
-        wt = (fu if di else 1.0 - fu) * (fw if dj else 1.0 - fw)
-        wt *= (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
-        iic = np.minimum(np.maximum(ii, 0), nx - 1)
-        jjc = np.minimum(np.maximum(jj, 0), ny - 1)
-        term = wt * flat[iic * ny + jjc]
-        out = term if out is None else out + term
-    outside = (px < -L) | (px > L) | (py < -L) | (py > L)
-    if np.any(outside):
-        out = np.where(outside, 0.0, out)
-    return out
+    return bilinear_stencil(spec, px, py).apply(values)
 
 
 def sample_points_xy(points: np.ndarray, spec: GridSpec,
@@ -169,20 +221,16 @@ def sample_points_xy(points: np.ndarray, spec: GridSpec,
     combination of stored points (used for composing deformation maps).
     """
     L = spec.half_width
-    h = spec.h
     nx, ny = spec.nx, spec.ny
-    u = np.clip((px + L) / h - 0.5, 0.0, nx - 1.0)
-    w = np.clip((py + L) / h - 0.5, 0.0, ny - 1.0)
-    i0 = np.minimum(np.floor(u).astype(np.int64), nx - 2)
-    j0 = np.minimum(np.floor(w).astype(np.int64), ny - 2)
-    fu = (u - i0)[..., None]
-    fw = (w - j0)[..., None]
-    p00 = points[i0, j0]
-    p10 = points[i0 + 1, j0]
-    p01 = points[i0, j0 + 1]
-    p11 = points[i0 + 1, j0 + 1]
-    return ((1.0 - fu) * (1.0 - fw) * p00 + fu * (1.0 - fw) * p10
-            + (1.0 - fu) * fw * p01 + fu * fw * p11)
+    u = np.clip((px + L) / spec.h - 0.5, 0.0, nx - 1.0)
+    w = np.clip((py + L) / spec.h - 0.5, 0.0, ny - 1.0)
+    # a query on the far edge u = nx - 1 gives the corners past it weight 0,
+    # and they read the zero border
+    st = _stencil(spec, u, w, None)
+    out = np.empty(u.shape + (2,))
+    out[..., 0] = st.apply(points[..., 0])
+    out[..., 1] = st.apply(points[..., 1])
+    return out
 
 
 def sample_bilinear(img: Image, pts) -> np.ndarray:
@@ -194,10 +242,10 @@ def sample_bilinear(img: Image, pts) -> np.ndarray:
 def sample_bilinear_vec(vimg: VectorImage, pts) -> np.ndarray:
     """Componentwise bilinear sample of a vector field; zero outside the domain."""
     pts = _check_points(pts)
-    px, py = pts[..., 0], pts[..., 1]
+    st = bilinear_stencil(vimg.spec, pts[..., 0], pts[..., 1])
     out = np.empty(pts.shape)
-    out[..., 0] = sample_values_xy(vimg.vx, vimg.spec, px, py)
-    out[..., 1] = sample_values_xy(vimg.vy, vimg.spec, px, py)
+    out[..., 0] = st.apply(vimg.vx)
+    out[..., 1] = st.apply(vimg.vy)
     return out
 
 

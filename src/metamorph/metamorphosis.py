@@ -9,14 +9,19 @@ and the observable image at time t is the template pushed through the flow,
 f_t = I(t) o phi_{t,0}.  Three trajectories are exposed: the image (geometry
 and intensity), the deformation part (geometry only), and the template part
 (intensity only).
+
+Every resampling goes through one bilinear stencil per point set: zeta(t_j)
+is sampled with the stencil that also advects the points phi_{0,t_j} a step
+further, and the image and deformation parts of level i share the stencil of
+phi_{t_i,0}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import DeformationMap, TimeGrid, TimeVaryingVectorField, forward_maps, maps_from_zero
-from .grid import GridSpec, Image, sample_values_xy
+from .flow import DeformationMap, TimeGrid, TimeVaryingVectorField, forward_levels, maps_from_zero
+from .grid import GridSpec, Image, bilinear_stencil, sample_values_xy
 
 
 @dataclass
@@ -77,14 +82,11 @@ def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
         raise ValueError("velocity, intensity control and template must be consistent")
     spec = v.spec
     dt = v.tgrid.dt
-    fmaps = forward_maps(v)
     out = [I0.copy()]
     acc = I0.values
-    for i in range(1, v.tgrid.n_steps + 1):
-        pts = fmaps[i - 1].points
-        carried = sample_values_xy(zeta.samples[i - 1].values, spec,
-                                   pts[..., 0], pts[..., 1])
-        acc = acc + dt * carried
+    # level j's stencil carries zeta(t_j) to I(t_{j+1}); level N adds nothing
+    for j, (_, stencil) in enumerate(forward_levels(v, v.tgrid.n_steps - 1)):
+        acc = acc + dt * stencil.apply(zeta.samples[j].values)
         out.append(Image(spec, acc))
     return out
 
@@ -98,6 +100,8 @@ def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     image = [template[0].copy()]
     deformation = [I0.copy()]
     for i in range(1, len(back)):
-        image.append(group_action(back[i], template[i]))
-        deformation.append(group_action(back[i], I0))
+        pts = back[i].points
+        stencil = bilinear_stencil(I0.spec, pts[..., 0], pts[..., 1])
+        image.append(Image(I0.spec, stencil.apply(template[i].values)))
+        deformation.append(Image(I0.spec, stencil.apply(I0.values)))
     return Trajectories(image, deformation, template)

@@ -45,14 +45,15 @@ _CACHE_ENTRIES = 32
 _CHUNK_SAMPLES = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Parallel-beam sampling: angles in [0, pi), n_det uniform offsets.
 
     Detector offsets are bin midpoints in [-det_extent, det_extent].  The
     angle quadrature weight is fixed to pi / n_angles.  The angles are kept
     as a read-only copy, since the ray operators kept per geometry depend on
-    them.
+    them.  Two geometries are equal when they sample the same rays
+    (same_sampling).
     """
 
     angles: np.ndarray
@@ -99,6 +100,15 @@ class Geometry:
         return (self.n_det == other.n_det
                 and self.det_extent == other.det_extent
                 and np.array_equal(self.angles, other.angles))
+
+    def __eq__(self, other):
+        if not isinstance(other, Geometry):
+            return NotImplemented
+        return self.same_sampling(other)
+
+    def __hash__(self):
+        # the angle count, not their bytes: array_equal holds -0.0 == 0.0
+        return hash((self.n_det, self.det_extent, self.n_angles))
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Shared builders for the gradient finite-difference checks, and a per-sample
-reference for the ray transform.
+"""Shared builders for the gradient finite-difference checks, and per-sample
+references for the ray transform and the bilinear samplers.
 
 The fields are kernel-smoothed noise, tapered to vanish near the boundary
 (velocities are compactly supported in the model), and the template/target
@@ -123,3 +123,55 @@ def midpoint_ray_sums(img, geo):
                             total += (1 - abs(u - i)) * (1 - abs(w - j)) * img.values[i, j]
             out[a, d] = total * step
     return out
+
+
+def masked_sample_values(values, spec, px, py):
+    """Reference for sample_values_xy: four masked, clipped corner lookups.
+
+    Each corner's weight is zeroed where the corner lies off the grid and its
+    index clipped onto it; points outside the domain are set to zero last.
+    """
+    L = spec.half_width
+    h = spec.h
+    nx, ny = spec.nx, spec.ny
+    u = (px + L) / h - 0.5
+    w = (py + L) / h - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(w).astype(np.int64)
+    fu = u - i0
+    fw = w - j0
+    flat = values.ravel()
+    out = None
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ii = i0 + di if di else i0
+        jj = j0 + dj if dj else j0
+        wt = (fu if di else 1.0 - fu) * (fw if dj else 1.0 - fw)
+        wt *= (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
+        iic = np.minimum(np.maximum(ii, 0), nx - 1)
+        jjc = np.minimum(np.maximum(jj, 0), ny - 1)
+        term = wt * flat[iic * ny + jjc]
+        out = term if out is None else out + term
+    outside = (px < -L) | (px > L) | (py < -L) | (py > L)
+    if np.any(outside):
+        out = np.where(outside, 0.0, out)
+    return out
+
+
+def hull_sample_points(points, spec, px, py):
+    """Reference for sample_points_xy: queries clamped onto the node hull,
+    then four direct corner lookups in the (nx, ny, 2) point array."""
+    L = spec.half_width
+    h = spec.h
+    nx, ny = spec.nx, spec.ny
+    u = np.clip((px + L) / h - 0.5, 0.0, nx - 1.0)
+    w = np.clip((py + L) / h - 0.5, 0.0, ny - 1.0)
+    i0 = np.minimum(np.floor(u).astype(np.int64), nx - 2)
+    j0 = np.minimum(np.floor(w).astype(np.int64), ny - 2)
+    fu = (u - i0)[..., None]
+    fw = (w - j0)[..., None]
+    p00 = points[i0, j0]
+    p10 = points[i0 + 1, j0]
+    p01 = points[i0, j0 + 1]
+    p11 = points[i0 + 1, j0 + 1]
+    return ((1.0 - fu) * (1.0 - fw) * p00 + fu * (1.0 - fw) * p10
+            + (1.0 - fu) * fw * p01 + fu * fw * p11)

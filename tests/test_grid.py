@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hull_sample_points, masked_sample_values
 from metamorph.grid import (
     GridSpec,
     Image,
     VectorImage,
+    bilinear_stencil,
     divergence,
     gradient_central,
     image_l2_inner,
     sample_bilinear,
     sample_bilinear_vec,
+    sample_points_xy,
+    sample_values_xy,
 )
 
 
@@ -92,6 +96,60 @@ def test_sample_linear_in_image(alpha, beta, seed):
     lhs = sample_bilinear(combo, pts)
     rhs = alpha * sample_bilinear(f, pts) + beta * sample_bilinear(g, pts)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def query_points(spec, rng, n=64):
+    """Coordinates drawn from every region the samplers treat apart: anywhere
+    in [-1.06 L, 1.06 L], node coordinates, exactly +-L, the last
+    half-pixel before either edge, and just or far outside the domain."""
+    L = spec.half_width
+    xs = spec.xs()
+    edge = xs[-1]
+    parts = [
+        rng.uniform(-1.06 * L, 1.06 * L, n),
+        rng.choice(xs, n),
+        rng.choice([-L, L], n),
+        rng.uniform(edge, L, n) * rng.choice([-1.0, 1.0], n),
+        rng.choice([np.nextafter(L, np.inf), 1.5 * L, 40.0 * L], n) * rng.choice([-1.0, 1.0], n),
+    ]
+    coords = np.concatenate(parts)
+    return rng.permutation(coords), rng.permutation(coords)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.sampled_from([2, 3, 16, 64, 128]), half_width=st.sampled_from([1.0, 7.3, 16.0]),
+       seed=st.integers(0, 10_000))
+def test_samplers_match_reference_bitwise(n, half_width, seed):
+    # both sides add the same nonzero products in the same order, with zero
+    # terms between them; random values keep every sum nonzero, since the
+    # sign of a zero sum could differ
+    spec = GridSpec(half_width, n, n)
+    rng = np.random.default_rng(seed)
+    px, py = query_points(spec, rng)
+    values = rng.normal(size=spec.shape)
+    assert np.array_equal(bits(sample_values_xy(values, spec, px, py)),
+                          bits(masked_sample_values(values, spec, px, py)))
+    points = rng.uniform(-half_width, half_width, size=spec.shape + (2,))
+    assert np.array_equal(bits(sample_points_xy(points, spec, px, py)),
+                          bits(hull_sample_points(points, spec, px, py)))
+
+
+def test_one_stencil_serves_several_arrays():
+    spec = GridSpec(16.0, 64, 64)
+    rng = np.random.default_rng(5)
+    px, py = query_points(spec, rng)
+    a, b = rng.normal(size=spec.shape), rng.normal(size=spec.shape)
+    stencil = bilinear_stencil(spec, px, py)
+    assert np.array_equal(bits(stencil.apply(a)), bits(sample_values_xy(a, spec, px, py)))
+    assert np.array_equal(bits(stencil.apply(b)), bits(sample_values_xy(b, spec, px, py)))
+    pts = np.stack([px, py], axis=-1)
+    vec = sample_bilinear_vec(VectorImage(spec, a, b), pts)
+    assert np.array_equal(bits(vec[:, 0]), bits(sample_values_xy(a, spec, px, py)))
+    assert np.array_equal(bits(vec[:, 1]), bits(sample_values_xy(b, spec, px, py)))
 
 
 def test_sample_vec_trivials(spec):

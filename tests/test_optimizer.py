@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from metamorph import objective, optimizer
+from metamorph import flow, grid, metamorphosis, objective, optimizer
 from metamorph.experiments import shifted_disc_case, solve_case
-from metamorph.flow import TimeGrid
+from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import GridSpec
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.kernel import KernelSpec
+from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.objective import RegParams
 from metamorph.optimizer import DivergenceError, SolveConfig, reconstruct
 from metamorph.ray import Geometry, forward_project
@@ -130,3 +131,37 @@ def test_forward_model_built_once_per_evaluation(monkeypatch):
     assert report.stop_reason == "max_iters" and report.iterations_used == k
     assert counts["evaluate_parts"] == 1 + k  # every first step was accepted
     assert counts == dict.fromkeys(counts, 1 + k)
+
+
+def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
+    # zeta(t_k) and the step to level k+1 share level k's stencil, so the
+    # template evolution builds N stencils (2N with one per sampled array);
+    # the image trajectory builds one per level on top
+    build = grid.bilinear_stencil
+    builds = {"template": 0, "total": 0}
+    in_template = []
+
+    def counted(*args):
+        builds["total"] += 1
+        builds["template"] += bool(in_template)
+        return build(*args)
+    for module in (grid, flow, metamorphosis):
+        monkeypatch.setattr(module, "bilinear_stencil", counted)
+
+    evolve = objective.evolve_template
+
+    def evolve_counted(*args):
+        in_template.append(True)
+        try:
+            return evolve(*args)
+        finally:
+            in_template.pop()
+    monkeypatch.setattr(objective, "evolve_template", evolve_counted)
+
+    n = 10
+    case = shifted_disc_case(nx=32, n_angles=20)
+    tg = TimeGrid(n)
+    objective.evaluate_parts(TimeVaryingVectorField.zeros(tg, case.spec),
+                             TimeVaryingScalarField.zeros(tg, case.spec),
+                             case.template, [(n, case.data)], RegParams(1e-5, 1e-5))
+    assert builds == {"template": n, "total": 2 * n}

@@ -41,6 +41,21 @@ def test_geometry_validation():
     assert geo.delta_angle == pytest.approx(np.pi / 10)
 
 
+def test_geometry_equality_is_same_sampling():
+    angles = np.linspace(0.0, np.pi, 8, endpoint=False)
+    geo = Geometry(angles, 8, 4.0)
+    twin = Geometry(angles.copy(), 8, 4.0)
+    assert geo == twin and hash(geo) == hash(twin)
+    assert len({geo, twin}) == 1
+    for other in (Geometry(angles[:-1], 8, 4.0), Geometry(angles + 0.01, 8, 4.0),
+                  Geometry(angles, 9, 4.0), Geometry(angles, 8, 5.0)):
+        assert geo != other and not geo.same_sampling(other)
+    assert geo != "geometry"
+    signed = Geometry(np.array([-0.0, 1.0]), 8, 4.0)
+    unsigned = Geometry(np.array([0.0, 1.0]), 8, 4.0)
+    assert signed == unsigned and hash(signed) == hash(unsigned)
+
+
 def test_zero_image_zero_sinogram():
     spec = GridSpec(16.0, 32, 32)
     geo = Geometry.uniform(8, 32, EXTENT)
