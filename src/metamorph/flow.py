@@ -6,13 +6,18 @@ by chaining one-step small deformations Id -+ (1/N) v(t_k, .).  Maps are
 stored as node-wise point arrays and composed by bilinearly resampling the
 outer map at the inner map's points.  Two builders serve the model:
 
-* maps_from_zero: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
-                  for i = 0..end (the image trajectory pulls back through it)
-* forward_levels: the points phi_{0,t_k}(x) of the nodes x, advected one
-                  Euler step per level, each with the bilinear stencil that
-                  samples v(t_k) there; the template evolution samples zeta
-                  through the same stencil, so a level builds one
-                  (forward_maps lists the maps it yields)
+* backward_levels: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
+                   for i = 0..end (the image trajectory pulls back through
+                   it; maps_from_zero lists the maps it yields)
+* forward_levels:  the points phi_{0,t_k}(x) of the nodes x, advected one
+                   Euler step per level, each with the bilinear stencil that
+                   samples v(t_k) there; the template evolution samples zeta
+                   through the same stencil, so a level builds one
+                   (forward_maps lists the maps it yields)
+
+Both are generators that take a step only when the next level is asked for,
+so a caller that stops early (the objective does, once a line-search
+candidate is rejected) builds no level past the one it stopped at.
 
 maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
 determinants of those maps, by the first-order recursion
@@ -152,19 +157,29 @@ def _advect(points: np.ndarray, stencil: Stencil, v_i: VectorImage,
     return _clamp_points(out, stencil.spec)
 
 
+def backward_levels(v: TimeVaryingVectorField, end: int):
+    """Yield the points of phi_{t_i,0} for i = 0..end (level 0 is the identity).
+
+    The step to level i+1 composes level i with Id - (1/N) v(t_i), and no
+    step is taken past level end.
+    """
+    spec = v.spec
+    dt = v.tgrid.dt
+    pts = spec.identity_points()
+    for k in range(end + 1):
+        yield pts
+        if k < end:
+            qx, qy = _one_step_queries(v.samples[k], -dt)
+            pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
+
+
+# the solver reads backward_levels; the final trajectories and the tests read
+# this list, and the benchmark's tracer wraps it by name
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity)."""
     if end is None:
         end = v.tgrid.n_steps
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    out = [DeformationMap(spec, pts)]
-    for k in range(end):
-        qx, qy = _one_step_queries(v.samples[k], -dt)
-        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
-        out.append(DeformationMap(spec, pts))
-    return out
+    return [DeformationMap(v.spec, pts) for pts in backward_levels(v, end)]
 
 
 # kept only because the benchmark's tracer wraps it by name

@@ -14,13 +14,24 @@ Every resampling goes through one bilinear stencil per point set: zeta(t_j)
 is sampled with the stencil that also advects the points phi_{0,t_j} a step
 further, and the image and deformation parts of level i share the stencil of
 phi_{t_i,0}.
+
+The objective reads the image trajectory from image_levels, a generator that
+builds one level per step (template sum and back map together), so it can
+stop as soon as the levels it has seen decide the evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import DeformationMap, TimeGrid, TimeVaryingVectorField, forward_levels, maps_from_zero
+from .flow import (
+    DeformationMap,
+    TimeGrid,
+    TimeVaryingVectorField,
+    backward_levels,
+    forward_levels,
+    maps_from_zero,
+)
 from .grid import GridSpec, Image, bilinear_stencil, sample_values_xy
 
 
@@ -75,20 +86,43 @@ def group_action(phi_inv: DeformationMap, img: Image) -> Image:
     return Image(img.spec, sample_values_xy(img.values, img.spec, pts[..., 0], pts[..., 1]))
 
 
+def _check_consistent(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Image):
+    if zeta.tgrid != v.tgrid or zeta.spec != v.spec or I0.spec != v.spec:
+        raise ValueError("velocity, intensity control and template must be consistent")
+
+
+def _template_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
+                     I0: Image, end: int):
+    """Yield the template values I(t_i) for i = 0..end."""
+    dt = v.tgrid.dt
+    acc = I0.values
+    yield I0.copy()
+    # level j's stencil carries zeta(t_j) to I(t_{j+1})
+    for j, (_, stencil) in enumerate(forward_levels(v, end - 1)):
+        acc = acc + dt * stencil.apply(zeta.samples[j].values)
+        yield Image(v.spec, acc)
+
+
 def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                     I0: Image) -> list[Image]:
     """Template values I(t_i) in the co-moving frame, i = 0..N."""
-    if zeta.tgrid != v.tgrid or zeta.spec != v.spec or I0.spec != v.spec:
-        raise ValueError("velocity, intensity control and template must be consistent")
-    spec = v.spec
-    dt = v.tgrid.dt
-    out = [I0.copy()]
-    acc = I0.values
-    # level j's stencil carries zeta(t_j) to I(t_{j+1}); level N adds nothing
-    for j, (_, stencil) in enumerate(forward_levels(v, v.tgrid.n_steps - 1)):
-        acc = acc + dt * stencil.apply(zeta.samples[j].values)
-        out.append(Image(spec, acc))
-    return out
+    _check_consistent(v, zeta, I0)
+    return list(_template_levels(v, zeta, I0, v.tgrid.n_steps))
+
+
+def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
+                 I0: Image, end: int):
+    """Yield the image trajectory f_{t_i} = I(t_i) o phi_{t_i,0} for i = 0..end.
+
+    Each step advances the template sum and the back map by one level, so a
+    caller that stops early builds no level past the one it stopped at.
+    """
+    _check_consistent(v, zeta, I0)
+    back = backward_levels(v, end)
+    for i, template in enumerate(_template_levels(v, zeta, I0, end)):
+        pts = next(back)
+        # phi_{0,0} is the identity, so level 0 needs no resampling
+        yield template if i == 0 else group_action(DeformationMap(v.spec, pts), template)
 
 
 def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,

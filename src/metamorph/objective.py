@@ -38,6 +38,17 @@ The forward model (template evolution, flow maps, image trajectory and gate
 projections) is built in one place, evaluate_parts.  It returns the image
 trajectory and the projections as a ForwardState, and the gradient at the
 same (v, zeta) reads them instead of building the model again.
+
+evaluate_parts builds the model one time level at a time (image_levels) and
+projects each gate as soon as its level exists, adding the discrepancies in
+gate order from 0.  Given a bound (the line search passes the current
+objective), it returns None as soon as not (v_term + z_term + data <= bound)
+for the data gathered so far.  That early answer is exact: every
+discrepancy is >= 0 and rounded addition is monotone, so the running total
+never falls as gates are added, and a candidate cut after gate k would fail
+the same test with all gates in.  A NaN anywhere makes the test fail too,
+so it still rejects.  An evaluation that is not cut computes the same
+values, in the same order, as one without a bound.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import DET_FLOOR, TimeVaryingVectorField, _one_step_queries, maps_from_zero
+from .flow import DET_FLOOR, TimeVaryingVectorField, _one_step_queries
 from .grid import (
     GridSpec,
     Image,
@@ -56,7 +67,7 @@ from .grid import (
     sample_values_xy,
 )
 from .kernel import KernelSpec, kernel_apply, vfield_l2_norm_sq
-from .metamorphosis import TimeVaryingScalarField, evolve_template, group_action
+from .metamorphosis import TimeVaryingScalarField, image_levels
 from .ray import Sinogram, back_project, forward_project
 
 
@@ -114,20 +125,43 @@ class ForwardState:
     projections: list[Sinogram]
 
 
+def _check_gates(gates: list[tuple[int, Sinogram]], n: int):
+    if not gates:
+        raise ValueError(f"need at least one gate on the time grid 0..{n}")
+    last = 0
+    for end, _ in gates:
+        if not 0 <= end <= n:
+            raise ValueError(f"gate index {end} outside 0..{n}")
+        if end < last:
+            raise ValueError(f"gate index {end} follows gate index {last}; "
+                             f"indices on 0..{n} must not decrease")
+        last = end
+
+
 def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                   I0: Image, gates: list[tuple[int, Sinogram]],
-                   params: RegParams) -> tuple[float, float, float, float, ForwardState]:
-    """(total, data, velocity and intensity terms, forward state) for gated data."""
-    template = evolve_template(v, zeta, I0)
-    max_end = max(end for end, _ in gates)
-    # the backward recursion's prefix property makes one chain serve all gates
-    back = maps_from_zero(v, max_end)
-    images = [template[0]] + [group_action(back[i], template[i])
-                              for i in range(1, max_end + 1)]
-    projections = [forward_project(images[end], g.geometry) for end, g in gates]
-    data = sum(data_discrepancy(proj, g) for proj, (_, g) in zip(projections, gates))
+                   I0: Image, gates: list[tuple[int, Sinogram]], params: RegParams,
+                   bound: float | None = None
+                   ) -> tuple[float, float, float, float, ForwardState] | None:
+    """(total, data, velocity and intensity terms, forward state) for gated data.
+
+    With a bound, returns None as soon as the running total exceeds it (or
+    is NaN); see the module docstring for why that decides the full total.
+    """
+    _check_gates(gates, v.tgrid.n_steps)
     v_term = 0.5 * params.gamma * velocity_norm_sq(v)
     z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
+    levels = image_levels(v, zeta, I0, gates[-1][0])
+    images = []
+    projections = []
+    data = 0
+    for end, g in gates:
+        while len(images) <= end:
+            images.append(next(levels))
+        proj = forward_project(images[end], g.geometry)
+        projections.append(proj)
+        data = data + data_discrepancy(proj, g)
+        if bound is not None and not (v_term + z_term + data <= bound):
+            return None
     return v_term + z_term + data, data, v_term, z_term, ForwardState(images, projections)
 
 

@@ -9,6 +9,13 @@ gradient only.
 Between the line search and the next gradient, descend keeps the accepted
 candidate's (v, zeta), objective terms and forward state (image trajectory
 and gate projections); the gradient reads that state, and is its last use.
+
+With backtracking on, each candidate is evaluated against the current
+objective as a bound, so a rejected one stops at the first gate whose
+running objective exceeds it; accepted candidates are evaluated in full, and
+the iterates are those of a search that evaluates every candidate in full.
+Each log row records the evaluations its line search made (1 for row 0,
+the initial evaluation).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .ray import Geometry, Sinogram
 MODES = ("metamorphosis", "lddmm")
 # columns of SolveReport.log_rows, in report.csv order
 LOG_FIELDS = ("iter", "objective", "data_term", "v_term", "zeta_term",
-              "step_v", "step_zeta")
+              "step_v", "step_zeta", "evals")
 
 
 class DivergenceError(RuntimeError):
@@ -90,7 +97,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     history = [total]
     rows = [{"iter": 0, "objective": total, "data_term": data,
              "v_term": v_term, "zeta_term": z_term,
-             "step_v": 0.0, "step_zeta": 0.0}]
+             "step_v": 0.0, "step_zeta": 0.0, "evals": 1}]
     stop_reason = "max_iters"
     iterations = 0
 
@@ -103,13 +110,15 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             break
 
         sv, sz = cfg.step_v, cfg.step_zeta
-        for _ in range(cfg.max_halvings + 1):
+        # without backtracking the divergence check needs the full value
+        bound = total if cfg.backtracking else None
+        for evals in range(1, cfg.max_halvings + 2):
             v_new = v.add_scaled(grad.grad_v, -sv)
             zeta_new = zeta if lddmm else zeta.add_scaled(grad.grad_zeta, -sz)
-            cand = evaluate_parts(v_new, zeta_new, I0, gates, params)
-            if not cfg.backtracking or cand[0] <= total:
+            # None: rejected; also None after the loop if no step was accepted
+            cand = evaluate_parts(v_new, zeta_new, I0, gates, params, bound=bound)
+            if cand is not None:
                 break
-            cand = None  # rejected; None after the loop means no step was accepted
             sv *= 0.5
             sz *= 0.5
 
@@ -128,7 +137,8 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
         history.append(total)
         rows.append({"iter": it, "objective": total, "data_term": data,
                      "v_term": v_term, "zeta_term": z_term,
-                     "step_v": sv, "step_zeta": 0.0 if lddmm else sz})
+                     "step_v": sv, "step_zeta": 0.0 if lddmm else sz,
+                     "evals": evals})
         if previous - total <= cfg.rel_tol * abs(previous):
             stop_reason = "converged"
             break

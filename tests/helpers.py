@@ -1,5 +1,6 @@
 """Shared builders for the gradient finite-difference checks, and per-sample
-references for the ray transform and the bilinear samplers.
+references for the ray transform, the bilinear samplers and the SSIM window
+mean.
 
 The fields are kernel-smoothed noise, tapered to vanish near the boundary
 (velocities are compactly supported in the model), and the template/target
@@ -175,3 +176,9 @@ def hull_sample_points(points, spec, px, py):
     p11 = points[i0 + 1, j0 + 1]
     return ((1.0 - fu) * (1.0 - fw) * p00 + fu * (1.0 - fw) * p10
             + (1.0 - fu) * fw * p01 + fu * fw * p11)
+
+
+def strided_window_mean(x, w):
+    """Reference for harness._window_mean: numpy's mean over a strided view
+    of every w x w window."""
+    return np.lib.stride_tricks.sliding_window_view(x, (w, w)).mean(axis=(2, 3))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import strided_window_mean
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metamorph.grid import GridSpec, Image
 from metamorph.harness import (
@@ -11,6 +14,7 @@ from metamorph.harness import (
     Triangle,
     add_noise,
     make_phantom,
+    _window_mean,
     psnr,
     ssim,
 )
@@ -158,6 +162,29 @@ def test_ssim_inversion_below_one():
     a = Image(SPEC, rng.normal(size=SPEC.shape))
     b = Image(SPEC, -a.values + 3.0)
     assert ssim(a, b) < 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_window_mean_equals_strided_mean_bitwise(data):
+    w = data.draw(st.integers(1, 40), label="window")
+    nx = data.draw(st.integers(w, w + 60), label="nx")
+    ny = data.draw(st.sampled_from([w, nx, data.draw(st.integers(w, w + 60), label="ny")]))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    x = np.random.default_rng(seed).normal(size=(nx, ny))
+    got = _window_mean(x, w)
+    want = strided_window_mean(x, w)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, w", [((8, 8), 8), ((40, 40), 40), ((20, 8), 8),
+                                      ((8, 20), 8), ((150, 140), 130)])
+def test_window_mean_edge_shapes_bitwise(shape, w):
+    # one window, one window wide or tall, and a window past 128 columns
+    # (numpy's pairwise sum splits those in halves)
+    x = np.random.default_rng(w).normal(size=shape)
+    assert _window_mean(x, w).tobytes() == strided_window_mean(x, w).tobytes()
 
 
 def test_ssim_checkerboard_against_direct_definition():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from metamorph import flow, grid, metamorphosis, objective, optimizer
-from metamorph.experiments import shifted_disc_case, solve_case
+from metamorph.experiments import (
+    evolving_gated_case,
+    shifted_disc_case,
+    solve_case,
+    solve_gated,
+)
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import GridSpec
 from metamorph.harness import Disc, PhantomSpec, make_phantom
@@ -101,30 +106,32 @@ def test_log_rows_schema():
     case = shifted_disc_case(nx=32, n_angles=20)
     report, _ = solve_case(case, max_iters=5, step_v=5e-4, step_zeta=1e-2)
     assert report.log_rows[0]["iter"] == 0
+    assert report.log_rows[0]["evals"] == 1
     for row in report.log_rows:
         assert set(row) == {"iter", "objective", "data_term", "v_term",
-                            "zeta_term", "step_v", "step_zeta"}
+                            "zeta_term", "step_v", "step_zeta", "evals"}
         assert row["objective"] == pytest.approx(
             row["data_term"] + row["v_term"] + row["zeta_term"])
+        assert row["evals"] >= 1
+
+
+def count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_forward_model_built_once_per_evaluation(monkeypatch):
     # the gradient reads the accepted evaluation's forward state: k steps that
     # never backtrack build the model 1 + k times (2k + 1 if it rebuilt it)
     counts = {}
-
-    def count(module, name):
-        fn = getattr(module, name)
-        counts[name] = 0
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    for name in ("evolve_template", "maps_from_zero", "forward_project"):
-        count(objective, name)
-    count(optimizer, "evaluate_parts")
+    for name in ("image_levels", "forward_project"):
+        count_calls(monkeypatch, objective, name, counts)
+    count_calls(monkeypatch, optimizer, "evaluate_parts", counts)
     k = 3
     case = shifted_disc_case(nx=32, n_angles=20)
     report, _ = solve_case(case, max_iters=k, step_v=5e-4, step_zeta=1e-2)
@@ -148,15 +155,21 @@ def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
     for module in (grid, flow, metamorphosis):
         monkeypatch.setattr(module, "bilinear_stencil", counted)
 
-    evolve = objective.evolve_template
+    levels = metamorphosis.forward_levels
 
-    def evolve_counted(*args):
-        in_template.append(True)
-        try:
-            return evolve(*args)
-        finally:
-            in_template.pop()
-    monkeypatch.setattr(objective, "evolve_template", evolve_counted)
+    def levels_counted(*args):
+        # the template's stencils are built while its forward levels step
+        gen = levels(*args)
+        while True:
+            in_template.append(True)
+            try:
+                item = next(gen)
+            except StopIteration:
+                return
+            finally:
+                in_template.pop()
+            yield item
+    monkeypatch.setattr(metamorphosis, "forward_levels", levels_counted)
 
     n = 10
     case = shifted_disc_case(nx=32, n_angles=20)
@@ -165,3 +178,46 @@ def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
                              TimeVaryingScalarField.zeros(tg, case.spec),
                              case.template, [(n, case.data)], RegParams(1e-5, 1e-5))
     assert builds == {"template": n, "total": 2 * n}
+
+
+def backtracking_gated_solve():
+    case = evolving_gated_case(nx=32, n_gates=5, per_gate=6)
+    report, _ = solve_gated(case, max_iters=4, step_v=5e-4, step_zeta=1e-2)
+    return report
+
+
+def test_evals_column_counts_line_search_evaluations(monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, optimizer, "evaluate_parts", counts)
+    report = backtracking_gated_solve()
+    assert report.stop_reason == "max_iters"
+    evals = [row["evals"] for row in report.log_rows]
+    assert max(evals) > 1  # the line search backtracked
+    assert sum(evals) == counts["evaluate_parts"]
+
+
+def test_early_rejection_changes_no_output(monkeypatch):
+    # a rejected candidate stops at the first gate that decides it; the same
+    # solve with every candidate evaluated in full (the bound dropped, the
+    # acceptance test applied to the full value) must give identical output
+    bounded_counts, full_counts = {}, {}
+    count_calls(monkeypatch, objective, "forward_project", bounded_counts)
+    bounded = backtracking_gated_solve()
+
+    monkeypatch.undo()
+    count_calls(monkeypatch, objective, "forward_project", full_counts)
+    evaluate_parts = objective.evaluate_parts
+
+    def full(v, zeta, I0, gates, params, bound=None):
+        cand = evaluate_parts(v, zeta, I0, gates, params)
+        return cand if bound is None or cand[0] <= bound else None
+    monkeypatch.setattr(optimizer, "evaluate_parts", full)
+    unbounded = backtracking_gated_solve()
+
+    assert max(row["evals"] for row in bounded.log_rows) > 1
+    assert bounded.objective_history == unbounded.objective_history
+    assert bounded.log_rows == unbounded.log_rows
+    for a, b in zip(bounded.trajectories.image_traj, unbounded.trajectories.image_traj,
+                    strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert bounded_counts["forward_project"] < full_counts["forward_project"]

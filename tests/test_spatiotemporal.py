@@ -12,6 +12,7 @@ from helpers import (
     smooth_bump,
     smoothed_direction,
 )
+from metamorph import objective
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import Image
 from metamorph.metamorphosis import TimeVaryingScalarField
@@ -96,6 +97,70 @@ def test_repeated_gated_evaluation_builds_no_operator():
     misses = _build_operator.cache_info().misses
     assert evaluate_parts(v, zeta, I0, gated.gates, params)[:4] == first[:4]
     assert _build_operator.cache_info().misses == misses
+
+
+def test_evaluate_parts_rejects_empty_gate_list():
+    tg, I0, _ = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=3)
+    with pytest.raises(ValueError, match=r"at least one gate.*0\.\.6"):
+        evaluate_parts(v, zeta, I0, [], RegParams(1e-4, 1e-3))
+
+
+@pytest.mark.parametrize("index", [7, -1])
+def test_evaluate_parts_rejects_gate_index_off_the_time_grid(index):
+    tg, I0, gated = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=3)
+    gates = gated.gates[:2] + [(index, gated.gates[2][1])]
+    with pytest.raises(ValueError, match=rf"gate index {index} outside 0\.\.6"):
+        evaluate_parts(v, zeta, I0, gates, RegParams(1e-4, 1e-3))
+
+
+def test_evaluate_parts_rejects_decreasing_gate_indices():
+    tg, I0, gated = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=3)
+    gates = [gated.gates[1], gated.gates[0], gated.gates[2]]
+    with pytest.raises(ValueError, match=r"gate index 2 follows gate index 4.*0\.\.6"):
+        evaluate_parts(v, zeta, I0, gates, RegParams(1e-4, 1e-3))
+
+
+def test_unbounded_evaluation_equals_infinite_bound():
+    tg, I0, gated = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=9, amp_v=0.3, amp_z=0.4)
+    params = RegParams(1e-4, 1e-3)
+    free = evaluate_parts(v, zeta, I0, gated.gates, params)
+    bounded = evaluate_parts(v, zeta, I0, gated.gates, params, bound=math.inf)
+    assert bounded[:4] == free[:4]
+    for a, b in zip(bounded[4].images, free[4].images, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+    for a, b in zip(bounded[4].projections, free[4].projections, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_nan_bound_rejects():
+    tg, I0, gated = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=9)
+    assert evaluate_parts(v, zeta, I0, gated.gates, RegParams(1e-4, 1e-3),
+                          bound=math.nan) is None
+
+
+def test_bound_below_first_gate_stops_after_one_projection(monkeypatch):
+    tg, I0, gated = make_gated_problem()
+    v, zeta = random_state(tg.n_steps, seed=9, amp_v=0.3, amp_z=0.4)
+    params = RegParams(1e-4, 1e-3)
+    _, _, v_term, z_term, state = evaluate_parts(v, zeta, I0, gated.gates, params)
+    first = objective.data_discrepancy(state.projections[0], gated.gates[0][1])
+    assert first > 0.0
+    calls = []
+    project = objective.forward_project
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+    monkeypatch.setattr(objective, "forward_project", counted)
+    # the regularisers alone stay below the bound, the first gate passes it
+    bound = v_term + z_term + 0.5 * first
+    assert evaluate_parts(v, zeta, I0, gated.gates, params, bound=bound) is None
+    assert len(calls) == 1
 
 
 def test_single_gate_collapses_to_single_target():
