@@ -7,7 +7,6 @@ intensity control that creates or removes material along the flow.
 
 from .flow import (
     DeformationMap,
-    JacobianChain,
     TimeGrid,
     TimeVaryingVectorField,
     maps_from_zero,

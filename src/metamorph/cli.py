@@ -145,6 +145,8 @@ def _solver(cfg: ConfigReader):
 
 
 def _phantom_spec(cfg: ConfigReader):
+    """The [phantom] section; an evolving sequence also reads and checks [time] steps."""
+    from .flow import TimeGrid
     from .harness import Disc, Ellipse, PhantomSpec, Triangle
 
     kind = cfg.get_str("phantom", "kind", required=True,
@@ -179,7 +181,10 @@ def _phantom_spec(cfg: ConfigReader):
               discs=tuple(shapes["discs"]), triangles=tuple(shapes["triangles"]),
               ellipses=tuple(shapes["ellipses"]))
     if kind == "evolving_sequence":
-        steps = cfg.get_int("time", "steps", 10)
+        tgrid = _build(cfg, "time", TimeGrid, cfg.get_int("time", "steps", 10))
+        if tgrid is None:
+            return None
+        steps = tgrid.n_steps
         drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
         kw.update(
             times=tuple(i / steps for i in range(steps + 1)),
@@ -353,15 +358,23 @@ def cmd_project_gated(args) -> int:
     cfg = ConfigReader(args.config)
     spec = _grid(cfg)
     phantom = _phantom_spec(cfg)
-    steps = cfg.get_int("time", "steps", 10)
+    steps = None
+    if phantom is not None and phantom.kind != "evolving_sequence":
+        cfg.problems.append("[phantom] kind: gated projection needs an evolving_sequence")
+    elif phantom is not None:
+        steps = len(phantom.times) - 1
     n_det = cfg.get_int("geometry", "n_det", 362)
+    default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
+    det_extent = cfg.get_float("geometry", "det_extent", default_extent)
     per_gate = cfg.get_int("gated", "angles_per_gate", 10)
     n_gates = cfg.get_int("gated", "n_gates", steps)
     psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
     seed = _seed(cfg, args, section="gated")
-    if phantom is not None and phantom.kind != "evolving_sequence":
-        cfg.problems.append("[phantom] kind: gated projection needs an evolving_sequence")
-    if n_gates is not None and steps is not None and n_gates > steps:
+    if per_gate is not None and per_gate < 1:
+        cfg.problems.append(f"[gated] angles_per_gate: need at least 1, got {per_gate}")
+    if n_gates is not None and n_gates < 1:
+        cfg.problems.append(f"[gated] n_gates: need at least 1, got {n_gates}")
+    elif n_gates is not None and steps is not None and n_gates > steps:
         cfg.problems.append(f"[gated] n_gates: {n_gates} exceeds time steps {steps}")
     cfg.finish()
     from .fileio import write_gated_bundle, write_image_raw
@@ -371,7 +384,6 @@ def cmd_project_gated(args) -> int:
 
     out = _out_dir(cfg, args)
     frames = make_phantom(phantom, spec)
-    det_extent = cfg.get_float("geometry", "det_extent", spec.half_width * math.sqrt(2.0))
     gates = []
     for i, angles in enumerate(gate_angles(n_gates, per_gate, seed), start=1):
         t_index = i * steps // n_gates

@@ -121,8 +121,9 @@ def write_gated_bundle(directory, gates: list[tuple[int, Sinogram]], seed: int |
         lines.append(f"[gate_{num}]")
         lines.append(f"t_index = {t_index}")
         lines.append(f"file = {fname}")
-        lines.append(f"det_extent = {sino.geometry.det_extent!r}")
-        lines.append("angles = " + ",".join(repr(a) for a in sino.geometry.angles))
+        # repr of a plain float reads back exactly; numpy scalars print as np.float64(...)
+        lines.append(f"det_extent = {float(sino.geometry.det_extent)!r}")
+        lines.append("angles = " + ",".join(repr(float(a)) for a in sino.geometry.angles))
     atomic_write_bytes(directory / "gates.toml", ("\n".join(lines) + "\n").encode())
 
 

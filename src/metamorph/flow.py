@@ -7,8 +7,9 @@ stored as node-wise point arrays and composed by bilinearly resampling the
 outer map at the inner map's points.  Two builders serve the model:
 
 * backward_levels: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
-                   for i = 0..end (the image trajectory pulls back through
-                   it; maps_from_zero lists the maps it yields)
+                   for i = 0..end (the image trajectory, in the objective
+                   and in the final trajectories, pulls back through it;
+                   maps_from_zero lists the maps it yields)
 * forward_levels:  the points phi_{0,t_k}(x) of the nodes x, advected one
                    Euler step per level, each with the bilinear stencil that
                    samples v(t_k) there; the template evolution samples zeta
@@ -76,7 +77,6 @@ def _check_samples(samples, tgrid, kind):
     for s in samples:
         if s.spec != spec:
             raise ValueError(f"all {kind} samples must share one grid")
-    return spec
 
 
 @dataclass
@@ -173,8 +173,8 @@ def backward_levels(v: TimeVaryingVectorField, end: int):
             pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
 
 
-# the solver reads backward_levels; the final trajectories and the tests read
-# this list, and the benchmark's tracer wraps it by name
+# the solver reads backward_levels; the tests read this list, and the
+# benchmark's tracer wraps it by name
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity)."""
     if end is None:

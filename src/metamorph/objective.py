@@ -27,12 +27,17 @@ first-order continuity (adjoint) sweep over all gates at once:
     L_k = L_k' + r_k
 
 where r_e = 2 T^*(T f_{t_e} - g) is the image-space residual gradient of
-the gates at index e (zero where no gate ends, summed where several do), M
-is the last gate index, and DET_FLOOR keeps each step's volume factor
-positive.  This index alignment makes the gradient exact against finite
-differences in the zero-velocity limit.  The same core runs any list of
-(end index, data) pairs, so the gated multi-time-point objective reuses it
-verbatim; a gate contributes only to samples before its index.
+the gate at index e (zero where no gate ends), M is the last gate index,
+and DET_FLOOR keeps each step's volume factor positive.  This index
+alignment makes the gradient exact against finite differences in the
+zero-velocity limit.  The same core runs any list of (end index, data)
+pairs, so the gated multi-time-point objective reuses it verbatim; a gate
+contributes only to samples before its index, and samples M..N-1 carry the
+penalty gradients alone.
+
+Gate indices must be strictly increasing in 1..N; nothing here checks
+that.  spatiotemporal.GatedData does, where a gate list enters the library,
+and the single-data-set entries build their one gate at N.
 
 The forward model (template evolution, flow maps, image trajectory and gate
 projections) is built in one place, evaluate_parts.  It returns the image
@@ -125,19 +130,6 @@ class ForwardState:
     projections: list[Sinogram]
 
 
-def _check_gates(gates: list[tuple[int, Sinogram]], n: int):
-    if not gates:
-        raise ValueError(f"need at least one gate on the time grid 0..{n}")
-    last = 0
-    for end, _ in gates:
-        if not 0 <= end <= n:
-            raise ValueError(f"gate index {end} outside 0..{n}")
-        if end < last:
-            raise ValueError(f"gate index {end} follows gate index {last}; "
-                             f"indices on 0..{n} must not decrease")
-        last = end
-
-
 def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                    I0: Image, gates: list[tuple[int, Sinogram]], params: RegParams,
                    bound: float | None = None
@@ -147,7 +139,6 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     With a bound, returns None as soon as the running total exceeds it (or
     is NaN); see the module docstring for why that decides the full total.
     """
-    _check_gates(gates, v.tgrid.n_steps)
     v_term = 0.5 * params.gamma * velocity_norm_sq(v)
     z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
     levels = image_levels(v, zeta, I0, gates[-1][0])
@@ -171,69 +162,47 @@ def evaluate(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     return evaluate_parts(v, zeta, I0, [(v.tgrid.n_steps, g)], params)[0]
 
 
-def _data_gradient_arrays(v: TimeVaryingVectorField, state: ForwardState,
-                          gates: list[tuple[int, Sinogram]]):
-    """Pre-smoothing data-term gradients per sample.
+def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
+                  state: ForwardState, gates: list[tuple[int, Sinogram]],
+                  params: RegParams, kernel: KernelSpec) -> GradientPair:
+    """Full gradient for (end index, sinogram) gates from evaluate_parts' state.
 
-    The forward state supplies the image trajectory f_i, whose gradients are
-    the G_i, and the gate projections, whose residuals one backward sweep
-    carries to every level.  Velocity sample k pairs the carried residual and
-    G of level k+1; the intensity sample k takes the residual carried to its
-    own level k.  Returns (gv_x, gv_y, gz) lists over samples 0..N, zero past
-    the last gate.
+    One backward sweep from the last gate: the forward state supplies the
+    image trajectory f_i, whose gradients are the G_i, and the gate
+    projections, whose residuals the sweep carries to every level.  Velocity
+    sample k pairs the carried residual and G of level k+1; the intensity
+    sample k takes the residual carried to its own level k.
     """
     spec = v.spec
     n = v.tgrid.n_steps
     dt = v.tgrid.dt
-    images = state.images
-    max_end = len(images) - 1
+    residuals = {end: discrepancy_gradient(proj, g, spec).values
+                 for proj, (end, g) in zip(state.projections, gates)}
+    last = gates[-1][0]
 
-    residuals: dict[int, np.ndarray] = {}
-    for proj, (end, g) in zip(state.projections, gates):
-        if end == 0:
-            continue  # no sample precedes index 0, so its residual reaches none
-        r = discrepancy_gradient(proj, g, spec).values
-        residuals[end] = residuals.get(end, 0.0) + r
-
-    gv_x = [np.zeros(spec.shape) for _ in range(n + 1)]
-    gv_y = [np.zeros(spec.shape) for _ in range(n + 1)]
-    gz = [np.zeros(spec.shape) for _ in range(n + 1)]
+    grad_v = [None] * (n + 1)
+    grad_z = [None] * (n + 1)
+    for k in range(last, n):
+        vk = v.samples[k]
+        grad_v[k] = VectorImage(spec, params.gamma * vk.vx, params.gamma * vk.vy)
+        grad_z[k] = Image(spec, params.tau * zeta.samples[k].values)
+    # sample N never enters the Euler forward model
+    grad_v[n] = VectorImage.zeros(spec)
+    grad_z[n] = Image.zeros(spec)
     # L holds the residual carried back to level k+1, summed over the gates
     # at k+1 and later
-    L = residuals.get(max_end, 0.0)
-    for k in range(max_end - 1, -1, -1):
+    L = residuals[last]
+    for k in range(last - 1, -1, -1):
         vk = v.samples[k]
-        G = gradient_central(images[k + 1])
-        gv_x[k] = L * G.vx
-        gv_y[k] = L * G.vy
+        G = gradient_central(state.images[k + 1])
+        smoothed = kernel_apply(VectorImage(spec, L * G.vx, L * G.vy), kernel)
+        grad_v[k] = VectorImage(spec, params.gamma * vk.vx - smoothed.vx,
+                                params.gamma * vk.vy - smoothed.vy)
         qx, qy = _one_step_queries(vk, dt)
         factor = np.maximum(1.0 + dt * divergence(vk).values, DET_FLOOR)
-        gz[k] = factor * sample_values_xy(L, spec, qx, qy)
-        L = gz[k] + residuals.get(k, 0.0)
-    return gv_x, gv_y, gz
-
-
-def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                  state: ForwardState, gates: list[tuple[int, Sinogram]],
-                  params: RegParams, kernel: KernelSpec) -> GradientPair:
-    """Full gradient for (end index, sinogram) gates from evaluate_parts' state."""
-    spec = v.spec
-    n = v.tgrid.n_steps
-    gv_x, gv_y, gz = _data_gradient_arrays(v, state, gates)
-    grad_v = []
-    grad_z = []
-    for i in range(n + 1):
-        if i < n:
-            smoothed = kernel_apply(VectorImage(spec, gv_x[i], gv_y[i]), kernel)
-            vi = v.samples[i]
-            grad_v.append(VectorImage(spec,
-                                      params.gamma * vi.vx - smoothed.vx,
-                                      params.gamma * vi.vy - smoothed.vy))
-            grad_z.append(Image(spec, params.tau * zeta.samples[i].values + gz[i]))
-        else:
-            # sample N never enters the Euler forward model
-            grad_v.append(VectorImage.zeros(spec))
-            grad_z.append(Image.zeros(spec))
+        carried = factor * sample_values_xy(L, spec, qx, qy)
+        grad_z[k] = Image(spec, params.tau * zeta.samples[k].values + carried)
+        L = carried + residuals.get(k, 0.0)
     return GradientPair(TimeVaryingVectorField(v.tgrid, grad_v),
                         TimeVaryingScalarField(zeta.tgrid, grad_z))
 

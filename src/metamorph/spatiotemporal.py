@@ -24,27 +24,31 @@ from .ray import Sinogram
 
 @dataclass
 class GatedData:
-    """Gates as (time index, sinogram) pairs, strictly increasing in time."""
+    """Gates as (time index, sinogram) pairs, strictly increasing in 1..N.
+
+    The library's one gate-list check: construction checks all but the upper
+    end N, which check_against takes from a time grid.
+    """
 
     gates: list[tuple[int, Sinogram]]
 
     def __post_init__(self):
         self.gates = [(int(k), s) for k, s in self.gates]
         if not self.gates:
-            raise ValueError("need at least one gate")
+            raise ValueError("need at least one gate on the time grid 1..N")
         last = 0
         for k, _ in self.gates:
             if k < 1:
-                raise ValueError(f"gate index {k} must be at least 1")
+                raise ValueError(f"gate index {k} outside the time grid 1..N")
             if k <= last:
-                raise ValueError("gate indices must be strictly increasing")
+                raise ValueError(f"gate index {k} follows gate index {last}; "
+                                 f"indices on the time grid 1..N must increase strictly")
             last = k
 
     def check_against(self, tgrid: TimeGrid):
-        if self.gates[-1][0] > tgrid.n_steps:
-            raise ValueError(
-                f"gate index {self.gates[-1][0]} exceeds the time grid ({tgrid.n_steps})"
-            )
+        n = tgrid.n_steps
+        if self.gates[-1][0] > n:
+            raise ValueError(f"gate index {self.gates[-1][0]} outside the time grid 1..{n}")
 
 
 def gate_angles(n_gates: int, per_gate: int, seed: int) -> list[np.ndarray]:

@@ -170,6 +170,41 @@ out_dir = {out / 'recon'}
     assert (out / "recon" / "image_04.mimg").exists()
 
 
+def test_project_gated_config_errors_are_collected(tmp_path, capsys):
+    out = tmp_path / "gated"
+    cfg = write_config(tmp_path / "g.ini", f"""
+[grid]
+half_width = 16.0
+nx = 32
+
+[time]
+steps = 0
+
+[geometry]
+det_extent = wide
+
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+
+[gated]
+n_gates = 0
+angles_per_gate = -2
+
+[io]
+out_dir = {out}
+""")
+    assert main(["project-gated", "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("error: config: 4 problem(s):")
+    for frag in ("[time]: need at least one time step, got 0",
+                 "[geometry] det_extent: not a number ('wide')",
+                 "[gated] n_gates: need at least 1, got 0",
+                 "[gated] angles_per_gate: need at least 1, got -2"):
+        assert frag in line
+    assert not (out / "gates.toml").exists()
+
+
 def test_sweep_csv_deterministic(tmp_path):
     out = tmp_path / "out"
     out.mkdir()

@@ -118,6 +118,17 @@ def test_gated_bundle_roundtrip(tmp_path):
     assert "seed = 99" in text
 
 
+def test_gated_bundle_manifest_holds_plain_numbers(tmp_path):
+    # the repr of a numpy scalar is np.float64(...), which no reader parses
+    geo = Geometry.uniform(3, 8, np.float64(22.6))
+    write_gated_bundle(tmp_path, [(1, Sinogram.zeros(geo))])
+    assert read_gated_bundle(tmp_path)[0][1].geometry.det_extent == 22.6
+    lines = (tmp_path / "gates.toml").read_text().splitlines()
+    angles = next(line for line in lines if line.startswith("angles ="))
+    parsed = [float(tok) for tok in angles.partition("=")[2].split(",")]
+    assert np.array_equal(parsed, geo.angles)
+
+
 def _bundle_without(tmp_path, line_start):
     """A two-gate bundle whose manifest lacks every line starting with line_start."""
     geo = Geometry(np.array([0.2, 1.3]), 8, 12.0)

@@ -14,19 +14,27 @@ from helpers import (
     smooth_vec,
     smoothed_direction,
 )
-from metamorph.flow import TimeGrid, TimeVaryingVectorField
-from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
+from metamorph.flow import DET_FLOOR, TimeGrid, TimeVaryingVectorField, _one_step_queries
+from metamorph.grid import (
+    GridSpec,
+    Image,
+    VectorImage,
+    divergence,
+    gradient_central,
+    image_l2_inner,
+    sample_values_xy,
+)
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.kernel import kernel_apply
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories
 from metamorph.objective import (
     RegParams,
-    _data_gradient_arrays,
     data_discrepancy,
     discrepancy_gradient,
     evaluate,
     evaluate_parts,
     gradient,
+    gradient_core,
 )
 from metamorph.ray import Geometry, Sinogram, forward_project
 
@@ -229,18 +237,30 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     tg, geo, I0, g = make_problem(n_steps=4)
     params = RegParams(0.3, 0.7)
     v, zeta = random_state(4, seed=11, amp_v=0.1, amp_z=0.3)
-    grad = gradient(v, zeta, I0, g, params, FD_KERNEL)
     gates = [(4, g)]
     state = evaluate_parts(v, zeta, I0, gates, params)[4]
-    gv_x, gv_y, gz = _data_gradient_arrays(v, state, gates)
+    grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
+    # the whole gradient at gamma = tau = 0 is the data gradient
+    data = gradient_core(v, zeta, state, gates, RegParams(0.0, 0.0), FD_KERNEL)
     for i in range(4):
-        smoothed = kernel_apply(VectorImage(FD_SPEC, gv_x[i], gv_y[i]), FD_KERNEL)
-        expect_x = params.gamma * v.samples[i].vx - smoothed.vx
-        expect_y = params.gamma * v.samples[i].vy - smoothed.vy
-        assert np.array_equal(grad.grad_v.samples[i].vx, expect_x)
-        assert np.array_equal(grad.grad_v.samples[i].vy, expect_y)
-        expect_z = params.tau * zeta.samples[i].values + gz[i]
-        assert np.array_equal(grad.grad_zeta.samples[i].values, expect_z)
+        got, vi, di = grad.grad_v.samples[i], v.samples[i], data.grad_v.samples[i]
+        assert np.array_equal(got.vx, params.gamma * vi.vx + di.vx)
+        assert np.array_equal(got.vy, params.gamma * vi.vy + di.vy)
+        assert np.array_equal(grad.grad_zeta.samples[i].values,
+                              params.tau * zeta.samples[i].values
+                              + data.grad_zeta.samples[i].values)
+    # at the last step the velocity data gradient is the kernel-smoothed
+    # r G_4, and the intensity one is the residual r carried one step, unsmoothed
+    r = discrepancy_gradient(state.projections[0], g, FD_SPEC).values
+    G = gradient_central(state.images[4])
+    smoothed = kernel_apply(VectorImage(FD_SPEC, r * G.vx, r * G.vy), FD_KERNEL)
+    assert np.array_equal(data.grad_v.samples[3].vx, -smoothed.vx)
+    assert np.array_equal(data.grad_v.samples[3].vy, -smoothed.vy)
+    v3, dt = v.samples[3], tg.dt
+    qx, qy = _one_step_queries(v3, dt)
+    factor = np.maximum(1.0 + dt * divergence(v3).values, DET_FLOOR)
+    assert np.array_equal(data.grad_zeta.samples[3].values,
+                          factor * sample_values_xy(r, FD_SPEC, qx, qy))
     # the inert final sample gets a zero gradient
     assert np.all(grad.grad_v.samples[4].vx == 0.0)
     assert np.all(grad.grad_zeta.samples[4].values == 0.0)

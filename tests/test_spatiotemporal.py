@@ -18,10 +18,10 @@ from metamorph.grid import Image
 from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.objective import (
     RegParams,
-    _data_gradient_arrays,
     evaluate,
     evaluate_parts,
     gradient,
+    gradient_core,
 )
 from metamorph.ray import Geometry, Sinogram, _build_operator, forward_project
 from metamorph.spatiotemporal import (
@@ -99,28 +99,26 @@ def test_repeated_gated_evaluation_builds_no_operator():
     assert _build_operator.cache_info().misses == misses
 
 
-def test_evaluate_parts_rejects_empty_gate_list():
-    tg, I0, _ = make_gated_problem()
-    v, zeta = random_state(tg.n_steps, seed=3)
-    with pytest.raises(ValueError, match=r"at least one gate.*0\.\.6"):
-        evaluate_parts(v, zeta, I0, [], RegParams(1e-4, 1e-3))
+def test_gated_data_rejects_empty_gate_list():
+    with pytest.raises(ValueError, match=r"at least one gate on the time grid 1\.\.N"):
+        GatedData([])
 
 
 @pytest.mark.parametrize("index", [7, -1])
-def test_evaluate_parts_rejects_gate_index_off_the_time_grid(index):
+def test_gated_data_rejects_gate_index_off_the_time_grid(index):
     tg, I0, gated = make_gated_problem()
     v, zeta = random_state(tg.n_steps, seed=3)
-    gates = gated.gates[:2] + [(index, gated.gates[2][1])]
-    with pytest.raises(ValueError, match=rf"gate index {index} outside 0\.\.6"):
-        evaluate_parts(v, zeta, I0, gates, RegParams(1e-4, 1e-3))
+    grid = r"1\.\.6" if index > 0 else r"1\.\.N"
+    with pytest.raises(ValueError, match=rf"gate index {index} outside the time grid {grid}"):
+        gated_evaluate(v, zeta, I0, GatedData(gated.gates[:2] + [(index, gated.gates[2][1])]),
+                       RegParams(1e-4, 1e-3))
 
 
-def test_evaluate_parts_rejects_decreasing_gate_indices():
-    tg, I0, gated = make_gated_problem()
-    v, zeta = random_state(tg.n_steps, seed=3)
+def test_gated_data_rejects_decreasing_gate_indices():
+    _, _, gated = make_gated_problem()
     gates = [gated.gates[1], gated.gates[0], gated.gates[2]]
-    with pytest.raises(ValueError, match=r"gate index 2 follows gate index 4.*0\.\.6"):
-        evaluate_parts(v, zeta, I0, gates, RegParams(1e-4, 1e-3))
+    with pytest.raises(ValueError, match=r"gate index 2 follows gate index 4.*1\.\.N"):
+        GatedData(gates)
 
 
 def test_unbounded_evaluation_equals_infinite_bound():
@@ -205,7 +203,9 @@ def test_data_gradient_adds_up_over_gates():
 
     def arrays(gates):
         state = evaluate_parts(v, zeta, I0, gates, params)[4]
-        return _data_gradient_arrays(v, state, gates)
+        grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
+        return ([s.vx for s in grad.grad_v.samples], [s.vy for s in grad.grad_v.samples],
+                [s.values for s in grad.grad_zeta.samples])
 
     together = arrays(gated.gates)
     alone = [arrays([gate]) for gate in gated.gates]
