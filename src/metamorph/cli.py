@@ -11,9 +11,22 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import math
 import sys
 from pathlib import Path
+
+from .experiments import gated_projections, project_with_noise
+from .fileio import (atomic_write_bytes, read_gated_bundle, read_image_raw, read_sinogram,
+                     write_gated_bundle, write_image_raw, write_pgm, write_sinogram)
+from .flow import TimeGrid
+from .grid import GridSpec
+from .harness import Disc, Ellipse, PhantomSpec, Triangle, make_phantom, psnr, ssim
+from .kernel import KernelSpec
+from .objective import RegParams
+from .optimizer import LOG_FIELDS, SolveConfig, reconstruct
+from .ray import Geometry, fbp
+from .spatiotemporal import GatedData, reconstruct_gated
 
 
 class ConfigError(Exception):
@@ -61,12 +74,11 @@ class ConfigReader:
         raw = self._raw(section, key, default, required)
         if raw is None or isinstance(raw, bool):
             return raw
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        self.problems.append(f"[{section}] {key}: not a boolean ({raw!r})")
-        return default
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if state is None:
+            self.problems.append(f"[{section}] {key}: not a boolean ({raw!r})")
+            return default
+        return state
 
     def get_str(self, section, key, default=None, required=False, choices=None):
         raw = self._raw(section, key, default, required)
@@ -110,27 +122,25 @@ def _build(cfg: ConfigReader, section: str, make, *args, **kwargs):
 
 
 def _grid(cfg: ConfigReader):
-    from .grid import GridSpec
-
     half_width = cfg.get_float("grid", "half_width", 16.0)
     nx = cfg.get_int("grid", "nx", 256)
     ny = cfg.get_int("grid", "ny", nx)
     return _build(cfg, "grid", GridSpec, half_width, nx, ny)
 
 
-def _geometry(cfg: ConfigReader, spec):
-    from .ray import Geometry
-
-    n_angles = cfg.get_int("geometry", "n_angles", 100)
+def _detector(cfg: ConfigReader, spec):
+    """[geometry] n_det and det_extent; the extent defaults to the grid's half-diagonal."""
     n_det = cfg.get_int("geometry", "n_det", 362)
     default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
-    det_extent = cfg.get_float("geometry", "det_extent", default_extent)
-    return _build(cfg, "geometry", Geometry.uniform, n_angles, n_det, det_extent)
+    return n_det, cfg.get_float("geometry", "det_extent", default_extent)
+
+
+def _geometry(cfg: ConfigReader, spec):
+    n_angles = cfg.get_int("geometry", "n_angles", 100)
+    return _build(cfg, "geometry", Geometry.uniform, n_angles, *_detector(cfg, spec))
 
 
 def _solver(cfg: ConfigReader):
-    from .optimizer import SolveConfig
-
     mode = cfg.get_str("solver", "mode", "metamorphosis",
                        choices=("metamorphosis", "lddmm", "fbp"))
     kw = dict(
@@ -146,22 +156,15 @@ def _solver(cfg: ConfigReader):
 
 def _phantom_spec(cfg: ConfigReader):
     """The [phantom] section; an evolving sequence also reads and checks [time] steps."""
-    from .flow import TimeGrid
-    from .harness import Disc, Ellipse, PhantomSpec, Triangle
-
     kind = cfg.get_str("phantom", "kind", required=True,
                        choices=("discs", "triangle_pair", "shepp_like", "evolving_sequence"))
     background = cfg.get_float("phantom", "background", 0.0)
     shapes = {"discs": [], "triangles": [], "ellipses": []}
     if cfg.parser.has_section("phantom"):
-        for key, raw in cfg.parser.items("phantom"):
-            vals = None
-            if key.startswith(("disc", "triangle", "ellipse")) and key[-1].isdigit():
-                try:
-                    vals = [float(tok) for tok in raw.replace(",", " ").split()]
-                except ValueError:
-                    cfg.problems.append(f"[phantom] {key}: not a number list ({raw!r})")
-                    continue
+        for key in cfg.parser.options("phantom"):
+            if not (key.startswith(("disc", "triangle", "ellipse")) and key[-1].isdigit()):
+                continue
+            vals = cfg.get_floats("phantom", key)
             if vals is None:
                 continue
             try:
@@ -184,10 +187,9 @@ def _phantom_spec(cfg: ConfigReader):
         tgrid = _build(cfg, "time", TimeGrid, cfg.get_int("time", "steps", 10))
         if tgrid is None:
             return None
-        steps = tgrid.n_steps
         drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
         kw.update(
-            times=tuple(i / steps for i in range(steps + 1)),
+            times=tuple(tgrid.times()),
             drift=(drift[0], drift[1]) if len(drift) == 2 else (0.0, 0.0),
             growth=cfg.get_float("phantom", "growth", 0.0),
             appear_time=cfg.get_float("phantom", "appear_time", 0.5),
@@ -200,24 +202,24 @@ def _phantom_spec(cfg: ConfigReader):
 
 
 def _out_dir(cfg: ConfigReader, args) -> Path:
-    out = args.out or cfg.get_str("io", "out_dir", "out")
-    path = Path(out)
+    path = Path(args.out or cfg.get_str("io", "out_dir", "out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _seed(cfg: ConfigReader, args, section="noise", default=0):
+def _noise(cfg: ConfigReader, args, seed_section="noise"):
+    """[noise] psnr_db (a number, or inf for none) and the noise seed."""
+    psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
+    # NaN and -inf fail this comparison
+    if not psnr_db > -math.inf:
+        cfg.problems.append(f"[noise] psnr_db: need a number or inf, got {psnr_db!r}")
     if args.seed is not None:
-        return args.seed
-    return cfg.get_int(section, "seed", default)
+        return psnr_db, args.seed
+    return psnr_db, cfg.get_int(seed_section, "seed", 0)
 
 
 def _write_rows_csv(path, fieldnames, rows):
-    from .fileio import atomic_write_bytes
-
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     for row in rows:
@@ -230,9 +232,6 @@ def cmd_phantom(args) -> int:
     spec = _grid(cfg)
     phantom = _phantom_spec(cfg)
     cfg.finish()
-    from .fileio import write_image_raw, write_pgm
-    from .harness import make_phantom
-
     out = _out_dir(cfg, args)
     result = make_phantom(phantom, spec)
     if isinstance(result, list):
@@ -252,18 +251,10 @@ def cmd_project(args) -> int:
     spec = _grid(cfg)
     geo = _geometry(cfg, spec)
     src = cfg.get_input_path("io", "image")
-    psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
-    seed = _seed(cfg, args)
+    psnr_db, seed = _noise(cfg, args)
     cfg.finish()
-    from .fileio import read_image_raw, write_pgm, write_sinogram
-    from .harness import add_noise
-    from .ray import forward_project
-
     out = _out_dir(cfg, args)
-    img = read_image_raw(src)
-    sino = forward_project(img, geo)
-    if not math.isinf(psnr_db):
-        sino = add_noise(sino, psnr_db, seed)
+    sino = project_with_noise(read_image_raw(src), geo, psnr_db, seed)
     write_sinogram(sino, out / "data.sino")
     write_pgm(sino.values, out / "data.pgm")
     print(f"wrote {out / 'data.sino'}")
@@ -271,10 +262,6 @@ def cmd_project(args) -> int:
 
 
 def _load_common(cfg: ConfigReader):
-    from .flow import TimeGrid
-    from .kernel import KernelSpec
-    from .objective import RegParams
-
     spec = _grid(cfg)
     steps = cfg.get_int("time", "steps", 10)
     sigma = cfg.get_float("kernel", "sigma", 2.0)
@@ -288,9 +275,6 @@ def _load_common(cfg: ConfigReader):
 
 def _write_report(report, out: Path):
     """Trajectory frames, report.csv and a one-line summary of a solve."""
-    from .fileio import write_image_raw, write_pgm
-    from .optimizer import LOG_FIELDS
-
     for name, traj in (("image", report.trajectories.image_traj),
                        ("deformation", report.trajectories.deformation_traj),
                        ("template", report.trajectories.template_traj)):
@@ -313,14 +297,9 @@ def cmd_reconstruct(args) -> int:
         template_path = cfg.get_input_path("io", "template")
     data_path = cfg.get_input_path("io", "data")
     cfg.finish()
-    from .fileio import read_image_raw, read_sinogram, write_image_raw, write_pgm
-    from .optimizer import reconstruct
-
     out = _out_dir(cfg, args)
     data = read_sinogram(data_path, geo.det_extent)
     if mode == "fbp":
-        from .ray import fbp
-
         recon = fbp(data, spec, cutoff=fbp_cutoff)
         write_image_raw(recon, out / "fbp.mimg")
         write_pgm(recon, out / "fbp.pgm")
@@ -343,9 +322,6 @@ def cmd_gated(args) -> int:
     if bundle and not Path(bundle).is_dir():
         cfg.problems.append(f"[io] gated_dir: {bundle!r} is not a directory")
     cfg.finish()
-    from .fileio import read_gated_bundle, read_image_raw
-    from .spatiotemporal import GatedData, reconstruct_gated
-
     out = _out_dir(cfg, args)
     template = read_image_raw(template_path)
     gated = GatedData(read_gated_bundle(bundle))
@@ -363,13 +339,10 @@ def cmd_project_gated(args) -> int:
         cfg.problems.append("[phantom] kind: gated projection needs an evolving_sequence")
     elif phantom is not None:
         steps = len(phantom.times) - 1
-    n_det = cfg.get_int("geometry", "n_det", 362)
-    default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
-    det_extent = cfg.get_float("geometry", "det_extent", default_extent)
+    n_det, det_extent = _detector(cfg, spec)
     per_gate = cfg.get_int("gated", "angles_per_gate", 10)
     n_gates = cfg.get_int("gated", "n_gates", steps)
-    psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
-    seed = _seed(cfg, args, section="gated")
+    psnr_db, seed = _noise(cfg, args, seed_section="gated")
     if per_gate is not None and per_gate < 1:
         cfg.problems.append(f"[gated] angles_per_gate: need at least 1, got {per_gate}")
     if n_gates is not None and n_gates < 1:
@@ -377,21 +350,9 @@ def cmd_project_gated(args) -> int:
     elif n_gates is not None and steps is not None and n_gates > steps:
         cfg.problems.append(f"[gated] n_gates: {n_gates} exceeds time steps {steps}")
     cfg.finish()
-    from .fileio import write_gated_bundle, write_image_raw
-    from .harness import add_noise, make_phantom
-    from .ray import Geometry, forward_project
-    from .spatiotemporal import gate_angles
-
     out = _out_dir(cfg, args)
     frames = make_phantom(phantom, spec)
-    gates = []
-    for i, angles in enumerate(gate_angles(n_gates, per_gate, seed), start=1):
-        t_index = i * steps // n_gates
-        geo = Geometry(angles, n_det, det_extent)
-        sino = forward_project(frames[t_index], geo)
-        if not math.isinf(psnr_db):
-            sino = add_noise(sino, psnr_db, seed + i)
-        gates.append((t_index, sino))
+    gates = gated_projections(frames, n_gates, per_gate, n_det, det_extent, psnr_db, seed)
     write_gated_bundle(out, gates, seed=seed)
     for i, frame in enumerate(frames):
         write_image_raw(frame, out / f"truth_{i:02d}.mimg")
@@ -408,9 +369,6 @@ def cmd_metrics(args) -> int:
     gamma = cfg.get_float("reg", "gamma", 0.0)
     tau = cfg.get_float("reg", "tau", 0.0)
     cfg.finish()
-    from .fileio import read_image_raw
-    from .harness import psnr, ssim
-
     out = _out_dir(cfg, args)
     ref = read_image_raw(ref_path)
     test = read_image_raw(test_path)
@@ -433,22 +391,12 @@ def cmd_sweep(args) -> int:
     sigmas = cfg.get_floats("sweep", "sigma_values", None)
     gammas = cfg.get_floats("sweep", "gamma_values", None)
     taus = cfg.get_floats("sweep", "tau_values", None)
-    psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
-    seed = _seed(cfg, args)
+    psnr_db, seed = _noise(cfg, args)
     cfg.finish()
-    from .fileio import read_image_raw
-    from .harness import add_noise, psnr, ssim
-    from .kernel import KernelSpec
-    from .objective import RegParams
-    from .optimizer import reconstruct
-    from .ray import forward_project
-
     out = _out_dir(cfg, args)
     template = read_image_raw(template_path)
     target = read_image_raw(target_path)
-    data = forward_project(target, geo)
-    if not math.isinf(psnr_db):
-        data = add_noise(data, psnr_db, seed)
+    data = project_with_noise(target, geo, psnr_db, seed)
     sigmas = sigmas or [kernel.sigma]
     gammas = gammas or [params.gamma]
     taus = taus or [params.tau]

@@ -1,4 +1,5 @@
-"""Desk-scale experiment presets shared by the scripts and the test suite.
+"""Desk-scale experiment presets and data builders shared by the CLI, the
+scripts and the test suite.
 
 Each case builds a (template, target, data) triple from the phantom
 generator, runs the solver, and reports structural similarity against the
@@ -139,6 +140,19 @@ def regularizer_sweep(case: Case, gammas, taus, sigma: float = 3.0,
     return rows
 
 
+def gated_projections(frames: list[Image], n_gates: int, per_gate: int, n_det: int,
+                      det_extent: float, psnr_db: float,
+                      seed: int) -> list[tuple[int, Sinogram]]:
+    """(t_index, sinogram) per gate: gate i of n_gates observes frame i*N // n_gates
+    of f_0..f_N through its ``gate_angles`` draw, with noise seeded seed + i."""
+    gates = []
+    for i, angles in enumerate(gate_angles(n_gates, per_gate, seed), start=1):
+        t_index = i * (len(frames) - 1) // n_gates
+        geo = Geometry(angles, n_det, det_extent)
+        gates.append((t_index, project_with_noise(frames[t_index], geo, psnr_db, seed + i)))
+    return gates
+
+
 @dataclass
 class GatedCase:
     spec: GridSpec
@@ -168,12 +182,8 @@ def evolving_gated_case(nx: int = 64, n_gates: int = 10, per_gate: int = 10,
         times=times,
     )
     frames = make_phantom(phantom, spec)
-    det_extent = spec.half_width * math.sqrt(2.0)
-    gates = []
-    for i, angles in enumerate(gate_angles(n_gates, per_gate, seed), start=1):
-        geo = Geometry(angles, n_det, det_extent)
-        sino = project_with_noise(frames[i], geo, psnr_db, seed + i)
-        gates.append((i, sino))
+    gates = gated_projections(frames, n_gates, per_gate, n_det,
+                              spec.half_width * math.sqrt(2.0), psnr_db, seed)
     return GatedCase(spec, frames[0], frames, GatedData(gates), tgrid)
 
 

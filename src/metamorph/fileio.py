@@ -6,9 +6,11 @@ values in x-major order.  Version-1 files (magic ``MIMG``, f32 half-width,
 16 bytes) still read, with the half-width they stored.  Sinograms use magic
 ``SINO``, u32 n_angles, u32 n_det, the angle list and the row-major values,
 all little-endian float64; the detector extent is not part of the format and
-must be supplied on read.  PGM output is 16-bit, min-max normalised, for
-viewing only.  All writers go through a temp-file-plus-rename so partially
-written files never appear.
+must be supplied on read.  A gated bundle's ``gates.toml`` manifest gives each
+gate's time index, sinogram file and detector extent; the gate's angles live
+only in that file.  PGM output is 16-bit, min-max normalised, for viewing
+only.  All writers go through a temp-file-plus-rename so partially written
+files never appear.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ def write_gated_bundle(directory, gates: list[tuple[int, Sinogram]], seed: int |
         lines.append(f"file = {fname}")
         # repr of a plain float reads back exactly; numpy scalars print as np.float64(...)
         lines.append(f"det_extent = {float(sino.geometry.det_extent)!r}")
-        lines.append("angles = " + ",".join(repr(float(a)) for a in sino.geometry.angles))
     atomic_write_bytes(directory / "gates.toml", ("\n".join(lines) + "\n").encode())
 
 

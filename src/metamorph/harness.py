@@ -203,9 +203,11 @@ def psnr(reference, test) -> float:
 def add_noise(sino: Sinogram, target_psnr_db: float, seed: int) -> Sinogram:
     """Add seeded white Gaussian noise scaled so the realised PSNR is exact.
 
-    A target of +inf returns the data unchanged.
+    A target of +inf returns a copy of the data; NaN and -inf are rejected.
     """
-    if math.isinf(target_psnr_db) and target_psnr_db > 0:
+    if not target_psnr_db > -math.inf:
+        raise ValueError(f"PSNR target must be a number or +inf, got {target_psnr_db}")
+    if math.isinf(target_psnr_db):
         return sino.copy()
     sig = sino.values - sino.values.mean()
     s_power = float(np.sum(sig * sig))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from metamorph.cli import main
-from metamorph.fileio import read_image_raw, read_sinogram, write_image_raw
+from metamorph.experiments import evolving_gated_case
+from metamorph.fileio import (read_gated_bundle, read_image_raw, read_sinogram,
+                              write_gated_bundle, write_image_raw)
 from metamorph.grid import GridSpec
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.ray import forward_project, Geometry
@@ -238,3 +240,67 @@ out_dir = {out}
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus", "--config", "x"])
+
+
+@pytest.mark.parametrize("command", ["project", "project-gated", "sweep"])
+@pytest.mark.parametrize("psnr_db", ["nan", "-inf"])
+def test_non_finite_psnr_target_is_a_config_problem(tmp_path, capsys, command, psnr_db):
+    spec = GridSpec(16.0, 32, 32)
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec),
+                    tmp_path / "disc.mimg")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "n.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+
+[noise]
+psnr_db = {psnr_db}
+
+[io]
+image = {tmp_path / 'disc.mimg'}
+template = {tmp_path / 'disc.mimg'}
+target = {tmp_path / 'disc.mimg'}
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line == (f"error: config: 1 problem(s): "
+                    f"[noise] psnr_db: need a number or inf, got {float(psnr_db)!r}")
+    assert not out.exists()
+
+
+def test_project_gated_matches_evolving_gated_case(tmp_path):
+    # one gate per time step: the CLI's gates are the preset's, byte for byte
+    out = tmp_path / "gated"
+    cfg = write_config(tmp_path / "g.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 4.0, 1.0
+drift = 5, 3
+growth = 0.1
+appear = 4.5, 4.0, 2.2, 0.9
+appear_time = 0.45
+appear_ramp = 0.25
+
+[gated]
+n_gates = 4
+angles_per_gate = 6
+seed = 5
+
+[noise]
+psnr_db = 25.0
+
+[io]
+out_dir = {out}
+""")
+    assert main(["project-gated", "--config", cfg]) == 0
+    case = evolving_gated_case(nx=32, n_gates=4, per_gate=6, seed=5, psnr_db=25.0, n_det=48)
+    write_gated_bundle(tmp_path / "case", case.gated.gates, seed=5)
+    cli_gates = read_gated_bundle(out)
+    assert [k for k, _ in cli_gates] == [k for k, _ in case.gated.gates] == [1, 2, 3, 4]
+    for num, ((_, ours), (_, theirs)) in enumerate(zip(cli_gates, case.gated.gates), start=1):
+        assert np.array_equal(ours.geometry.angles, theirs.geometry.angles)
+        name = f"gate_{num}.sino"
+        assert (out / name).read_bytes() == (tmp_path / "case" / name).read_bytes()
+    assert (out / "gates.toml").read_bytes() == (tmp_path / "case" / "gates.toml").read_bytes()

@@ -123,10 +123,18 @@ def test_gated_bundle_manifest_holds_plain_numbers(tmp_path):
     geo = Geometry.uniform(3, 8, np.float64(22.6))
     write_gated_bundle(tmp_path, [(1, Sinogram.zeros(geo))])
     assert read_gated_bundle(tmp_path)[0][1].geometry.det_extent == 22.6
-    lines = (tmp_path / "gates.toml").read_text().splitlines()
-    angles = next(line for line in lines if line.startswith("angles ="))
-    parsed = [float(tok) for tok in angles.partition("=")[2].split(",")]
-    assert np.array_equal(parsed, geo.angles)
+
+
+def test_gated_manifest_with_angles_line_still_reads(tmp_path):
+    # manifests once repeated each gate's angles, which live in its .sino file
+    geo = Geometry(np.array([0.2, 1.3]), 8, 12.0)
+    write_gated_bundle(tmp_path, [(2, Sinogram(geo, np.ones((2, 8))))])
+    manifest = tmp_path / "gates.toml"
+    assert "angles" not in manifest.read_text()
+    manifest.write_text(manifest.read_text() + "angles = 0.2,1.3\n")
+    [(t_index, sino)] = read_gated_bundle(tmp_path)
+    assert t_index == 2
+    assert np.array_equal(sino.geometry.angles, geo.angles)
 
 
 def _bundle_without(tmp_path, line_start):

@@ -114,6 +114,12 @@ def test_add_noise_infinite_target_is_identity():
     assert np.array_equal(out.values, sino.values)
 
 
+@pytest.mark.parametrize("target", [math.nan, -math.inf])
+def test_add_noise_rejects_nan_and_minus_inf(target):
+    with pytest.raises(ValueError, match=rf"PSNR target must be a number or \+inf, got {target}"):
+        add_noise(noisy_sinogram(), target, seed=0)
+
+
 def test_add_noise_seeded_reproducible():
     sino = noisy_sinogram()
     a = add_noise(sino, 15.0, seed=42)
