@@ -17,8 +17,6 @@ from .grid import (
     VectorImage,
     divergence,
     gradient_central,
-    sample_bilinear,
-    sample_bilinear_vec,
 )
 from .harness import Disc, Ellipse, PhantomSpec, Triangle, add_noise, make_phantom, psnr, ssim
 from .kernel import KernelSpec, kernel_apply, vfield_l2_inner

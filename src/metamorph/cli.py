@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .experiments import gated_projections, project_with_noise
@@ -42,7 +43,11 @@ class ConfigReader:
 
     def __init__(self, path):
         self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = self.parser.read(path)
+        try:
+            read = self.parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # a half-read parser may hold lists in place of values: read no key
+            raise ConfigError([f"config file {path}: {' '.join(str(exc).split())}"]) from None
         self.problems: list[str] = []
         if not read:
             self.problems.append(f"config file {path} not found or unreadable")
@@ -129,15 +134,24 @@ def _grid(cfg: ConfigReader):
 
 
 def _detector(cfg: ConfigReader, spec):
-    """[geometry] n_det and det_extent; the extent defaults to the grid's half-diagonal."""
+    """[geometry] (n_det, det_extent), or None if either is out of range; the
+    extent defaults to the grid's half-diagonal."""
     n_det = cfg.get_int("geometry", "n_det", 362)
     default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
-    return n_det, cfg.get_float("geometry", "det_extent", default_extent)
+    det_extent = cfg.get_float("geometry", "det_extent", default_extent)
+    problems = len(cfg.problems)
+    if n_det < 1:
+        cfg.problems.append(f"[geometry] n_det: need at least 1, got {n_det}")
+    # NaN and inf fail this comparison
+    if not 0 < det_extent < math.inf:
+        cfg.problems.append(f"[geometry] det_extent: need a positive number, got {det_extent!r}")
+    return (n_det, det_extent) if len(cfg.problems) == problems else None
 
 
 def _geometry(cfg: ConfigReader, spec):
     n_angles = cfg.get_int("geometry", "n_angles", 100)
-    return _build(cfg, "geometry", Geometry.uniform, n_angles, *_detector(cfg, spec))
+    detector = _detector(cfg, spec)
+    return detector and _build(cfg, "geometry", Geometry.uniform, n_angles, *detector)
 
 
 def _solver(cfg: ConfigReader):
@@ -339,7 +353,7 @@ def cmd_project_gated(args) -> int:
         cfg.problems.append("[phantom] kind: gated projection needs an evolving_sequence")
     elif phantom is not None:
         steps = len(phantom.times) - 1
-    n_det, det_extent = _detector(cfg, spec)
+    detector = _detector(cfg, spec)
     per_gate = cfg.get_int("gated", "angles_per_gate", 10)
     n_gates = cfg.get_int("gated", "n_gates", steps)
     psnr_db, seed = _noise(cfg, args, seed_section="gated")
@@ -352,7 +366,7 @@ def cmd_project_gated(args) -> int:
     cfg.finish()
     out = _out_dir(cfg, args)
     frames = make_phantom(phantom, spec)
-    gates = gated_projections(frames, n_gates, per_gate, n_det, det_extent, psnr_db, seed)
+    gates = gated_projections(frames, n_gates, per_gate, *detector, psnr_db, seed)
     write_gated_bundle(out, gates, seed=seed)
     for i, frame in enumerate(frames):
         write_image_raw(frame, out / f"truth_{i:02d}.mimg")
@@ -404,7 +418,7 @@ def cmd_sweep(args) -> int:
     for sigma in sigmas:
         for gamma in gammas:
             for tau in taus:
-                report = reconstruct(template, data, geo, KernelSpec(sigma),
+                report = reconstruct(template, data, geo, replace(kernel, sigma=sigma),
                                      RegParams(gamma, tau), tgrid, solver)
                 recon = report.trajectories.image_traj[-1]
                 rows.append({"id": f"s{sigma}_g{gamma}_t{tau}", "sigma": sigma,

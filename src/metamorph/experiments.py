@@ -26,10 +26,8 @@ from .spatiotemporal import GatedData, gate_angles, reconstruct_gated
 DEFAULT_HALF_WIDTH = 16.0
 
 
-def default_geometry(spec: GridSpec, n_angles: int = 60, n_det: int | None = None) -> Geometry:
-    if n_det is None:
-        n_det = 2 * spec.nx
-    return Geometry.uniform(n_angles, n_det, spec.half_width * math.sqrt(2.0))
+def default_geometry(spec: GridSpec, n_angles: int = 60) -> Geometry:
+    return Geometry.uniform(n_angles, 2 * spec.nx, spec.half_width * math.sqrt(2.0))
 
 
 def project_with_noise(img: Image, geo: Geometry, psnr_db: float, seed: int) -> Sinogram:

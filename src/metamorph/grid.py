@@ -128,15 +128,6 @@ class VectorImage:
         return VectorImage(self.spec, self.vx.copy(), self.vy.copy())
 
 
-def _check_points(pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.shape[-1] != 2:
-        raise ValueError("points must have a trailing dimension of size 2")
-    if not np.isfinite(pts).all():
-        raise ValueError("point coordinates must be finite")
-    return pts
-
-
 @dataclass(frozen=True, eq=False)
 class Stencil:
     """Bilinear weights of one point set on one grid.
@@ -230,22 +221,6 @@ def sample_points_xy(points: np.ndarray, spec: GridSpec,
     out = np.empty(u.shape + (2,))
     out[..., 0] = st.apply(points[..., 0])
     out[..., 1] = st.apply(points[..., 1])
-    return out
-
-
-def sample_bilinear(img: Image, pts) -> np.ndarray:
-    """Sample an image at arbitrary points; zero outside the domain."""
-    pts = _check_points(pts)
-    return sample_values_xy(img.values, img.spec, pts[..., 0], pts[..., 1])
-
-
-def sample_bilinear_vec(vimg: VectorImage, pts) -> np.ndarray:
-    """Componentwise bilinear sample of a vector field; zero outside the domain."""
-    pts = _check_points(pts)
-    st = bilinear_stencil(vimg.spec, pts[..., 0], pts[..., 1])
-    out = np.empty(pts.shape)
-    out[..., 0] = st.apply(vimg.vx)
-    out[..., 1] = st.apply(vimg.vy)
     return out
 
 

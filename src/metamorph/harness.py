@@ -221,52 +221,33 @@ def add_noise(sino: Sinogram, target_psnr_db: float, seed: int) -> Sinogram:
     return Sinogram(sino.geometry, sino.values + alpha * raw)
 
 
-def _pairwise_sum(terms):
-    """Sum of equally shaped arrays in the order numpy's pairwise summation
-    adds the terms of one reduction: sequential below 8 terms, 8 running
-    accumulators up to 128, halves (cut at a multiple of 8) above."""
-    n = len(terms)
-    if n < 8:
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
-    if n <= 128:
-        acc = list(terms[:8])
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for k in range(8):
-                acc[k] = acc[k] + terms[i + k]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for t in terms[tail:]:
-            out = out + t
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+# side of the square SSIM windows
+SSIM_WINDOW = 8
 
 
-def _window_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """Mean of every w x w window of a C-ordered 2D array.
+def _window_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of every 8 x 8 window of a C-ordered 2D array.
 
-    Equal bit for bit to sliding_window_view(x, (w, w)).mean(axis=(2, 3)):
-    that reduction sums each window row pairwise, then adds the rows one by
-    one, and so does this, on whole shifted slices instead of one strided
-    window at a time.  An array exactly one window wide has
-    contiguous windows, which numpy sums as one run, so it keeps the view.
+    Equal bit for bit to sliding_window_view(x, (8, 8)).mean(axis=(2, 3)),
+    which sums each window row in numpy's pairwise order (for 8 terms,
+    ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))) and then adds the rows one by one;
+    this does the same on whole shifted slices.  An array exactly one window
+    wide has contiguous windows, which numpy sums as one run, so it keeps the view.
     """
+    w = SSIM_WINDOW
     nx, ny = x.shape
     if ny == w:
         return np.lib.stride_tricks.sliding_window_view(x, (w, w)).mean(axis=(2, 3))
-    rows = _pairwise_sum([x[:, j:ny - w + 1 + j] for j in range(w)])
+    s = [x[:, j:ny - w + 1 + j] for j in range(w)]
+    rows = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
     out = rows[:nx - w + 1]
     for i in range(1, w):
         out = out + rows[i:nx - w + 1 + i]
     return out / (w * w)
 
 
-def ssim(a, b, window: int = 8, dynamic_range: float | None = None) -> float:
-    """Mean local SSIM over sliding windows (uniform weights).
+def ssim(a, b, dynamic_range: float | None = None) -> float:
+    """Mean local SSIM over sliding 8 x 8 windows (uniform weights).
 
     The stabilising constants use C1 = (0.01 R)^2, C2 = (0.03 R)^2 with R the
     dynamic range of the first argument unless given explicitly.
@@ -275,8 +256,8 @@ def ssim(a, b, window: int = 8, dynamic_range: float | None = None) -> float:
     bv = np.ascontiguousarray(_values_of(b))
     if av.shape != bv.shape:
         raise ValueError(f"shape mismatch {av.shape} vs {bv.shape}")
-    if min(av.shape) < window:
-        raise ValueError(f"images smaller than the {window}x{window} SSIM window")
+    if min(av.shape) < SSIM_WINDOW:
+        raise ValueError(f"images smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
     if dynamic_range is None:
         dynamic_range = float(av.max() - av.min())
         if dynamic_range == 0.0:
@@ -284,11 +265,11 @@ def ssim(a, b, window: int = 8, dynamic_range: float | None = None) -> float:
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
-    mu_a = _window_mean(av, window)
-    mu_b = _window_mean(bv, window)
-    var_a = _window_mean(av * av, window) - mu_a * mu_a
-    var_b = _window_mean(bv * bv, window) - mu_b * mu_b
-    cov = _window_mean(av * bv, window) - mu_a * mu_b
+    mu_a = _window_mean(av)
+    mu_b = _window_mean(bv)
+    var_a = _window_mean(av * av) - mu_a * mu_a
+    var_b = _window_mean(bv * bv) - mu_b * mu_b
+    cov = _window_mean(av * bv) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -31,8 +31,8 @@ class KernelSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"kernel sigma must be positive, got {self.sigma}")
-        if self.truncation_radius < 3:
-            raise ValueError(f"truncation_radius must be >= 3, got {self.truncation_radius}")
+        if not 3 <= self.truncation_radius < np.inf:
+            raise ValueError(f"truncation_radius must be in [3, inf), got {self.truncation_radius}")
 
 
 def kernel_taps_1d(k: KernelSpec, spec: GridSpec) -> np.ndarray:

@@ -84,8 +84,9 @@ class RegParams:
     tau: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.tau < 0:
-            raise ValueError("regularisation weights must be nonnegative")
+        # NaN and inf fail these comparisons
+        if not (0 <= self.gamma < np.inf and 0 <= self.tau < np.inf):
+            raise ValueError("regularisation weights gamma and tau must be finite and nonnegative")
 
 
 @dataclass

@@ -35,6 +35,8 @@ MODES = ("metamorphosis", "lddmm")
 # columns of SolveReport.log_rows, in report.csv order
 LOG_FIELDS = ("iter", "objective", "data_term", "v_term", "zeta_term",
               "step_v", "step_zeta", "evals")
+# halvings of both steps before a line search gives up
+MAX_HALVINGS = 20
 
 
 class DivergenceError(RuntimeError):
@@ -47,17 +49,17 @@ class SolveConfig:
     step_v: float = 1e-5
     step_zeta: float = 1e-2
     backtracking: bool = True
-    max_halvings: int = 20
     rel_tol: float = 1e-6
     mode: str = "metamorphosis"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step_v <= 0 or self.step_zeta <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
+        # NaN and inf fail these comparisons
+        if not (0 < self.step_v < np.inf and 0 < self.step_zeta < np.inf):
+            raise ValueError("step sizes step_v and step_zeta must be finite and positive")
+        if not np.isfinite(self.rel_tol):
+            raise ValueError(f"rel_tol must be finite, got {self.rel_tol}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -112,7 +114,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
         sv, sz = cfg.step_v, cfg.step_zeta
         # without backtracking the divergence check needs the full value
         bound = total if cfg.backtracking else None
-        for evals in range(1, cfg.max_halvings + 2):
+        for evals in range(1, MAX_HALVINGS + 2):
             v_new = v.add_scaled(grad.grad_v, -sv)
             zeta_new = zeta if lddmm else zeta.add_scaled(grad.grad_zeta, -sz)
             # None: rejected; also None after the loop if no step was accepted

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from metamorph.cli import main
 from metamorph.experiments import evolving_gated_case
 from metamorph.fileio import (read_gated_bundle, read_image_raw, read_sinogram,
-                              write_gated_bundle, write_image_raw)
+                              write_gated_bundle, write_image_raw, write_sinogram)
 from metamorph.grid import GridSpec
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.ray import forward_project, Geometry
@@ -304,3 +305,101 @@ out_dir = {out}
         name = f"gate_{num}.sino"
         assert (out / name).read_bytes() == (tmp_path / "case" / name).read_bytes()
     assert (out / "gates.toml").read_bytes() == (tmp_path / "case" / "gates.toml").read_bytes()
+
+
+def test_sweep_uses_the_configured_truncation_radius(tmp_path):
+    spec = GridSpec(16.0, 32, 32)
+    target = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
+    template = make_phantom(PhantomSpec("discs", discs=(Disc(1.0, 0, 5.0, 1.0),)), spec)
+    write_image_raw(target, tmp_path / "target.mimg")
+    write_image_raw(template, tmp_path / "template.mimg")
+    sweeps = []
+    for radius in (3, 8):
+        out = tmp_path / f"r{radius}"
+        cfg = write_config(tmp_path / f"r{radius}.ini", BASE.replace(
+            "sigma = 2.0", f"sigma = 2.0\ntruncation_radius = {radius}") + f"""
+[sweep]
+sigma_values = 2.0
+
+[io]
+template = {tmp_path / 'template.mimg'}
+target = {tmp_path / 'target.mimg'}
+out_dir = {out}
+""")
+        assert main(["sweep", "--config", cfg]) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] != sweeps[1]
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    ("[grid]\nnx = 16\n", "section 'grid' already exists"),
+    ("background = 0.5\n", "option 'background' in section 'phantom' already exists"),
+    ("# caf\xe9\n", "can't decode byte 0xe9"),
+])
+def test_unparsable_config_is_one_config_problem(tmp_path, capsys, extra, fragment):
+    # one problem: after a failed read the parser may hold half-read values, so no key is read
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes((BASE + f"""
+[io]
+out_dir = {out}
+
+[phantom]
+kind = discs
+background = 0.1
+""").encode() + extra.encode("latin-1"))
+    assert main(["phantom", "--config", str(cfg)]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: config: 1 problem(s): config file {cfg}: ")
+    assert fragment in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "project-gated"])
+@pytest.mark.parametrize("key, value", [("n_det", "0"), ("det_extent", "-1"),
+                                        ("det_extent", "nan"), ("det_extent", "inf")])
+def test_detector_out_of_range_is_a_config_problem(tmp_path, capsys, command, key, value):
+    spec = GridSpec(16.0, 32, 32)
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec),
+                    tmp_path / "disc.mimg")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "d.ini", BASE.replace("n_det = 48", f"{key} = {value}") + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+
+[io]
+image = {tmp_path / 'disc.mimg'}
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: config: 1 problem(s): [geometry] {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("reg", "gamma", "nan"), ("reg", "tau", "inf"),
+    ("solver", "step_v", "nan"), ("solver", "step_zeta", "inf"), ("solver", "rel_tol", "nan"),
+    ("kernel", "truncation_radius", "nan"), ("kernel", "truncation_radius", "inf"),
+])
+def test_non_finite_setting_is_a_config_problem(tmp_path, capsys, section, key, value):
+    spec = GridSpec(16.0, 32, 32)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
+    write_image_raw(disc, tmp_path / "disc.mimg")
+    geo = Geometry.uniform(12, 48, 16.0 * math.sqrt(2.0))
+    write_sinogram(forward_project(disc, geo), tmp_path / "data.sino")
+    out = tmp_path / "out"
+    text = re.sub(rf"^{key} = .*\n", "", BASE, flags=re.M)
+    cfg = write_config(tmp_path / "f.ini", text.replace(
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n") + f"""
+[io]
+template = {tmp_path / 'disc.mimg'}
+data = {tmp_path / 'data.sino'}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: config: 1 problem(s): [{section}]: ")
+    assert key in line
+    assert not out.exists()

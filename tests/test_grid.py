@@ -12,8 +12,6 @@ from metamorph.grid import (
     divergence,
     gradient_central,
     image_l2_inner,
-    sample_bilinear,
-    sample_bilinear_vec,
     sample_points_xy,
     sample_values_xy,
 )
@@ -47,15 +45,15 @@ def test_image_shape_checked(spec):
 
 def test_sample_constant_everywhere(spec):
     img = Image.full(spec, 3.7)
-    pts = np.array([[0.0, 0.0], [5.3, -2.1], [-12.7, 9.9]])
-    assert np.allclose(sample_bilinear(img, pts), 3.7)
+    px, py = np.array([0.0, 5.3, -12.7]), np.array([0.0, -2.1, 9.9])
+    assert np.allclose(sample_values_xy(img.values, spec, px, py), 3.7)
 
 
 def test_sample_at_nodes_exact(spec):
     rng = np.random.default_rng(0)
     img = Image(spec, rng.normal(size=spec.shape))
-    pts = np.stack(np.meshgrid(spec.xs(), spec.ys(), indexing="ij"), axis=-1)
-    out = sample_bilinear(img, pts)
+    px, py = np.meshgrid(spec.xs(), spec.ys(), indexing="ij")
+    out = sample_values_xy(img.values, spec, px, py)
     assert np.array_equal(out, img.values)
 
 
@@ -64,24 +62,16 @@ def test_sample_cell_center_is_corner_mean():
     img = Image.from_function(spec, lambda x, y: x)
     xs, ys = spec.xs(), spec.ys()
     i, j = 10, 14
-    centre = [(xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2]
+    cx, cy = np.array([(xs[i] + xs[i + 1]) / 2]), np.array([(ys[j] + ys[j + 1]) / 2])
     expected = (img.values[i, j] + img.values[i + 1, j]
                 + img.values[i, j + 1] + img.values[i + 1, j + 1]) / 4
-    assert sample_bilinear(img, [centre])[0] == pytest.approx(expected, abs=1e-13)
+    assert sample_values_xy(img.values, spec, cx, cy)[0] == pytest.approx(expected, abs=1e-13)
 
 
 def test_sample_outside_domain_zero(spec):
     img = Image.full(spec, 5.0)
-    pts = np.array([[16.5, 0.0], [0.0, -16.5], [100.0, 100.0]])
-    assert np.all(sample_bilinear(img, pts) == 0.0)
-
-
-def test_sample_rejects_nonfinite(spec):
-    img = Image.zeros(spec)
-    with pytest.raises(ValueError):
-        sample_bilinear(img, np.array([[np.nan, 0.0]]))
-    with pytest.raises(ValueError):
-        sample_bilinear(img, np.array([[np.inf, 0.0]]))
+    px, py = np.array([16.5, 0.0, 100.0]), np.array([0.0, -16.5, 100.0])
+    assert np.all(sample_values_xy(img.values, spec, px, py) == 0.0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -91,10 +81,11 @@ def test_sample_linear_in_image(alpha, beta, seed):
     rng = np.random.default_rng(seed)
     f = Image(spec, rng.normal(size=spec.shape))
     g = Image(spec, rng.normal(size=spec.shape))
-    pts = rng.uniform(-8, 8, size=(20, 2))
-    combo = Image(spec, alpha * f.values + beta * g.values)
-    lhs = sample_bilinear(combo, pts)
-    rhs = alpha * sample_bilinear(f, pts) + beta * sample_bilinear(g, pts)
+    px, py = rng.uniform(-8, 8, size=(2, 20))
+    combo = alpha * f.values + beta * g.values
+    lhs = sample_values_xy(combo, spec, px, py)
+    rhs = (alpha * sample_values_xy(f.values, spec, px, py)
+           + beta * sample_values_xy(g.values, spec, px, py))
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -146,27 +137,24 @@ def test_one_stencil_serves_several_arrays():
     stencil = bilinear_stencil(spec, px, py)
     assert np.array_equal(bits(stencil.apply(a)), bits(sample_values_xy(a, spec, px, py)))
     assert np.array_equal(bits(stencil.apply(b)), bits(sample_values_xy(b, spec, px, py)))
-    pts = np.stack([px, py], axis=-1)
-    vec = sample_bilinear_vec(VectorImage(spec, a, b), pts)
-    assert np.array_equal(bits(vec[:, 0]), bits(sample_values_xy(a, spec, px, py)))
-    assert np.array_equal(bits(vec[:, 1]), bits(sample_values_xy(b, spec, px, py)))
 
 
 def test_sample_vec_trivials(spec):
+    stencil = bilinear_stencil(spec, np.array([1.0, -3.0]), np.array([2.0, 4.0]))
     zero = VectorImage.zeros(spec)
-    pts = np.array([[1.0, 2.0], [-3.0, 4.0]])
-    assert np.all(sample_bilinear_vec(zero, pts) == 0.0)
+    assert np.all(stencil.apply(zero.vx) == 0.0) and np.all(stencil.apply(zero.vy) == 0.0)
     const = VectorImage(spec, np.full(spec.shape, 2.0), np.full(spec.shape, -1.5))
-    out = sample_bilinear_vec(const, pts)
-    assert np.allclose(out, [2.0, -1.5])
+    assert np.allclose(stencil.apply(const.vx), 2.0)
+    assert np.allclose(stencil.apply(const.vy), -1.5)
 
 
 def test_sample_vec_cell_center_average(spec):
     v = VectorImage.from_function(spec, lambda x, y: (y, -x))
     xs, ys = spec.xs(), spec.ys()
     i, j = 7, 21
-    centre = np.array([[(xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2]])
-    out = sample_bilinear_vec(v, centre)[0]
+    stencil = bilinear_stencil(spec, np.array([(xs[i] + xs[i + 1]) / 2]),
+                               np.array([(ys[j] + ys[j + 1]) / 2]))
+    out = [stencil.apply(v.vx)[0], stencil.apply(v.vy)[0]]
     corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
     expected = [np.mean([v.vx[c] for c in corners]), np.mean([v.vy[c] for c in corners])]
     assert np.allclose(out, expected, atol=1e-13)

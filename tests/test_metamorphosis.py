@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metamorph.grid import GridSpec, Image, VectorImage, image_l2_norm_sq, sample_bilinear
+from metamorph.grid import GridSpec, Image, VectorImage, image_l2_norm_sq, sample_values_xy
 from metamorph.flow import DeformationMap, TimeGrid, TimeVaryingVectorField
 from metamorph.kernel import KernelSpec, kernel_apply
 from metamorph.metamorphosis import (
@@ -41,8 +41,8 @@ def test_group_action_translation_shift_oracle():
     pts = pts - np.array([c, 0.0])
     shifted = group_action(DeformationMap(SPEC, pts), img)
     # oracle: direct resampling of the image at shifted sample points
-    expect = sample_bilinear(img, np.stack(
-        [SPEC.identity_points()[..., 0] - c, SPEC.identity_points()[..., 1]], axis=-1))
+    px, py = SPEC.identity_points()[..., 0], SPEC.identity_points()[..., 1]
+    expect = sample_values_xy(img.values, SPEC, px - c, py)
     assert np.array_equal(shifted.values, expect)
 
 

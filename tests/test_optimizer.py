@@ -29,8 +29,6 @@ def test_solveconfig_validation():
         SolveConfig(step_v=0.0)
     with pytest.raises(ValueError):
         SolveConfig(mode="bogus")
-    with pytest.raises(ValueError):
-        SolveConfig(max_halvings=-1)
 
 
 def consistent_problem(nx=64):
