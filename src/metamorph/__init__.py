@@ -35,7 +35,7 @@ from .objective import (
     evaluate,
     gradient,
 )
-from .optimizer import DivergenceError, SolveConfig, SolveReport, reconstruct
+from .optimizer import SolveConfig, SolveReport, reconstruct
 from .ray import Geometry, Sinogram, back_project, fbp, forward_project
 from .spatiotemporal import (
     GatedData,

@@ -75,16 +75,6 @@ class ConfigReader:
     def get_int(self, section, key, default=None, required=False):
         return self._number(section, key, default, required, int, "an integer")
 
-    def get_bool(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
-        if raw is None or isinstance(raw, bool):
-            return raw
-        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
-        if state is None:
-            self.problems.append(f"[{section}] {key}: not a boolean ({raw!r})")
-            return default
-        return state
-
     def get_str(self, section, key, default=None, required=False, choices=None):
         raw = self._raw(section, key, default, required)
         if raw is not None and choices and raw not in choices:
@@ -114,7 +104,8 @@ class ConfigReader:
 
     def finish(self):
         if self.problems:
-            raise ConfigError(self.problems)
+            # a bad value shared by several sweep rows is one problem
+            raise ConfigError(dict.fromkeys(self.problems))
 
 
 def _build(cfg: ConfigReader, section: str, make, *args, **kwargs):
@@ -157,11 +148,13 @@ def _geometry(cfg: ConfigReader, spec):
 def _solver(cfg: ConfigReader):
     mode = cfg.get_str("solver", "mode", "metamorphosis",
                        choices=("metamorphosis", "lddmm", "fbp"))
+    if cfg.parser.has_option("solver", "backtracking"):
+        cfg.problems.append("[solver] backtracking: not a setting; "
+                            "the line search always backtracks")
     kw = dict(
         max_iters=cfg.get_int("solver", "max_iters", 200),
         step_v=cfg.get_float("solver", "step_v", 5e-4),
         step_zeta=cfg.get_float("solver", "step_zeta", 1e-2),
-        backtracking=cfg.get_bool("solver", "backtracking", True),
         rel_tol=cfg.get_float("solver", "rel_tol", 1e-6),
         mode="metamorphosis" if mode == "fbp" else mode,
     )
@@ -202,16 +195,21 @@ def _phantom_spec(cfg: ConfigReader):
         if tgrid is None:
             return None
         drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
+        if len(drift) != 2:
+            cfg.problems.append(f"[phantom] drift: need 2 values (dx, dy), got {len(drift)}")
         kw.update(
             times=tuple(tgrid.times()),
-            drift=(drift[0], drift[1]) if len(drift) == 2 else (0.0, 0.0),
+            drift=tuple(drift),
             growth=cfg.get_float("phantom", "growth", 0.0),
             appear_time=cfg.get_float("phantom", "appear_time", 0.5),
             appear_ramp=cfg.get_float("phantom", "appear_ramp", 0.2),
         )
         appear = cfg.get_floats("phantom", "appear", None)
         if appear:
-            kw["appear"] = Disc(*appear)
+            try:
+                kw["appear"] = Disc(*appear)
+            except TypeError as exc:
+                cfg.problems.append(f"[phantom] appear: {exc}")
     return _build(cfg, "phantom", PhantomSpec, **kw)
 
 
@@ -222,14 +220,19 @@ def _out_dir(cfg: ConfigReader, args) -> Path:
 
 
 def _noise(cfg: ConfigReader, args, seed_section="noise"):
-    """[noise] psnr_db (a number, or inf for none) and the noise seed."""
+    """[noise] psnr_db (a number, or inf for none) and the noise seed.
+
+    The seed must be non-negative where it is drawn from: with noise, and
+    always for the [gated] seed, which also draws the gate angles."""
     psnr_db = cfg.get_float("noise", "psnr_db", math.inf)
     # NaN and -inf fail this comparison
     if not psnr_db > -math.inf:
         cfg.problems.append(f"[noise] psnr_db: need a number or inf, got {psnr_db!r}")
-    if args.seed is not None:
-        return psnr_db, args.seed
-    return psnr_db, cfg.get_int(seed_section, "seed", 0)
+    seed = args.seed if args.seed is not None else cfg.get_int(seed_section, "seed", 0)
+    if seed < 0 and (psnr_db < math.inf or seed_section == "gated"):
+        where = "--seed" if args.seed is not None else f"[{seed_section}] seed"
+        cfg.problems.append(f"{where}: need a non-negative integer, got {seed}")
+    return psnr_db, seed
 
 
 def _write_rows_csv(path, fieldnames, rows):
@@ -306,6 +309,9 @@ def cmd_reconstruct(args) -> int:
     geo = _geometry(cfg, spec)
     mode, solver = _solver(cfg)
     fbp_cutoff = cfg.get_float("solver", "fbp_cutoff", 0.8)
+    # NaN fails this comparison
+    if mode == "fbp" and not 0 < fbp_cutoff <= 1:
+        cfg.problems.append(f"[solver] fbp_cutoff: need a number in (0, 1], got {fbp_cutoff!r}")
     template_path = None
     if mode != "fbp":
         template_path = cfg.get_input_path("io", "template")
@@ -320,7 +326,7 @@ def cmd_reconstruct(args) -> int:
         print(f"fbp cutoff={fbp_cutoff} wrote {out / 'fbp.mimg'}")
         return 0
     template = read_image_raw(template_path)
-    report = reconstruct(template, data, data.geometry, kernel, params, tgrid, solver)
+    report = reconstruct(template, data, kernel, params, tgrid, solver)
     _write_report(report, out)
     return 0
 
@@ -405,26 +411,26 @@ def cmd_sweep(args) -> int:
     sigmas = cfg.get_floats("sweep", "sigma_values", None)
     gammas = cfg.get_floats("sweep", "gamma_values", None)
     taus = cfg.get_floats("sweep", "tau_values", None)
+    # every row's settings pass the library's checks before any output exists
+    kernels = [_build(cfg, "sweep", replace, kernel, sigma=s)
+               for s in sigmas or [kernel.sigma]] if kernel else []
+    regs = [_build(cfg, "sweep", RegParams, g, t)
+            for g in gammas or [params.gamma] for t in taus or [params.tau]] if params else []
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
     out = _out_dir(cfg, args)
     template = read_image_raw(template_path)
     target = read_image_raw(target_path)
     data = project_with_noise(target, geo, psnr_db, seed)
-    sigmas = sigmas or [kernel.sigma]
-    gammas = gammas or [params.gamma]
-    taus = taus or [params.tau]
     rows = []
-    for sigma in sigmas:
-        for gamma in gammas:
-            for tau in taus:
-                report = reconstruct(template, data, geo, replace(kernel, sigma=sigma),
-                                     RegParams(gamma, tau), tgrid, solver)
-                recon = report.trajectories.image_traj[-1]
-                rows.append({"id": f"s{sigma}_g{gamma}_t{tau}", "sigma": sigma,
-                             "gamma": gamma, "tau": tau,
-                             "ssim": ssim(target, recon), "psnr": psnr(target, recon)})
-                print(f"sigma={sigma} gamma={gamma} tau={tau} ssim={rows[-1]['ssim']:.4f}")
+    for k in kernels:
+        for reg in regs:
+            report = reconstruct(template, data, k, reg, tgrid, solver)
+            recon = report.trajectories.image_traj[-1]
+            rows.append({"id": f"s{k.sigma}_g{reg.gamma}_t{reg.tau}", "sigma": k.sigma,
+                         "gamma": reg.gamma, "tau": reg.tau,
+                         "ssim": ssim(target, recon), "psnr": psnr(target, recon)})
+            print(f"sigma={k.sigma} gamma={reg.gamma} tau={reg.tau} ssim={rows[-1]['ssim']:.4f}")
     _write_rows_csv(out / "sweep.csv",
                     ["id", "sigma", "gamma", "tau", "ssim", "psnr"], rows)
     return 0

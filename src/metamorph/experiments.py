@@ -102,7 +102,7 @@ def solve_case(case: Case, sigma: float = 2.0, gamma: float = 1e-5,
                step_zeta: float = 2e-3) -> tuple[SolveReport, float]:
     """Run one reconstruction; returns the report and the final-image SSIM."""
     report = reconstruct(
-        case.template, case.data, case.geometry,
+        case.template, case.data,
         KernelSpec(sigma), RegParams(gamma, tau), TimeGrid(n_steps),
         SolveConfig(max_iters=max_iters, step_v=step_v, step_zeta=step_zeta, mode=mode),
     )

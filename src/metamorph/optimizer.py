@@ -10,10 +10,10 @@ Between the line search and the next gradient, descend keeps the accepted
 candidate's (v, zeta), objective terms and forward state (image trajectory
 and gate projections); the gradient reads that state, and is its last use.
 
-With backtracking on, each candidate is evaluated against the current
-objective as a bound, so a rejected one stops at the first gate whose
-running objective exceeds it; accepted candidates are evaluated in full, and
-the iterates are those of a search that evaluates every candidate in full.
+Each candidate is evaluated against the current objective as a bound, so a
+rejected one stops at the first gate whose running objective exceeds it;
+accepted candidates are evaluated in full, and the iterates are those of a
+search that evaluates every candidate in full.
 Each log row records the evaluations its line search made (1 for row 0,
 the initial evaluation).
 """
@@ -29,7 +29,7 @@ from .grid import Image
 from .kernel import KernelSpec
 from .metamorphosis import TimeVaryingScalarField, Trajectories, trajectories
 from .objective import GradientPair, RegParams, evaluate_parts, gradient_core
-from .ray import Geometry, Sinogram
+from .ray import Sinogram
 
 MODES = ("metamorphosis", "lddmm")
 # columns of SolveReport.log_rows, in report.csv order
@@ -39,16 +39,11 @@ LOG_FIELDS = ("iter", "objective", "data_term", "v_term", "zeta_term",
 MAX_HALVINGS = 20
 
 
-class DivergenceError(RuntimeError):
-    """Raised when the objective blows up with backtracking disabled."""
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 200
     step_v: float = 1e-5
     step_zeta: float = 1e-2
-    backtracking: bool = True
     rel_tol: float = 1e-6
     mode: str = "metamorphosis"
 
@@ -94,17 +89,13 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     v = TimeVaryingVectorField.zeros(tgrid, spec)
     zeta = TimeVaryingScalarField.zeros(tgrid, spec)
 
-    total, data, v_term, z_term, state = evaluate_parts(v, zeta, I0, gates, params)
-    initial = total
+    *terms, state = evaluate_parts(v, zeta, I0, gates, params)
+    total = terms[0]
     history = [total]
-    rows = [{"iter": 0, "objective": total, "data_term": data,
-             "v_term": v_term, "zeta_term": z_term,
-             "step_v": 0.0, "step_zeta": 0.0, "evals": 1}]
+    rows = [dict(zip(LOG_FIELDS, (0, *terms, 0.0, 0.0, 1)))]
     stop_reason = "max_iters"
-    iterations = 0
 
     for it in range(1, cfg.max_iters + 1):
-        iterations = it
         grad = gradient_core(v, zeta, state, gates, params, kernel)
         state = cand = None  # the line search holds one trajectory at a time
         if _grad_is_zero(grad, lddmm):
@@ -112,42 +103,33 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             break
 
         sv, sz = cfg.step_v, cfg.step_zeta
-        # without backtracking the divergence check needs the full value
-        bound = total if cfg.backtracking else None
         for evals in range(1, MAX_HALVINGS + 2):
             v_new = v.add_scaled(grad.grad_v, -sv)
             zeta_new = zeta if lddmm else zeta.add_scaled(grad.grad_zeta, -sz)
             # None: rejected; also None after the loop if no step was accepted
-            cand = evaluate_parts(v_new, zeta_new, I0, gates, params, bound=bound)
+            cand = evaluate_parts(v_new, zeta_new, I0, gates, params, bound=total)
             if cand is not None:
                 break
             sv *= 0.5
             sz *= 0.5
 
-        if not cfg.backtracking and cand[0] > 1e3 * max(initial, 1e-300):
-            raise DivergenceError(
-                f"objective {cand[0]:.6g} exceeds 1000x the initial value "
-                f"{initial:.6g} at iteration {it}; reduce the step sizes"
-            )
         if cand is None:
             stop_reason = "no_decrease"
             break
 
         v, zeta = v_new, zeta_new
         previous = total
-        total, data, v_term, z_term, state = cand
+        *terms, state = cand
+        total = terms[0]
         history.append(total)
-        rows.append({"iter": it, "objective": total, "data_term": data,
-                     "v_term": v_term, "zeta_term": z_term,
-                     "step_v": sv, "step_zeta": 0.0 if lddmm else sz,
-                     "evals": evals})
+        rows.append(dict(zip(LOG_FIELDS, (it, *terms, sv, 0.0 if lddmm else sz, evals))))
         if previous - total <= cfg.rel_tol * abs(previous):
             stop_reason = "converged"
             break
 
     return SolveReport(
         objective_history=history,
-        iterations_used=iterations,
+        iterations_used=it,
         trajectories=trajectories(v, zeta, I0),
         stop_reason=stop_reason,
         log_rows=rows,
@@ -156,9 +138,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     )
 
 
-def reconstruct(I0: Image, g: Sinogram, geo: Geometry, kernel: KernelSpec,
-                params: RegParams, tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
+def reconstruct(I0: Image, g: Sinogram, kernel: KernelSpec, params: RegParams,
+                tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
     """Register a template against one data set acquired at the end time."""
-    if not g.geometry.same_sampling(geo):
-        raise ValueError("data geometry does not match the configured geometry")
     return descend(I0, [(tgrid.n_steps, g)], kernel, params, tgrid, cfg)

@@ -403,3 +403,87 @@ out_dir = {out}
     assert line.startswith(f"error: config: 1 problem(s): [{section}]: ")
     assert key in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, argv, problem", [
+    # the line search always backtracks: the old switch is reported, not ignored
+    ("reconstruct", "[solver]\nbacktracking = false\n", [],
+     "[solver] backtracking: not a setting; the line search always backtracks"),
+    ("reconstruct", "[solver]\nmode = fbp\nfbp_cutoff = 2\n", [],
+     "[solver] fbp_cutoff: need a number in (0, 1], got 2.0"),
+    ("reconstruct", "[solver]\nmode = fbp\nfbp_cutoff = nan\n", [],
+     "[solver] fbp_cutoff: need a number in (0, 1], got nan"),
+    ("project", "[noise]\npsnr_db = 20\n", ["--seed", "-1"],
+     "--seed: need a non-negative integer, got -1"),
+    ("project", "[noise]\npsnr_db = 20\nseed = -4\n", [],
+     "[noise] seed: need a non-negative integer, got -4"),
+    ("sweep", "[noise]\npsnr_db = 20\nseed = -4\n", [],
+     "[noise] seed: need a non-negative integer, got -4"),
+    # the gated seed also draws the gate angles: checked even without noise
+    ("project-gated", "[gated]\nseed = -4\n", [],
+     "[gated] seed: need a non-negative integer, got -4"),
+    ("project-gated", "", ["--seed", "-1"], "--seed: need a non-negative integer, got -1"),
+    # every sweep row is checked before any output exists; a value shared by
+    # several rows is one problem
+    ("sweep", "[sweep]\nsigma_values = 1.0, -1\n", [],
+     "[sweep]: kernel sigma must be positive, got -1.0"),
+    ("sweep", "[sweep]\nsigma_values = nan\n", [],
+     "[sweep]: kernel sigma must be positive, got nan"),
+    ("sweep", "[sweep]\ngamma_values = nan\ntau_values = 1e-5, 1e-3\n", [],
+     "[sweep]: regularisation weights gamma and tau must be finite and nonnegative"),
+    ("sweep", "[sweep]\ntau_values = -1\n", [],
+     "[sweep]: regularisation weights gamma and tau must be finite and nonnegative"),
+], ids=["backtracking", "fbp_cutoff_2", "fbp_cutoff_nan", "project_seed_flag",
+        "project_noise_seed", "sweep_noise_seed", "gated_seed", "gated_seed_flag",
+        "sweep_negative_sigma", "sweep_nan_sigma", "sweep_nan_gamma_two_taus",
+        "sweep_negative_tau"])
+def test_out_of_range_setting_is_a_config_problem(tmp_path, capsys, command, text, argv,
+                                                  problem):
+    spec = GridSpec(16.0, 32, 32)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
+    write_image_raw(disc, tmp_path / "disc.mimg")
+    write_sinogram(forward_project(disc, Geometry.uniform(12, 48, 16.0 * math.sqrt(2.0))),
+                   tmp_path / "data.sino")
+    out = tmp_path / "out"
+    base = re.sub(r"\[solver\]\n(.+\n)*", "", BASE)
+    cfg = write_config(tmp_path / "o.ini", base + text + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+
+[io]
+image = {tmp_path / 'disc.mimg'}
+template = {tmp_path / 'disc.mimg'}
+target = {tmp_path / 'disc.mimg'}
+data = {tmp_path / 'data.sino'}
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err.strip() == f"error: config: 1 problem(s): {problem}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "project-gated"])
+@pytest.mark.parametrize("key, value, fragment", [
+    ("drift", "1 2 3", "need 2 values (dx, dy), got 3"),
+    ("drift", "4", "need 2 values (dx, dy), got 1"),
+    ("appear", "4, 4", "missing 1 required positional argument: 'r'"),
+    ("appear", "4, 4, 2, 0.8, 1", "positional arguments but 6 were given"),
+])
+def test_evolving_phantom_list_length_is_a_config_problem(tmp_path, capsys, command, key,
+                                                          value, fragment):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+{key} = {value}
+
+[io]
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: config: 1 problem(s): [phantom] {key}: ")
+    assert fragment in line
+    assert not out.exists()
