@@ -161,6 +161,11 @@ def _solver(cfg: ConfigReader):
     return mode, _build(cfg, "solver", SolveConfig, **kw)
 
 
+# how many values each shape key takes: disc cx cy r [intensity], ellipse
+# cx cy a b [angle_deg [intensity]], triangle x0 y0 x1 y1 x2 y2 [intensity]
+_SHAPE_VALUE_COUNTS = {"disc": (3, 4), "ellipse": (4, 6), "triangle": (6, 7)}
+
+
 def _phantom_spec(cfg: ConfigReader):
     """The [phantom] section; an evolving sequence also reads and checks [time] steps."""
     kind = cfg.get_str("phantom", "kind", required=True,
@@ -169,22 +174,24 @@ def _phantom_spec(cfg: ConfigReader):
     shapes = {"discs": [], "triangles": [], "ellipses": []}
     if cfg.parser.has_section("phantom"):
         for key in cfg.parser.options("phantom"):
-            if not (key.startswith(("disc", "triangle", "ellipse")) and key[-1].isdigit()):
+            shape = next((s for s in _SHAPE_VALUE_COUNTS if key.startswith(s)), None)
+            if shape is None or not key[-1].isdigit():
                 continue
             vals = cfg.get_floats("phantom", key)
             if vals is None:
                 continue
-            try:
-                if key.startswith("disc"):
-                    shapes["discs"].append(Disc(*vals))
-                elif key.startswith("triangle"):
-                    shapes["triangles"].append(
-                        Triangle(((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])),
-                                 vals[6] if len(vals) > 6 else 1.0))
-                else:
-                    shapes["ellipses"].append(Ellipse(*vals))
-            except (TypeError, ValueError, IndexError) as exc:
-                cfg.problems.append(f"[phantom] {key}: {exc}")
+            lo, hi = _SHAPE_VALUE_COUNTS[shape]
+            if not lo <= len(vals) <= hi:
+                cfg.problems.append(
+                    f"[phantom] {key}: {shape} needs {lo} to {hi} values, got {len(vals)}")
+            elif shape == "disc":
+                shapes["discs"].append(Disc(*vals))
+            elif shape == "triangle":
+                shapes["triangles"].append(
+                    Triangle(((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])),
+                             *vals[6:]))
+            else:
+                shapes["ellipses"].append(Ellipse(*vals))
     if kind is None:
         return None
     kw = dict(kind=kind, background=background or 0.0,

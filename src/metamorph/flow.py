@@ -4,21 +4,20 @@ A time-varying velocity field v is sampled at N+1 uniform instants; its flow
 maps phi_{s,t} (transporting points from time s to time t) are approximated
 by chaining one-step small deformations Id -+ (1/N) v(t_k, .).  Maps are
 stored as node-wise point arrays and composed by bilinearly resampling the
-outer map at the inner map's points.  Two builders serve the model:
+outer map at the inner map's points.  The image trajectory does not use
+these maps: it is transported one semi-Lagrangian step at a time
+(metamorphosis.py).  Two builders remain:
 
-* backward_levels: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
-                   for i = 0..end (the image trajectory, in the objective
-                   and in the final trajectories, pulls back through it;
-                   maps_from_zero lists the maps it yields)
 * forward_levels:  the points phi_{0,t_k}(x) of the nodes x, advected one
                    Euler step per level, each with the bilinear stencil that
-                   samples v(t_k) there; the template evolution samples zeta
-                   through the same stencil, so a level builds one
-                   (forward_maps lists the maps it yields)
+                   samples v(t_k) there; the template part of the final
+                   trajectories samples zeta through the same stencil, so a
+                   level builds one (forward_maps lists the maps it yields)
+* backward_levels: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
+                   for i = 0..end; it serves only maps_from_zero, which the
+                   tests and the benchmark's tracer read
 
-Both are generators that take a step only when the next level is asked for,
-so a caller that stops early (the objective does, once a line-search
-candidate is rejected) builds no level past the one it stopped at.
+Both are generators that take a step only when the next level is asked for.
 
 maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
 determinants of those maps, by the first-order recursion
@@ -173,8 +172,7 @@ def backward_levels(v: TimeVaryingVectorField, end: int):
             pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
 
 
-# the solver reads backward_levels; the tests read this list, and the
-# benchmark's tracer wraps it by name
+# the tests read this list, and the benchmark's tracer wraps it by name
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity)."""
     if end is None:
@@ -215,8 +213,8 @@ def forward_levels(v: TimeVaryingVectorField, end: int):
             pts = _advect(pts, stencil, v.samples[k], dt)
 
 
-# the solver reads forward_levels; the tests check the advection through this
-# list, and the benchmark's tracer wraps it by name
+# trajectories reads forward_levels; the tests check the advection through
+# this list, and the benchmark's tracer wraps it by name
 def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{0,t_j} for j = 0..end, built by advecting the node points."""
     if end is None:

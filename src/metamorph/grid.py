@@ -11,8 +11,9 @@ to a nodal array reads the corners from a copy with a one-pixel zero border,
 so off-grid corners need no masks or clips.  Flows build one stencil per
 point set and apply it to every array sampled there (both velocity
 components, or a velocity and an intensity control); sample_values_xy is one
-build and one apply.  sample_points_xy uses the same stencil on queries
-clamped onto the node hull.
+build and one apply.  Stencil.transpose scatters values at the points back
+onto the grid, the exact transpose of apply.  sample_points_xy uses the same
+stencil on queries clamped onto the node hull.
 """
 
 from __future__ import annotations
@@ -158,6 +159,21 @@ class Stencil:
         if self.outside is not None:
             out[self.outside] = 0.0
         return out
+
+    def transpose(self, values: np.ndarray) -> np.ndarray:
+        """Scatter values given at the stencil's points onto the grid.
+
+        This is the exact transpose of apply: each point adds its value
+        times a corner's weight into that corner, corners on the zero border
+        are dropped, and points outside the domain add nothing.
+        """
+        nx, ny = self.spec.shape
+        if self.outside is not None:
+            values = np.where(self.outside, 0.0, values)
+        size = (nx + 2) * (ny + 2)
+        out = sum(np.bincount(index.ravel(), (weight * values).ravel(), size)
+                  for index, weight in zip(self.index, self.weights))
+        return out.reshape(nx + 2, ny + 2)[1:-1, 1:-1]
 
 
 def _stencil(spec: GridSpec, u, w, outside) -> Stencil:

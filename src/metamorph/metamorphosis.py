@@ -1,24 +1,31 @@
-"""Template evolution under an intensity control and the geometric action.
+"""Transport of the image under a velocity and an intensity control.
 
-The intensity control zeta adds material along the flow: in the frame moving
-with the template the solution is the running sum
+In Eulerian form the metamorphosis is the transport equation
+d_t f + v . grad f = zeta.  One semi-Lagrangian step advances it from t_k to
+t_{k+1}:
 
-    I(t_i) = I_0 + (1/N) * sum_{j < i} zeta(t_j, .) o phi_{0, t_j}
+    f_0 = I_0,   f_{k+1} = S_k (f_k + (1/N) zeta(t_k)),
 
-and the observable image at time t is the template pushed through the flow,
-f_t = I(t) o phi_{t,0}.  Three trajectories are exposed: the image (geometry
-and intensity), the deformation part (geometry only), and the template part
-(intensity only).
+with S_k the bilinear stencil (zero extension) of the departure points
+x - (1/N) v(t_k, x) of the nodes, built once per step by transport_stencil.
+Three trajectories are exposed:
 
-Every resampling goes through one bilinear stencil per point set: zeta(t_j)
-is sampled with the stencil that also advects the points phi_{0,t_j} a step
-further, and the image and deformation parts of level i share the stencil of
-phi_{t_i,0}.
+* the image f_{t_i}: the step above (image_levels streams it level by level,
+  so the objective can stop as soon as the levels it has seen decide the
+  evaluation);
+* the deformation part: the same step with zeta = 0, one more apply of each
+  level's S_k, so geometry alone moves the template;
+* the template part I(t_i): intensity alone, the running sum in the frame
+  moving with the template,
 
-One generator advances the template I(t_i) and the stencil of phi_{t_i,0}
-together.  The objective reads it through image_levels, so it can stop as
-soon as the levels it has seen decide the evaluation; trajectories reads all
-of it.  The solver calls neither evolve_template nor group_action.
+      I(t_i) = I_0 + (1/N) * sum_{j < i} zeta(t_j, .) o phi_{0, t_j},
+
+  with zeta(t_j) sampled through the stencil that also advects the points
+  phi_{0,t_j} a step further (flow.forward_levels).
+
+The objective reads image_levels only; the optimizer calls trajectories once,
+when the solve is done.  evolve_template and group_action are standalone
+forms the solver does not call.
 """
 
 from __future__ import annotations
@@ -30,10 +37,10 @@ from .flow import (
     TimeGrid,
     TimeVaryingVectorField,
     _check_samples,
-    backward_levels,
+    _one_step_queries,
     forward_levels,
 )
-from .grid import GridSpec, Image, bilinear_stencil, sample_values_xy
+from .grid import GridSpec, Image, Stencil, VectorImage, bilinear_stencil, sample_values_xy
 
 
 @dataclass
@@ -104,45 +111,36 @@ def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     return list(_template_levels(v, zeta, I0, v.tgrid.n_steps))
 
 
-def _levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-            I0: Image, end: int):
-    """Yield (I(t_i), stencil of phi_{t_i,0}) for i = 0..end.
-
-    The stencil is None at level 0: phi_{0,0} is the identity, so that level
-    needs no resampling.  Each step advances the template sum and the back
-    map by one level, so a caller that stops early builds no level past the
-    one it stopped at.
-    """
-    spec = v.spec
-    levels = zip(_template_levels(v, zeta, I0, end), backward_levels(v, end))
-    for i, (template, pts) in enumerate(levels):
-        yield template, None if i == 0 else bilinear_stencil(spec, pts[..., 0], pts[..., 1])
+def transport_stencil(v_k: VectorImage, dt: float) -> Stencil:
+    """S_k: the stencil of the departure points x - dt v_k(x) of the nodes."""
+    qx, qy = _one_step_queries(v_k, -dt)
+    return bilinear_stencil(v_k.spec, qx, qy)
 
 
 def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                  I0: Image, end: int):
-    """Yield the image trajectory f_{t_i} = I(t_i) o phi_{t_i,0} for i = 0..end."""
+    """Yield the image trajectory f_{t_i} for i = 0..end, one step per request."""
     _check_consistent(v, zeta, I0)
-    for template, stencil in _levels(v, zeta, I0, end):
-        if stencil is not None:
-            template = Image(v.spec, stencil.apply(template.values))
-            # free the stencil now rather than while the next level is built;
-            # holding it that long made evaluations ~9% slower at 128^2
-            del stencil
-        yield template
+    dt = v.tgrid.dt
+    f = I0.values
+    yield I0.copy()
+    for k in range(end):
+        f = transport_stencil(v.samples[k], dt).apply(f + dt * zeta.samples[k].values)
+        yield Image(v.spec, f)
 
 
 def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                  I0: Image) -> Trajectories:
     """All three output trajectories; entry 0 of each equals the template."""
     _check_consistent(v, zeta, I0)
-    out = Trajectories([], [], [])
-    for template, stencil in _levels(v, zeta, I0, v.tgrid.n_steps):
-        out.template_traj.append(template)
-        if stencil is None:
-            out.image_traj.append(template.copy())
-            out.deformation_traj.append(I0.copy())
-        else:
-            out.image_traj.append(Image(I0.spec, stencil.apply(template.values)))
-            out.deformation_traj.append(Image(I0.spec, stencil.apply(I0.values)))
+    n = v.tgrid.n_steps
+    dt = v.tgrid.dt
+    out = Trajectories([I0.copy()], [I0.copy()], list(_template_levels(v, zeta, I0, n)))
+    f = d = I0.values
+    for k in range(n):
+        stencil = transport_stencil(v.samples[k], dt)
+        f = stencil.apply(f + dt * zeta.samples[k].values)
+        d = stencil.apply(d)
+        out.image_traj.append(Image(v.spec, f))
+        out.deformation_traj.append(Image(v.spec, d))
     return out

@@ -487,3 +487,31 @@ out_dir = {out}
     assert line.startswith(f"error: config: 1 problem(s): [phantom] {key}: ")
     assert fragment in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("disc1", "0 0 5 1 7"),
+    ("disc1", "0 0"),
+    ("ellipse1", "0 0 4"),
+    ("ellipse1", "0 0 4 2 30 1 9"),
+    ("triangle1", "0 0 4 0 0 4 1 9"),
+    ("triangle1", "0 0 4 0 0"),
+])
+def test_shape_value_count_is_a_config_problem(tmp_path, capsys, key, value):
+    accepted = {"disc1": "disc needs 3 to 4", "ellipse1": "ellipse needs 4 to 6",
+                "triangle1": "triangle needs 6 to 7"}[key]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = discs
+disc0 = 0, 0, 5.0, 1.0
+{key} = {value}
+
+[io]
+out_dir = {out}
+""")
+    assert main(["phantom", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [phantom] {key}: {accepted} values, "
+        f"got {len(value.split())}")
+    assert not out.exists()

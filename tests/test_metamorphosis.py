@@ -8,7 +8,9 @@ from metamorph.metamorphosis import (
     TimeVaryingScalarField,
     evolve_template,
     group_action,
+    image_levels,
     trajectories,
+    transport_stencil,
 )
 
 SPEC = GridSpec(16.0, 32, 32)
@@ -55,6 +57,55 @@ def test_group_action_constant_invariant():
     pts = np.clip(pts, -hull, hull)
     out = group_action(DeformationMap(SPEC, pts), img)
     assert np.allclose(out.values, 2.5)
+
+
+def test_transport_step_transpose_is_exact():
+    # a drift of 1.5 pixels to +x plus a smooth wobble: departure points
+    # x - dt v(x) leave the domain through the left edge, and others near the
+    # edges read corners on the zero border
+    rng = np.random.default_rng(7)
+    dt = 0.25
+    wobble = smooth_vec(rng, 2.0)
+    v = VectorImage(SPEC, 6.0 + wobble.vx, wobble.vy)
+    S = transport_stencil(v, dt)
+    px = SPEC.xs()[:, None] - dt * v.vx
+    py = SPEC.ys()[None, :] - dt * v.vy
+    L = SPEC.half_width
+    outside = (np.abs(px) > L) | (np.abs(py) > L)
+    assert outside[0].all() and not outside[-1].any()
+    # node coordinates below 0 or above n - 1 read a corner on the border
+    u = (px + L) / SPEC.h - 0.5
+    w = (py + L) / SPEC.h - 0.5
+    assert (~outside & ((u < 0) | (u > SPEC.nx - 1) | (w < 0) | (w > SPEC.ny - 1))).any()
+    # exactly the departure points outside the domain read zero
+    assert np.array_equal(S.apply(np.ones(SPEC.shape)) == 0.0, outside)
+    a = rng.normal(size=SPEC.shape)
+    b = rng.normal(size=SPEC.shape)
+    lhs = float(np.sum(S.apply(a) * b))
+    rhs = float(np.sum(a * S.transpose(b)))
+    assert rhs == pytest.approx(lhs, rel=1e-12)
+    # what the outside points carry is dropped, not scattered
+    assert np.array_equal(S.transpose(np.where(outside, b, 0.0)), np.zeros(SPEC.shape))
+
+
+def test_transport_step_one_pixel_shift_oracle():
+    # dt v = (h, 0) moves the image one pixel to +x per step, and zero flows
+    # in through the left edge; the transpose moves it back
+    n = 4
+    tg = TimeGrid(n)
+    v = TimeVaryingVectorField(tg, [VectorImage(SPEC, np.full(SPEC.shape, SPEC.h * n),
+                                                np.zeros(SPEC.shape))
+                                    for _ in range(n + 1)])
+    zeta = TimeVaryingScalarField.zeros(tg, SPEC)
+    rng = np.random.default_rng(8)
+    I0 = Image(SPEC, rng.normal(size=SPEC.shape))
+    for k, f in enumerate(image_levels(v, zeta, I0, n)):
+        assert np.array_equal(f.values[k:], I0.values[:SPEC.nx - k])
+        assert np.all(f.values[:k] == 0.0)
+    b = rng.normal(size=SPEC.shape)
+    back = transport_stencil(v.samples[0], tg.dt).transpose(b)
+    assert np.array_equal(back[:-1], b[1:])
+    assert np.all(back[-1] == 0.0)
 
 
 def test_evolve_zero_intensity_keeps_template():

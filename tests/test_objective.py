@@ -14,19 +14,11 @@ from helpers import (
     smooth_vec,
     smoothed_direction,
 )
-from metamorph.flow import DET_FLOOR, TimeGrid, TimeVaryingVectorField, _one_step_queries
-from metamorph.grid import (
-    GridSpec,
-    Image,
-    VectorImage,
-    divergence,
-    gradient_central,
-    image_l2_inner,
-    sample_values_xy,
-)
+from metamorph.flow import TimeGrid, TimeVaryingVectorField
+from metamorph.grid import GridSpec, Image, VectorImage, gradient_central, image_l2_inner
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.kernel import kernel_apply
-from metamorph.metamorphosis import TimeVaryingScalarField, trajectories
+from metamorph.metamorphosis import TimeVaryingScalarField, trajectories, transport_stencil
 from metamorph.objective import (
     RegParams,
     data_discrepancy,
@@ -249,18 +241,18 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
         assert np.array_equal(grad.grad_zeta.samples[i].values,
                               params.tau * zeta.samples[i].values
                               + data.grad_zeta.samples[i].values)
-    # at the last step the velocity data gradient is the kernel-smoothed
-    # r G_4, and the intensity one is the residual r carried one step, unsmoothed
+    # at the last step the velocity data gradient is the kernel-smoothed r G_3,
+    # with G_3 the gradient of f_3 + dt zeta_3 sampled through that step's
+    # stencil S_3, and the intensity one is r carried back by S_3^T, unsmoothed
     r = discrepancy_gradient(state.projections[0], g, FD_SPEC).values
-    G = gradient_central(state.images[4])
-    smoothed = kernel_apply(VectorImage(FD_SPEC, r * G.vx, r * G.vy), FD_KERNEL)
+    dt = tg.dt
+    S3 = transport_stencil(v.samples[3], dt)
+    G = gradient_central(Image(FD_SPEC, state.images[3].values + dt * zeta.samples[3].values))
+    Gx, Gy = S3.apply(G.vx), S3.apply(G.vy)
+    smoothed = kernel_apply(VectorImage(FD_SPEC, r * Gx, r * Gy), FD_KERNEL)
     assert np.array_equal(data.grad_v.samples[3].vx, -smoothed.vx)
     assert np.array_equal(data.grad_v.samples[3].vy, -smoothed.vy)
-    v3, dt = v.samples[3], tg.dt
-    qx, qy = _one_step_queries(v3, dt)
-    factor = np.maximum(1.0 + dt * divergence(v3).values, DET_FLOOR)
-    assert np.array_equal(data.grad_zeta.samples[3].values,
-                          factor * sample_values_xy(r, FD_SPEC, qx, qy))
+    assert np.array_equal(data.grad_zeta.samples[3].values, S3.transpose(r))
     # the inert final sample gets a zero gradient
     assert np.all(grad.grad_v.samples[4].vx == 0.0)
     assert np.all(grad.grad_zeta.samples[4].values == 0.0)
