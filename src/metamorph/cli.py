@@ -166,6 +166,15 @@ def _solver(cfg: ConfigReader):
 _SHAPE_VALUE_COUNTS = {"disc": (3, 4), "ellipse": (4, 6), "triangle": (6, 7)}
 
 
+def _shape_takes(cfg: ConfigReader, key: str, shape: str, vals) -> bool:
+    """Whether a shape takes the [phantom] key's values; if not, records why."""
+    lo, hi = _SHAPE_VALUE_COUNTS[shape]
+    takes = lo <= len(vals) <= hi
+    if not takes:
+        cfg.problems.append(f"[phantom] {key}: {shape} needs {lo} to {hi} values, got {len(vals)}")
+    return takes
+
+
 def _phantom_spec(cfg: ConfigReader):
     """The [phantom] section; an evolving sequence also reads and checks [time] steps."""
     kind = cfg.get_str("phantom", "kind", required=True,
@@ -178,13 +187,9 @@ def _phantom_spec(cfg: ConfigReader):
             if shape is None or not key[-1].isdigit():
                 continue
             vals = cfg.get_floats("phantom", key)
-            if vals is None:
+            if vals is None or not _shape_takes(cfg, key, shape, vals):
                 continue
-            lo, hi = _SHAPE_VALUE_COUNTS[shape]
-            if not lo <= len(vals) <= hi:
-                cfg.problems.append(
-                    f"[phantom] {key}: {shape} needs {lo} to {hi} values, got {len(vals)}")
-            elif shape == "disc":
+            if shape == "disc":
                 shapes["discs"].append(Disc(*vals))
             elif shape == "triangle":
                 shapes["triangles"].append(
@@ -212,11 +217,8 @@ def _phantom_spec(cfg: ConfigReader):
             appear_ramp=cfg.get_float("phantom", "appear_ramp", 0.2),
         )
         appear = cfg.get_floats("phantom", "appear", None)
-        if appear:
-            try:
-                kw["appear"] = Disc(*appear)
-            except TypeError as exc:
-                cfg.problems.append(f"[phantom] appear: {exc}")
+        if appear and _shape_takes(cfg, "appear", "disc", appear):
+            kw["appear"] = Disc(*appear)
     return _build(cfg, "phantom", PhantomSpec, **kw)
 
 

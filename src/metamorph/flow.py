@@ -4,27 +4,24 @@ A time-varying velocity field v is sampled at N+1 uniform instants; its flow
 maps phi_{s,t} (transporting points from time s to time t) are approximated
 by chaining one-step small deformations Id -+ (1/N) v(t_k, .).  Maps are
 stored as node-wise point arrays and composed by bilinearly resampling the
-outer map at the inner map's points.  The image trajectory does not use
-these maps: it is transported one semi-Lagrangian step at a time
-(metamorphosis.py).  Two builders remain:
+outer map at the inner map's points, through grid's bilinear stencils (the
+library's one interpolant).  The image trajectory does not use these maps:
+it is transported one semi-Lagrangian step at a time (metamorphosis.py).
 
-* forward_levels:  the points phi_{0,t_k}(x) of the nodes x, advected one
-                   Euler step per level, each with the bilinear stencil that
-                   samples v(t_k) there; the template part of the final
-                   trajectories samples zeta through the same stencil, so a
-                   level builds one (forward_maps lists the maps it yields)
-* backward_levels: phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1})),
-                   for i = 0..end; it serves only maps_from_zero, which the
-                   tests and the benchmark's tracer read
+The solver reads one builder, the generator forward_levels: it yields the
+points phi_{0,t_k}(x) of the nodes x, advected one Euler step per level,
+each with the bilinear stencil that samples v(t_k) there, and takes no step
+before the next level is asked for.  The template part of the final
+trajectories samples zeta through the same stencil, so a level builds one.
+forward_maps lists the maps it yields.
 
-Both are generators that take a step only when the next level is asked for.
-
+maps_from_zero (phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1}))),
 maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
-determinants of those maps, by the first-order recursion
+determinants of those maps as Images, by the first-order recursion
 |det| ~= (1 + (1/N) div v(t_i)) |det|_{i+1} o (Id + (1/N) v(t_i)), clamped
 away from zero) and backward_advected_points (phi_{t_i,t_j} for j < i) are
-not called by the solver; they stay only because the benchmark's tracer
-wraps each of them by name.
+not called by the solver; they stay for the tests and because the
+benchmark's tracer wraps each of them by name.
 """
 
 from __future__ import annotations
@@ -124,13 +121,6 @@ class DeformationMap:
         return cls(spec, spec.identity_points())
 
 
-@dataclass
-class JacobianChain:
-    """Entry i approximates |det d phi_{t_i, t_end}| as an Image."""
-
-    entries: list[Image]
-
-
 def _clamp_points(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
     # stored map points stay on the closed domain; fields vanish near the
     # boundary so drift outside is a discretisation artifact
@@ -156,28 +146,23 @@ def _advect(points: np.ndarray, stencil: Stencil, v_i: VectorImage,
     return _clamp_points(out, stencil.spec)
 
 
-def backward_levels(v: TimeVaryingVectorField, end: int):
-    """Yield the points of phi_{t_i,0} for i = 0..end (level 0 is the identity).
+# the tests read this list, and the benchmark's tracer wraps it by name
+def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
+    """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity).
 
-    The step to level i+1 composes level i with Id - (1/N) v(t_i), and no
-    step is taken past level end.
+    Entry i+1 composes entry i with Id - (1/N) v(t_i).
     """
+    if end is None:
+        end = v.tgrid.n_steps
     spec = v.spec
     dt = v.tgrid.dt
     pts = spec.identity_points()
-    for k in range(end + 1):
-        yield pts
-        if k < end:
-            qx, qy = _one_step_queries(v.samples[k], -dt)
-            pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
-
-
-# the tests read this list, and the benchmark's tracer wraps it by name
-def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
-    """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity)."""
-    if end is None:
-        end = v.tgrid.n_steps
-    return [DeformationMap(v.spec, pts) for pts in backward_levels(v, end)]
+    out = [DeformationMap(spec, pts)]
+    for k in range(end):
+        qx, qy = _one_step_queries(v.samples[k], -dt)
+        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
+        out.append(DeformationMap(spec, pts))
+    return out
 
 
 # kept only because the benchmark's tracer wraps it by name
@@ -238,7 +223,7 @@ def backward_advected_points(v: TimeVaryingVectorField, i: int):
 
 
 # kept only because the benchmark's tracer wraps it by name
-def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> JacobianChain:
+def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> list[Image]:
     """|det d phi_{t_i, t_end}| for i = 0..end via the divergence recursion."""
     if not 0 <= end <= v.tgrid.n_steps:
         raise IndexError(f"end index {end} outside 0..{v.tgrid.n_steps}")
@@ -253,4 +238,4 @@ def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> JacobianChai
         det = np.maximum(det, DET_FLOOR)
         out.append(Image(spec, det))
     out.reverse()
-    return JacobianChain(out)
+    return out

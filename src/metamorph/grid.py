@@ -5,15 +5,17 @@ array per component.  Everything downstream (flows, ray transform, gradients)
 builds on the bilinear sampling and the central-difference operators defined
 here.  Fields are treated as zero outside the domain.
 
-Bilinear sampling is split in two.  A Stencil, built once from a grid and a
-point set, holds each point's four corner indices and weights; applying it
-to a nodal array reads the corners from a copy with a one-pixel zero border,
-so off-grid corners need no masks or clips.  Flows build one stencil per
-point set and apply it to every array sampled there (both velocity
-components, or a velocity and an intensity control); sample_values_xy is one
-build and one apply.  Stencil.transpose scatters values at the points back
-onto the grid, the exact transpose of apply.  sample_points_xy uses the same
-stencil on queries clamped onto the node hull.
+This is the one bilinear interpolant; ray.py builds its matrix from
+bilinear_stencil too.  A Stencil, built once from a grid and a point set,
+holds each point's four corner indices and weights; applying it to a nodal
+array reads the corners from a copy with a one-pixel zero border, so
+off-grid corners need no masks or clips, and points outside the domain sit
+on the border's corner, so they read exactly zero.  Flows build one
+stencil per point set and apply it to every array sampled there (both
+velocity components, or a velocity and an intensity control);
+sample_values_xy is one build and one apply.  Stencil.transpose scatters
+values at the points back onto the grid, the exact transpose of apply.
+sample_points_xy uses the same stencil on queries clamped onto the node hull.
 """
 
 from __future__ import annotations
@@ -136,14 +138,12 @@ class Stencil:
     index[c] and weights[c] address corner c = (0, 0), (1, 0), (0, 1), (1, 1)
     of each point's cell in the nodal array padded with a one-pixel zero
     border, so corners off the grid read zero and need no mask or clip.
-    Points in ``outside`` (None when there are none) read exactly zero.  One
-    stencil serves every array sampled at the same points.
+    One stencil serves every array sampled at the same points.
     """
 
     spec: GridSpec
     index: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    outside: np.ndarray | None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Sample one nodal value array at the stencil's points."""
@@ -156,8 +156,6 @@ class Stencil:
         out += w10 * flat.take(i10)
         out += w01 * flat.take(i01)
         out += w11 * flat.take(i11)
-        if self.outside is not None:
-            out[self.outside] = 0.0
         return out
 
     def transpose(self, values: np.ndarray) -> np.ndarray:
@@ -165,18 +163,16 @@ class Stencil:
 
         This is the exact transpose of apply: each point adds its value
         times a corner's weight into that corner, corners on the zero border
-        are dropped, and points outside the domain add nothing.
+        are dropped, so points outside the domain add nothing.
         """
         nx, ny = self.spec.shape
-        if self.outside is not None:
-            values = np.where(self.outside, 0.0, values)
         size = (nx + 2) * (ny + 2)
         out = sum(np.bincount(index.ravel(), (weight * values).ravel(), size)
                   for index, weight in zip(self.index, self.weights))
         return out.reshape(nx + 2, ny + 2)[1:-1, 1:-1]
 
 
-def _stencil(spec: GridSpec, u, w, outside) -> Stencil:
+def _stencil(spec: GridSpec, u, w) -> Stencil:
     # (u, w) are node coordinates; the padded array puts node (i, j) at
     # (i + 1, j + 1)
     i0 = np.floor(u)
@@ -188,7 +184,7 @@ def _stencil(spec: GridSpec, u, w, outside) -> Stencil:
     gu = 1.0 - fu
     gw = 1.0 - fw
     return Stencil(spec, (k, k + stride, k + 1, k + (stride + 1)),
-                   (gu * gw, fu * gw, gu * fw, fu * fw), outside)
+                   (gu * gw, fu * gw, gu * fw, fu * fw))
 
 
 def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
@@ -198,16 +194,12 @@ def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
     the domain itself return exactly zero.
     """
     L = spec.half_width
-    u = (px + L) / spec.h - 0.5
-    w = (py + L) / spec.h - 0.5
     outside = (np.abs(px) > L) | (np.abs(py) > L)
-    if outside.any():
-        # any cell will do: the apply zeroes these points
-        u = np.where(outside, 0.0, u)
-        w = np.where(outside, 0.0, w)
-    else:
-        outside = None
-    return _stencil(spec, u, w, outside)
+    # node (-1, -1) is the border's corner: weight 1 on a padded zero, 0 on
+    # the other three corners
+    u = np.where(outside, -1.0, (px + L) / spec.h - 0.5)
+    w = np.where(outside, -1.0, (py + L) / spec.h - 0.5)
+    return _stencil(spec, u, w)
 
 
 def sample_values_xy(values: np.ndarray, spec: GridSpec,
@@ -233,7 +225,7 @@ def sample_points_xy(points: np.ndarray, spec: GridSpec,
     w = np.clip((py + L) / spec.h - 0.5, 0.0, ny - 1.0)
     # a query on the far edge u = nx - 1 gives the corners past it weight 0,
     # and they read the zero border
-    st = _stencil(spec, u, w, None)
+    st = _stencil(spec, u, w)
     out = np.empty(u.shape + (2,))
     out[..., 0] = st.apply(points[..., 0])
     out[..., 1] = st.apply(points[..., 1])

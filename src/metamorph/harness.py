@@ -9,7 +9,7 @@ norm, so the realised variance-ratio PSNR hits the target exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -72,6 +72,21 @@ class PhantomSpec:
         kinds = ("discs", "triangle_pair", "shepp_like", "evolving_sequence")
         if self.kind not in kinds:
             raise ValueError(f"unknown phantom kind {self.kind!r}, expected one of {kinds}")
+        for name in ("background", "drift", "growth", "appear_time", "appear_ramp", "times"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        shapes = [(f"discs[{i}]", d) for i, d in enumerate(self.discs)]
+        shapes += [(f"triangles[{i}]", t) for i, t in enumerate(self.triangles)]
+        shapes += [(f"ellipses[{i}]", e) for i, e in enumerate(self.ellipses)]
+        if self.appear is not None:
+            shapes.append(("appear", self.appear))
+        for name, shape in shapes:
+            if not all(np.isfinite(value).all() for value in astuple(shape)):
+                raise ValueError(f"{name} must be finite, got {shape}")
+            for size in {Disc: ("r",), Ellipse: ("a", "b")}.get(type(shape), ()):
+                if not getattr(shape, size) > 0:
+                    raise ValueError(f"{name} needs {size} > 0, got {shape}")
 
 
 def _subgrid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

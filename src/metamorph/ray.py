@@ -3,12 +3,14 @@
 A line with angle theta is parametrised as p(t) = s * u + t * w with ray
 direction w = (cos theta, sin theta) and detector axis u = (-sin theta,
 cos theta).  Line integrals are midpoint sums with step h/2 and bilinear
-image lookups.  That stencil, for all rays of a geometry with the step folded
-in, is one sparse CSR matrix A: forward projection is A @ f and the
-backprojection is the transpose A.T @ g (weighted for the angle/detector
-quadrature), so the pair passes inner-product adjoint tests at machine
-precision.  The FBP baseline filters detector rows with a Ram-Lak kernel
-under a cosine window and backprojects.
+image lookups, whose corners, weights and zero boundary come from
+grid.bilinear_stencil, the interpolant the flows use too.  Those stencils,
+for all rays of a geometry with the step folded in, are one sparse CSR
+matrix A: forward projection is A @ f and the backprojection is the
+transpose A.T @ g (weighted for the angle/detector quadrature), so the pair
+passes inner-product adjoint tests at machine precision.  The FBP baseline
+filters detector rows with a Ram-Lak kernel under a cosine window and
+backprojects.
 
 A is built once per grid and geometry.  Each Geometry keeps the matrices it
 has used, so a caller holding its geometries (a gated solve, whatever its
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .grid import GridSpec, Image
+from .grid import GridSpec, Image, bilinear_stencil
 
 # operators kept for geometries built again with equal values, such as the
 # ones every preset set-up builds anew
@@ -154,27 +156,36 @@ def _line_points(geo: Geometry, theta: float, t: np.ndarray) -> tuple[np.ndarray
     return px, py
 
 
-def _stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray):
-    """Bilinear gather/scatter stencil shared by forward and adjoint."""
-    L = spec.half_width
-    h = spec.h
+def _band_sums(spec: GridSpec, px: np.ndarray, py: np.ndarray, steep: bool,
+               first: np.ndarray, band: int) -> np.ndarray:
+    """Bilinear weights of rows of ray samples, summed per (ray, major index,
+    offset from first) into a dense array; returning frees the temporaries."""
     nx, ny = spec.nx, spec.ny
-    u = (px + L) / h - 0.5
-    w = (py + L) / h - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(w).astype(np.int64)
-    fu = u - i0
-    fw = w - j0
-    inside = (px >= -L) & (px <= L) & (py >= -L) & (py <= L)
-    corners = []
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ii = i0 + di if di else i0
-        jj = j0 + dj if dj else j0
-        wt = (fu if di else 1.0 - fu) * (fw if dj else 1.0 - fw)
-        wt *= inside & (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
-        corners.append((np.minimum(np.maximum(ii, 0), nx - 1),
-                        np.minimum(np.maximum(jj, 0), ny - 1), wt))
-    return corners
+    n_major = ny if steep else nx
+    stencil = bilinear_stencil(spec, px, py)
+    # the padded grid puts node (i, j) at (i + 1, j + 1), so corner (0, 0)
+    # decodes to the node (i1, j1) of corner (1, 1); every point lies in the
+    # domain or at node (-1, -1), so 0 <= i1 <= nx and 0 <= j1 <= ny
+    i1, j1 = np.divmod(stencil.index[0], ny + 2)
+    # a corner on the zero border weighs nothing; clip it into the grid for
+    # the band arithmetic
+    i_on, j_on = (i1 > 0, i1 < nx), (j1 > 0, j1 < ny)
+    i_in = (np.maximum(i1 - 1, 0), np.minimum(i1, nx - 1))
+    j_in = (np.maximum(j1 - 1, 0), np.minimum(j1, ny - 1))
+    ray_major = (np.arange(px.shape[0]) * n_major)[:, None]
+    sums = np.zeros(px.shape[0] * n_major * band)
+    for (di, dj), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), stencil.weights):
+        wt = wt * (i_on[di] & j_on[dj])
+        ii, jj = i_in[di], j_in[dj]
+        major, minor = (jj, ii) if steep else (ii, jj)
+        key = major + ray_major
+        offset = minor - first[key]
+        # zero weights (outside the grid) may fall off the band: clip them
+        np.clip(offset, 0, band - 1, out=offset)
+        key *= band
+        key += offset
+        sums += np.bincount(key.ravel(), wt.ravel(), minlength=sums.size)
+    return sums
 
 
 def _ray_operator(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
@@ -248,17 +259,7 @@ def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
                 continue
             span = slice(k_first[rows][hit[rows]].min(), k_end[rows][hit[rows]].max())
             chunk_first = first[r0 * n_major:(r0 + n) * n_major]
-            ray_major = (np.arange(n) * n_major)[:, None]
-            sums = np.zeros(n * n_major * band)
-            for ii, jj, wt in _stencil(spec, px[rows, span], py[rows, span]):
-                major, minor = (jj, ii) if steep else (ii, jj)
-                key = major + ray_major
-                offset = minor - chunk_first[key]
-                # zero weights (outside the grid) may fall off the band: clip them
-                np.clip(offset, 0, band - 1, out=offset)
-                key *= band
-                key += offset
-                sums += np.bincount(key.ravel(), wt.ravel(), minlength=sums.size)
+            sums = _band_sums(spec, px[rows, span], py[rows, span], steep, chunk_first, band)
             nz = np.flatnonzero(sums)
             major = (nz // band) % n_major
             minor = chunk_first[nz // band] + nz % band

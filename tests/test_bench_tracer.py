@@ -1,0 +1,33 @@
+"""The benchmark's tracer looks up library functions by name; a rename or a
+deletion must fail here, not only when the benchmark runs."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize("module, name", TRACER.LAYERS + TRACER.STEP_LAYERS)
+def test_traced_name_exists(module, name):
+    lib = importlib.import_module(f"{TRACER.PACKAGE}.{module}")
+    assert callable(getattr(lib, name, None)), f"{module}.{name} is gone"
+
+
+@pytest.mark.parametrize("module, name", TRACER.STEP_LAYERS)
+def test_step_layer_is_a_generator_function(module, name):
+    lib = importlib.import_module(f"{TRACER.PACKAGE}.{module}")
+    assert inspect.isgeneratorfunction(getattr(lib, name))

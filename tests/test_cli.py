@@ -467,8 +467,8 @@ out_dir = {out}
 @pytest.mark.parametrize("key, value, fragment", [
     ("drift", "1 2 3", "need 2 values (dx, dy), got 3"),
     ("drift", "4", "need 2 values (dx, dy), got 1"),
-    ("appear", "4, 4", "missing 1 required positional argument: 'r'"),
-    ("appear", "4, 4, 2, 0.8, 1", "positional arguments but 6 were given"),
+    ("appear", "4, 4", "disc needs 3 to 4 values, got 2"),
+    ("appear", "4, 4, 2, 0.8, 1", "disc needs 3 to 4 values, got 5"),
 ])
 def test_evolving_phantom_list_length_is_a_config_problem(tmp_path, capsys, command, key,
                                                           value, fragment):
@@ -486,6 +486,32 @@ out_dir = {out}
     line = capsys.readouterr().err.strip()
     assert line.startswith(f"error: config: 1 problem(s): [phantom] {key}: ")
     assert fragment in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("disc1", "0, 0, nan", "discs[1] must be finite"),
+    ("disc1", "0, 0, -3", "discs[1] needs r > 0"),
+    ("ellipse0", "0, 0, 4, 0", "ellipses[0] needs b > 0"),
+    ("drift", "nan, 0", "drift must be finite"),
+    ("appear_time", "nan", "appear_time must be finite"),
+    ("appear", "4, 4, inf", "appear must be finite"),
+])
+def test_non_finite_phantom_parameter_is_a_config_problem(tmp_path, capsys, key, value,
+                                                          problem):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+{key} = {value}
+
+[io]
+out_dir = {out}
+""")
+    assert main(["phantom", "--config", cfg]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: config: 1 problem(s): [phantom]: {problem}, got ")
     assert not out.exists()
 
 

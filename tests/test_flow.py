@@ -112,7 +112,7 @@ def test_maps_from_zero_end_is_prefix_bitwise():
 
 def test_jacobian_chain_zero_field_is_one():
     v = TimeVaryingVectorField.zeros(TimeGrid(5), SPEC)
-    for entry in jacobian_chain_to_index(v, 5).entries:
+    for entry in jacobian_chain_to_index(v, 5):
         assert np.all(entry.values == 1.0)
 
 
@@ -121,7 +121,7 @@ def test_jacobian_chain_rotation_volume_preserving():
     chain = jacobian_chain_to_index(v, 8)
     ident = SPEC.identity_points()
     mask = (np.abs(ident[..., 0]) <= 8.0) & (np.abs(ident[..., 1]) <= 8.0)
-    for entry in chain.entries:
+    for entry in chain:
         assert np.abs(entry.values[mask] - 1.0).max() <= 1e-10
 
 
@@ -136,7 +136,7 @@ def test_jacobian_chain_scaling_closed_form():
             VectorImage.from_function(SPEC, lambda x, y: (lam * x, lam * y))
             for _ in range(n + 1)
         ])
-        vals = jacobian_chain_to_index(v, n).entries[0].values[mask]
+        vals = jacobian_chain_to_index(v, n)[0].values[mask]
         rels.append(np.abs(vals - np.exp(2 * lam)).max() / np.exp(2 * lam))
     assert rels[0] <= 0.03
     assert rels[2] < rels[1] < rels[0]
@@ -150,7 +150,7 @@ def test_jacobian_chain_positive_under_compression():
         VectorImage.from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))
         for _ in range(n + 1)
     ])
-    for entry in jacobian_chain_to_index(v, n).entries:
+    for entry in jacobian_chain_to_index(v, n):
         assert np.all(entry.values > 0.0)
 
 

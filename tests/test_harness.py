@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ def test_shape_outside_domain_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         PhantomSpec("blob")
+
+
+@pytest.mark.parametrize("field, kw", [
+    ("background", dict(background=math.inf)),
+    ("drift", dict(drift=(math.nan, 0.0))),
+    ("growth", dict(growth=-math.inf)),
+    ("appear_time", dict(appear_time=math.nan)),
+    ("appear_ramp", dict(appear_ramp=math.nan)),
+    ("times", dict(times=(0.0, math.nan, 1.0))),
+    ("discs[1]", dict(discs=(Disc(0, 0, 3.0), Disc(0, 0, math.nan)))),
+    ("discs[0]", dict(discs=(Disc(0, math.inf, 3.0),))),
+    ("triangles[0]", dict(triangles=(Triangle(((0, 0), (4, math.nan), (0, 4))),))),
+    ("ellipses[0]", dict(ellipses=(Ellipse(0, 0, 4, 2, math.nan),))),
+    ("appear", dict(appear=Disc(4, 4, 2.0, math.nan))),
+    ("discs[0] needs r > 0", dict(discs=(Disc(0, 0, -3.0),))),
+    ("appear needs r > 0", dict(appear=Disc(4, 4, 0.0))),
+    ("ellipses[0] needs a > 0", dict(ellipses=(Ellipse(0, 0, 0.0, 2),))),
+    ("ellipses[0] needs b > 0", dict(ellipses=(Ellipse(0, 0, 4, -2),))),
+])
+def test_non_finite_or_non_positive_phantom_parameter_rejected(field, kw):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        PhantomSpec("evolving_sequence", **kw)
 
 
 def test_evolving_zero_deformation_constant():

@@ -100,11 +100,16 @@ def test_adjoint_identity_random_pairs():
 
 def test_forward_matches_per_sample_reference():
     spec = GridSpec(16.0, 8, 8)
-    geo = Geometry(np.array([0.0, 0.7, 2.3]), 12, EXTENT)
     f = Image(spec, np.random.default_rng(4).normal(size=spec.shape))
-    expected = midpoint_ray_sums(f, geo)
-    got = forward_project(f, geo).values
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    angles = np.array([0.0, 0.7, np.pi / 4, np.pi / 2, 2.3, 3 * np.pi / 4])
+    # extent L puts the outer bins in the edge pixels' outer halves, where
+    # some corners lie on the zero border; at 16 sqrt(2) the axis-aligned rays
+    # of the outer bins miss the domain
+    for extent in (16.0, EXTENT):
+        geo = Geometry(angles, 12, extent)
+        expected = midpoint_ray_sums(f, geo)
+        got = forward_project(f, geo).values
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_equal_geometries_share_one_operator():
