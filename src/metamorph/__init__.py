@@ -32,16 +32,12 @@ from .objective import (
     RegParams,
     data_discrepancy,
     discrepancy_gradient,
-    evaluate,
-    gradient,
 )
 from .optimizer import SolveConfig, SolveReport, reconstruct
 from .ray import Geometry, Sinogram, back_project, fbp, forward_project
 from .spatiotemporal import (
     GatedData,
     gate_angles,
-    gated_evaluate,
-    gated_gradient,
     reconstruct_gated,
 )
 

@@ -1,27 +1,29 @@
 """Euler discretisation of velocity flows on [0, 1].
 
-A time-varying velocity field v is sampled at N+1 uniform instants; its flow
-maps phi_{s,t} (transporting points from time s to time t) are approximated
-by chaining one-step small deformations Id -+ (1/N) v(t_k, .).  Maps are
-stored as node-wise point arrays and composed by bilinearly resampling the
-outer map at the inner map's points, through grid's bilinear stencils (the
-library's one interpolant).  The image trajectory does not use these maps:
-it is transported one semi-Lagrangian step at a time (metamorphosis.py).
+A time-varying velocity field holds one control v_k per time step: v_k
+drives the step t_k -> t_{k+1}, k = 0..N-1, and all N of them are one
+(N, 2, nx, ny) array.  Its flow maps phi_{s,t} (transporting points from
+time s to time t) are approximated by chaining one-step small deformations
+Id -+ (1/N) v_k.  Maps are stored as node-wise point arrays and composed by
+bilinearly resampling the outer map at the inner map's points, through
+grid's bilinear stencils (the library's one interpolant).  The image
+trajectory does not use these maps: it is transported one semi-Lagrangian
+step at a time (metamorphosis.py).
 
 The solver reads one builder, the generator forward_levels: it yields the
 points phi_{0,t_k}(x) of the nodes x, advected one Euler step per level,
-each with the bilinear stencil that samples v(t_k) there, and takes no step
+each with the bilinear stencil that samples v_k there, and takes no step
 before the next level is asked for.  The template part of the final
 trajectories samples zeta through the same stencil, so a level builds one.
 forward_maps lists the maps it yields.
 
-maps_from_zero (phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v(t_{i-1}))),
+maps_from_zero (phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v_{i-1})),
 maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
 determinants of those maps as Images, by the first-order recursion
-|det| ~= (1 + (1/N) div v(t_i)) |det|_{i+1} o (Id + (1/N) v(t_i)), clamped
-away from zero) and backward_advected_points (phi_{t_i,t_j} for j < i) are
-not called by the solver; they stay for the tests and because the
-benchmark's tracer wraps each of them by name.
+|det| ~= (1 + (1/N) div v_i) |det|_{i+1} o (Id + (1/N) v_i), clamped away
+from zero) and backward_advected_points (phi_{t_i,t_j} for j < i) are not
+called by the solver; they stay for the tests and because the benchmark's
+tracer wraps each of them by name.
 """
 
 from __future__ import annotations
@@ -64,42 +66,36 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) / self.n_steps
 
 
-def _check_samples(samples, tgrid, kind):
-    if len(samples) != tgrid.n_steps + 1:
-        raise ValueError(
-            f"{kind} needs {tgrid.n_steps + 1} samples, got {len(samples)}"
-        )
-    spec = samples[0].spec
-    for s in samples:
-        if s.spec != spec:
-            raise ValueError(f"all {kind} samples must share one grid")
+def _control_array(values, shape: tuple[int, ...], kind: str) -> np.ndarray:
+    """values as a float64 array of the given shape with finite entries."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ValueError(f"{kind} needs shape {shape}, one control per time step, "
+                         f"got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kind} values must be finite")
+    return values
 
 
 @dataclass
 class TimeVaryingVectorField:
-    """Velocity samples v(t_i, .), i = 0..N."""
+    """Velocity controls v_k, k = 0..N-1, as one (N, 2, nx, ny) array;
+    control k drives the step t_k -> t_{k+1}."""
 
     tgrid: TimeGrid
-    samples: list[VectorImage]
+    spec: GridSpec
+    values: np.ndarray
 
     def __post_init__(self):
-        self.samples = list(self.samples)
-        _check_samples(self.samples, self.tgrid, "velocity")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.samples[0].spec
+        self.values = _control_array(
+            self.values, (self.tgrid.n_steps, 2, *self.spec.shape), "velocity")
 
     @classmethod
     def zeros(cls, tgrid: TimeGrid, spec: GridSpec) -> "TimeVaryingVectorField":
-        return cls(tgrid, [VectorImage.zeros(spec) for _ in range(tgrid.n_steps + 1)])
+        return cls(tgrid, spec, np.zeros((tgrid.n_steps, 2, *spec.shape)))
 
     def add_scaled(self, other: "TimeVaryingVectorField", alpha: float) -> "TimeVaryingVectorField":
-        return TimeVaryingVectorField(
-            self.tgrid,
-            [VectorImage(s.spec, s.vx + alpha * o.vx, s.vy + alpha * o.vy)
-             for s, o in zip(self.samples, other.samples)],
-        )
+        return TimeVaryingVectorField(self.tgrid, self.spec, self.values + alpha * other.values)
 
 
 @dataclass
@@ -128,21 +124,22 @@ def _clamp_points(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.clip(pts, -L, L)
 
 
-def _one_step_queries(v_i: VectorImage, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node coordinates displaced by sign * (1/N) v(t_i) (exact node values)."""
-    spec = v_i.spec
-    qx = spec.xs()[:, None] + sign * v_i.vx
-    qy = spec.ys()[None, :] + sign * v_i.vy
+def _one_step_queries(v: TimeVaryingVectorField, k: int,
+                      shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates displaced by shift * v_k (exact node values)."""
+    spec = v.spec
+    qx = spec.xs()[:, None] + shift * v.values[k, 0]
+    qy = spec.ys()[None, :] + shift * v.values[k, 1]
     return qx, qy
 
 
-def _advect(points: np.ndarray, stencil: Stencil, v_i: VectorImage,
+def _advect(points: np.ndarray, stencil: Stencil, v_k: np.ndarray,
             dt_signed: float) -> np.ndarray:
-    """points + dt * v(points), sampling v through the points' stencil
-    (zero extension outside)."""
+    """points + dt * v_k(points), sampling the (2, nx, ny) control v_k
+    through the points' stencil (zero extension outside)."""
     out = np.empty_like(points)
-    out[..., 0] = points[..., 0] + dt_signed * stencil.apply(v_i.vx)
-    out[..., 1] = points[..., 1] + dt_signed * stencil.apply(v_i.vy)
+    out[..., 0] = points[..., 0] + dt_signed * stencil.apply(v_k[0])
+    out[..., 1] = points[..., 1] + dt_signed * stencil.apply(v_k[1])
     return _clamp_points(out, stencil.spec)
 
 
@@ -150,7 +147,7 @@ def _advect(points: np.ndarray, stencil: Stencil, v_i: VectorImage,
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity).
 
-    Entry i+1 composes entry i with Id - (1/N) v(t_i).
+    Entry i+1 composes entry i with Id - (1/N) v_i.
     """
     if end is None:
         end = v.tgrid.n_steps
@@ -159,7 +156,7 @@ def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[De
     pts = spec.identity_points()
     out = [DeformationMap(spec, pts)]
     for k in range(end):
-        qx, qy = _one_step_queries(v.samples[k], -dt)
+        qx, qy = _one_step_queries(v, k, -dt)
         pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
         out.append(DeformationMap(spec, pts))
     return out
@@ -175,7 +172,7 @@ def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
     pts = spec.identity_points()
     out = [DeformationMap(spec, pts)]
     for i in range(end - 1, -1, -1):
-        qx, qy = _one_step_queries(v.samples[i], dt)
+        qx, qy = _one_step_queries(v, i, dt)
         pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
         out.append(DeformationMap(spec, pts))
     out.reverse()
@@ -185,7 +182,7 @@ def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
 def forward_levels(v: TimeVaryingVectorField, end: int):
     """Yield (points of phi_{0,t_k}, their stencil) for k = 0..end.
 
-    The step to level k+1 samples v(t_k) through level k's stencil, so each
+    The step to level k+1 samples v_k through level k's stencil, so each
     level builds one, and no step is taken past level end.
     """
     spec = v.spec
@@ -195,7 +192,7 @@ def forward_levels(v: TimeVaryingVectorField, end: int):
         stencil = bilinear_stencil(spec, pts[..., 0], pts[..., 1])
         yield pts, stencil
         if k < end:
-            pts = _advect(pts, stencil, v.samples[k], dt)
+            pts = _advect(pts, stencil, v.values[k], dt)
 
 
 # trajectories reads forward_levels; the tests check the advection through
@@ -211,14 +208,14 @@ def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[Defo
 def backward_advected_points(v: TimeVaryingVectorField, i: int):
     """Yield (j, points of phi_{t_i,t_j}) for j = i-1 down to 0.
 
-    Each step advects the current points by -(1/N) v(t_j).
+    Each step advects the current points by -(1/N) v_j.
     """
     spec = v.spec
     dt = v.tgrid.dt
     pts = spec.identity_points()
     for j in range(i - 1, -1, -1):
         pts = _advect(pts, bilinear_stencil(spec, pts[..., 0], pts[..., 1]),
-                      v.samples[j], -dt)
+                      v.values[j], -dt)
         yield j, pts
 
 
@@ -232,9 +229,9 @@ def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> list[Image]:
     det = np.ones(spec.shape)
     out = [Image(spec, det)]
     for i in range(end - 1, -1, -1):
-        qx, qy = _one_step_queries(v.samples[i], dt)
+        qx, qy = _one_step_queries(v, i, dt)
         carried = sample_values_xy(det, spec, qx, qy)
-        det = (1.0 + dt * divergence(v.samples[i]).values) * carried
+        det = (1.0 + dt * divergence(VectorImage(spec, *v.values[i])).values) * carried
         det = np.maximum(det, DET_FLOOR)
         out.append(Image(spec, det))
     out.reverse()

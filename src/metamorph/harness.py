@@ -53,7 +53,9 @@ class PhantomSpec:
 
     For the evolving kind, the base shapes drift by t * drift and scale by
     (1 + t * growth) about their centres, and `appear` fades in with weight
-    clip((t - appear_time) / appear_ramp, 0, 1).
+    clip((t - appear_time) / appear_ramp, 0, 1).  Its frames are drawn at
+    `times`, or at t = 0 and 1 when it is empty, and the scale must stay
+    positive at each of them.
     """
 
     kind: str
@@ -87,6 +89,15 @@ class PhantomSpec:
             for size in {Disc: ("r",), Ellipse: ("a", "b")}.get(type(shape), ()):
                 if not getattr(shape, size) > 0:
                     raise ValueError(f"{name} needs {size} > 0, got {shape}")
+        if self.kind == "evolving_sequence":
+            for t in self.frame_times():
+                if not 1.0 + t * self.growth > 0:
+                    raise ValueError(f"growth shrinks the shapes to nothing at t = {t} "
+                                     f"(needs 1 + t * growth > 0), got {self.growth}")
+
+    def frame_times(self) -> tuple[float, ...]:
+        """The times an evolving sequence is drawn at."""
+        return self.times or (0.0, 1.0)
 
 
 def _subgrid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -122,23 +133,20 @@ def _ellipse_mask(xx, yy, e: Ellipse) -> np.ndarray:
     return ((xr / e.a) ** 2 + (yr / e.b) ** 2 <= 1.0).astype(np.float64)
 
 
-def _check_inside(grid: GridSpec, spec: PhantomSpec):
+def _check_inside(grid: GridSpec, discs, triangles, ellipses, where: str = ""):
+    """Raise if a shape reaches outside the domain; where names the frame."""
     L = grid.half_width
-    for d in spec.discs:
+    for d in discs:
         if abs(d.cx) + d.r > L or abs(d.cy) + d.r > L:
-            raise ValueError(f"disc at ({d.cx}, {d.cy}) r={d.r} leaves the domain")
-    for t in spec.triangles:
+            raise ValueError(f"disc at ({d.cx}, {d.cy}) r={d.r} leaves the domain{where}")
+    for t in triangles:
         for x, y in t.verts:
             if abs(x) > L or abs(y) > L:
-                raise ValueError(f"triangle vertex ({x}, {y}) leaves the domain")
-    for e in spec.ellipses:
+                raise ValueError(f"triangle vertex ({x}, {y}) leaves the domain{where}")
+    for e in ellipses:
         reach = max(e.a, e.b)
         if abs(e.cx) + reach > L or abs(e.cy) + reach > L:
-            raise ValueError(f"ellipse at ({e.cx}, {e.cy}) leaves the domain")
-    if spec.appear is not None:
-        d = spec.appear
-        if abs(d.cx) + d.r > L or abs(d.cy) + d.r > L:
-            raise ValueError(f"appearing disc at ({d.cx}, {d.cy}) leaves the domain")
+            raise ValueError(f"ellipse at ({e.cx}, {e.cy}) leaves the domain{where}")
 
 
 def _rasterise(grid: GridSpec, background: float, discs, triangles, ellipses) -> Image:
@@ -177,16 +185,22 @@ def _frame_at(spec: PhantomSpec, t: float):
 
 
 def make_phantom(spec: PhantomSpec, grid: GridSpec):
-    """Rasterise a phantom; returns a list of Images for the evolving kind."""
-    _check_inside(grid, spec)
-    if spec.kind == "evolving_sequence":
-        times = spec.times if spec.times else (0.0, 1.0)
-        frames = []
-        for t in times:
-            discs, ellipses = _frame_at(spec, t)
-            frames.append(_rasterise(grid, spec.background, discs, spec.triangles, ellipses))
-        return frames
-    return _rasterise(grid, spec.background, spec.discs, spec.triangles, spec.ellipses)
+    """Rasterise a phantom; returns a list of Images for the evolving kind.
+
+    Every shape of every frame must lie inside the domain; the appearing
+    disc must also where it has not faded in yet.
+    """
+    if spec.kind != "evolving_sequence":
+        _check_inside(grid, spec.discs, spec.triangles, spec.ellipses)
+        return _rasterise(grid, spec.background, spec.discs, spec.triangles, spec.ellipses)
+    if spec.appear is not None:
+        _check_inside(grid, (spec.appear,), (), (), " (the appearing disc)")
+    frames = []
+    for t in spec.frame_times():
+        discs, ellipses = _frame_at(spec, t)
+        _check_inside(grid, discs, spec.triangles, ellipses, f" at t = {t}")
+        frames.append(_rasterise(grid, spec.background, discs, spec.triangles, ellipses))
+    return frames
 
 
 def _values_of(x) -> np.ndarray:

@@ -67,7 +67,3 @@ def vfield_l2_inner(u: VectorImage, v: VectorImage) -> float:
     if u.spec != v.spec:
         raise ValueError("vector fields must share one grid")
     return float(np.sum(u.vx * v.vx) + np.sum(u.vy * v.vy)) * u.spec.h ** 2
-
-
-def vfield_l2_norm_sq(u: VectorImage) -> float:
-    return vfield_l2_inner(u, u)

@@ -4,10 +4,11 @@ In Eulerian form the metamorphosis is the transport equation
 d_t f + v . grad f = zeta.  One semi-Lagrangian step advances it from t_k to
 t_{k+1}:
 
-    f_0 = I_0,   f_{k+1} = S_k (f_k + (1/N) zeta(t_k)),
+    f_0 = I_0,   f_{k+1} = S_k (f_k + (1/N) zeta_k),
 
 with S_k the bilinear stencil (zero extension) of the departure points
-x - (1/N) v(t_k, x) of the nodes, built once per step by transport_stencil.
+x - (1/N) v_k(x) of the nodes, built once per step by transport_stencil.
+The controls v_k and zeta_k, k = 0..N-1, drive step k and nothing else.
 Three trajectories are exposed:
 
 * the image f_{t_i}: the step above (image_levels streams it level by level,
@@ -18,9 +19,9 @@ Three trajectories are exposed:
 * the template part I(t_i): intensity alone, the running sum in the frame
   moving with the template,
 
-      I(t_i) = I_0 + (1/N) * sum_{j < i} zeta(t_j, .) o phi_{0, t_j},
+      I(t_i) = I_0 + (1/N) * sum_{j < i} zeta_j o phi_{0, t_j},
 
-  with zeta(t_j) sampled through the stencil that also advects the points
+  with zeta_j sampled through the stencil that also advects the points
   phi_{0,t_j} a step further (flow.forward_levels).
 
 The objective reads image_levels only; the optimizer calls trajectories once,
@@ -32,42 +33,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .flow import (
     DeformationMap,
     TimeGrid,
     TimeVaryingVectorField,
-    _check_samples,
+    _control_array,
     _one_step_queries,
     forward_levels,
 )
-from .grid import GridSpec, Image, Stencil, VectorImage, bilinear_stencil, sample_values_xy
+from .grid import GridSpec, Image, Stencil, bilinear_stencil, sample_values_xy
 
 
 @dataclass
 class TimeVaryingScalarField:
-    """Intensity-control samples zeta(t_i, .), i = 0..N."""
+    """Intensity controls zeta_k, k = 0..N-1, as one (N, nx, ny) array;
+    control k drives the step t_k -> t_{k+1}."""
 
     tgrid: TimeGrid
-    samples: list[Image]
+    spec: GridSpec
+    values: np.ndarray
 
     def __post_init__(self):
-        self.samples = list(self.samples)
-        _check_samples(self.samples, self.tgrid, "intensity control")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.samples[0].spec
+        self.values = _control_array(
+            self.values, (self.tgrid.n_steps, *self.spec.shape), "intensity control")
 
     @classmethod
     def zeros(cls, tgrid: TimeGrid, spec: GridSpec) -> "TimeVaryingScalarField":
-        return cls(tgrid, [Image.zeros(spec) for _ in range(tgrid.n_steps + 1)])
+        return cls(tgrid, spec, np.zeros((tgrid.n_steps, *spec.shape)))
 
     def add_scaled(self, other: "TimeVaryingScalarField", alpha: float) -> "TimeVaryingScalarField":
-        return TimeVaryingScalarField(
-            self.tgrid,
-            [Image(s.spec, s.values + alpha * o.values)
-             for s, o in zip(self.samples, other.samples)],
-        )
+        return TimeVaryingScalarField(self.tgrid, self.spec, self.values + alpha * other.values)
 
 
 @dataclass
@@ -98,9 +95,9 @@ def _template_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     dt = v.tgrid.dt
     acc = I0.values
     yield I0.copy()
-    # level j's stencil carries zeta(t_j) to I(t_{j+1})
+    # level j's stencil carries zeta_j to I(t_{j+1})
     for j, (_, stencil) in enumerate(forward_levels(v, end - 1)):
-        acc = acc + dt * stencil.apply(zeta.samples[j].values)
+        acc = acc + dt * stencil.apply(zeta.values[j])
         yield Image(v.spec, acc)
 
 
@@ -111,10 +108,10 @@ def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     return list(_template_levels(v, zeta, I0, v.tgrid.n_steps))
 
 
-def transport_stencil(v_k: VectorImage, dt: float) -> Stencil:
-    """S_k: the stencil of the departure points x - dt v_k(x) of the nodes."""
-    qx, qy = _one_step_queries(v_k, -dt)
-    return bilinear_stencil(v_k.spec, qx, qy)
+def transport_stencil(v: TimeVaryingVectorField, k: int) -> Stencil:
+    """S_k: the stencil of the departure points x - (1/N) v_k(x) of the nodes."""
+    qx, qy = _one_step_queries(v, k, -v.tgrid.dt)
+    return bilinear_stencil(v.spec, qx, qy)
 
 
 def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
@@ -125,7 +122,7 @@ def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     f = I0.values
     yield I0.copy()
     for k in range(end):
-        f = transport_stencil(v.samples[k], dt).apply(f + dt * zeta.samples[k].values)
+        f = transport_stencil(v, k).apply(f + dt * zeta.values[k])
         yield Image(v.spec, f)
 
 
@@ -138,8 +135,8 @@ def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     out = Trajectories([I0.copy()], [I0.copy()], list(_template_levels(v, zeta, I0, n)))
     f = d = I0.values
     for k in range(n):
-        stencil = transport_stencil(v.samples[k], dt)
-        f = stencil.apply(f + dt * zeta.samples[k].values)
+        stencil = transport_stencil(v, k)
+        f = stencil.apply(f + dt * zeta.values[k])
         d = stencil.apply(d)
         out.image_traj.append(Image(v.spec, f))
         out.deformation_traj.append(Image(v.spec, d))

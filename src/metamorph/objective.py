@@ -5,18 +5,17 @@ The objective is
     J(v, zeta) = gamma/2 |v|_2^2 + tau/2 |zeta|_2^2 + D(T(f_1), g)
 
 with f_1 the end of the image trajectory and D the quadrature-weighted
-squared sinogram distance.  Time integrals use the left rectangle rule with
-weight 1/N over the samples that actually drive the forward model (indices
-0..N-1; sample N is inert in the time stepping, so its gradient
-entries are zero).  The velocity norm is monitored through its plain L2
-surrogate; the descent direction is unaffected since the kernel smoothing is
-applied to the data term only.
+squared sinogram distance.  Each control holds N entries, one per time
+step, and time integrals use the left rectangle rule with weight 1/N over
+them.  The velocity norm is monitored through its plain L2 surrogate; the
+descent direction is unaffected since the kernel smoothing is applied to the
+data term only.
 
 The forward model is the semi-Lagrangian step of metamorphosis.py,
 f_{k+1} = S_k (f_k + (1/N) zeta_k), with S_k the bilinear stencil of the
-departure points x - (1/N) v_k(x).  Velocity sample k and intensity sample
-k drive the step from t_k to t_{k+1}, so both pair with the residual carried
-to level k+1:
+departure points x - (1/N) v_k(x).  The controls v_k and zeta_k drive the
+step from t_k to t_{k+1}, so both pair with the residual carried to level
+k+1:
 
     grad_v(t_k)    = gamma v_k - K * ( L_{k+1} G_k ),   G_k = S_k grad(f_k + (1/N) zeta_k)
     grad_zeta(t_k) = tau zeta_k + S_k^T L_{k+1}
@@ -33,12 +32,12 @@ S_k^T scatters each node's value to the four corners it was read from, so
 the intensity gradient is exact for the discrete model, and G_k samples the
 image gradient at the same departure points.  The same core runs any list
 of (end index, data) pairs, so the gated multi-time-point objective reuses
-it verbatim; a gate contributes only to samples before its index, and
-samples M..N-1 carry the penalty gradients alone.
+it verbatim; a gate contributes only to the controls before its index, and
+controls M..N-1 carry the penalty gradients alone.
 
 Gate indices must be strictly increasing in 1..N; nothing here checks
 that.  spatiotemporal.GatedData does, where a gate list enters the library,
-and the single-data-set entries build their one gate at N.
+and optimizer.reconstruct builds its one gate at N.
 
 The forward model (image trajectory and gate projections) is built in one
 place, evaluate_parts.  It returns the image trajectory and the projections
@@ -65,7 +64,7 @@ import numpy as np
 
 from .flow import TimeVaryingVectorField
 from .grid import GridSpec, Image, VectorImage, gradient_central
-from .kernel import KernelSpec, kernel_apply, vfield_l2_norm_sq
+from .kernel import KernelSpec, kernel_apply
 from .metamorphosis import TimeVaryingScalarField, image_levels, transport_stencil
 from .ray import Sinogram, back_project, forward_project
 
@@ -106,14 +105,14 @@ def discrepancy_gradient(a: Sinogram, b: Sinogram, spec: GridSpec) -> Image:
 
 def velocity_norm_sq(v: TimeVaryingVectorField) -> float:
     """Left-rectangle time quadrature of the L2 surrogate |v(t)|^2."""
-    dt = v.tgrid.dt
-    return dt * sum(vfield_l2_norm_sq(s) for s in v.samples[:-1])
+    hsq = v.spec.h ** 2
+    return v.tgrid.dt * sum(float(np.sum(vx * vx) + np.sum(vy * vy)) * hsq
+                            for vx, vy in v.values)
 
 
 def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
-    dt = zeta.tgrid.dt
     hsq = zeta.spec.h ** 2
-    return dt * sum(float(np.sum(s.values * s.values)) * hsq for s in zeta.samples[:-1])
+    return zeta.tgrid.dt * sum(float(np.sum(z * z)) * hsq for z in zeta.values)
 
 
 @dataclass
@@ -151,12 +150,6 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     return v_term + z_term + data, data, v_term, z_term, ForwardState(images, projections)
 
 
-def evaluate(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-             I0: Image, g: Sinogram, params: RegParams) -> float:
-    """Objective value for a single end-time data set."""
-    return evaluate_parts(v, zeta, I0, [(v.tgrid.n_steps, g)], params)[0]
-
-
 def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                   state: ForwardState, gates: list[tuple[int, Sinogram]],
                   params: RegParams, kernel: KernelSpec) -> GradientPair:
@@ -168,46 +161,29 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     sweep carries to every level through S_k^T.
     """
     spec = v.spec
-    n = v.tgrid.n_steps
     dt = v.tgrid.dt
     residuals = {end: discrepancy_gradient(proj, g, spec).values
                  for proj, (end, g) in zip(state.projections, gates)}
     last = gates[-1][0]
 
-    grad_v = [None] * (n + 1)
-    grad_z = [None] * (n + 1)
-    for k in range(last, n):
-        vk = v.samples[k]
-        grad_v[k] = VectorImage(spec, params.gamma * vk.vx, params.gamma * vk.vy)
-        grad_z[k] = Image(spec, params.tau * zeta.samples[k].values)
-    # sample N never enters the Euler forward model
-    grad_v[n] = VectorImage.zeros(spec)
-    grad_z[n] = Image.zeros(spec)
+    # the penalty gradients; the data terms enter the controls before the
+    # last gate
+    grad_v = params.gamma * v.values
+    grad_z = params.tau * zeta.values
     # L holds the residual carried back to level k+1, summed over the gates
     # at k+1 and later
     L = residuals[last]
     for k in range(last - 1, -1, -1):
-        vk = v.samples[k]
-        zk = zeta.samples[k].values
-        stencil = transport_stencil(vk, dt)
-        G = gradient_central(Image(spec, state.images[k].values + dt * zk))
+        stencil = transport_stencil(v, k)
+        G = gradient_central(Image(spec, state.images[k].values + dt * zeta.values[k]))
         # one apply per component: a stacked (2, nx, ny) gather measured
         # about twice the time of two applies at 128^2
         Gx, Gy = stencil.apply(G.vx), stencil.apply(G.vy)
         smoothed = kernel_apply(VectorImage(spec, L * Gx, L * Gy), kernel)
-        grad_v[k] = VectorImage(spec, params.gamma * vk.vx - smoothed.vx,
-                                params.gamma * vk.vy - smoothed.vy)
+        grad_v[k, 0] -= smoothed.vx
+        grad_v[k, 1] -= smoothed.vy
         carried = stencil.transpose(L)
-        grad_z[k] = Image(spec, params.tau * zk + carried)
+        grad_z[k] += carried
         L = carried + residuals.get(k, 0.0)
-    return GradientPair(TimeVaryingVectorField(v.tgrid, grad_v),
-                        TimeVaryingScalarField(zeta.tgrid, grad_z))
-
-
-def gradient(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-             I0: Image, g: Sinogram, params: RegParams,
-             kernel: KernelSpec) -> GradientPair:
-    """Gradient of the single-data-set objective."""
-    gates = [(v.tgrid.n_steps, g)]
-    state = evaluate_parts(v, zeta, I0, gates, params)[4]
-    return gradient_core(v, zeta, state, gates, params, kernel)
+    return GradientPair(TimeVaryingVectorField(v.tgrid, spec, grad_v),
+                        TimeVaryingScalarField(zeta.tgrid, spec, grad_z))

@@ -28,7 +28,7 @@ from .flow import TimeGrid, TimeVaryingVectorField
 from .grid import Image
 from .kernel import KernelSpec
 from .metamorphosis import TimeVaryingScalarField, Trajectories, trajectories
-from .objective import GradientPair, RegParams, evaluate_parts, gradient_core
+from .objective import RegParams, evaluate_parts, gradient_core
 from .ray import Sinogram
 
 MODES = ("metamorphosis", "lddmm")
@@ -70,17 +70,6 @@ class SolveReport:
     final_zeta: TimeVaryingScalarField | None = None
 
 
-def _grad_is_zero(grad: GradientPair, lddmm: bool) -> bool:
-    for s in grad.grad_v.samples:
-        if np.any(s.vx) or np.any(s.vy):
-            return False
-    if not lddmm:
-        for s in grad.grad_zeta.samples:
-            if np.any(s.values):
-                return False
-    return True
-
-
 def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             params: RegParams, tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
     """Shared descent loop over a list of (end index, sinogram) gates."""
@@ -98,7 +87,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     for it in range(1, cfg.max_iters + 1):
         grad = gradient_core(v, zeta, state, gates, params, kernel)
         state = cand = None  # the line search holds one trajectory at a time
-        if _grad_is_zero(grad, lddmm):
+        if not (grad.grad_v.values.any() or (not lddmm and grad.grad_zeta.values.any())):
             stop_reason = "zero_gradient"
             break
 

@@ -2,9 +2,10 @@
 
 Each gate pins the image trajectory at one time index with its own limited
 geometry; the data terms add up and every gate contributes gradient only to
-instants before its time (its residual enters the gradient's backward sweep
-at the gate index instead of at 1).  With a single gate at the final index
-this collapses to the single-target objective exactly.
+the controls before its time (its residual enters the gradient's backward
+sweep at the gate index instead of at 1).  objective.evaluate_parts and
+gradient_core take any gate list, so a single gate at the final index is the
+single-target objective exactly; this module checks a gate list and solves.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import TimeGrid, TimeVaryingVectorField
+from .flow import TimeGrid
 from .grid import Image
 from .kernel import KernelSpec
-from .metamorphosis import TimeVaryingScalarField
-from .objective import GradientPair, RegParams, evaluate_parts, gradient_core
+from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, descend
 from .ray import Sinogram
 
@@ -60,22 +60,6 @@ def gate_angles(n_gates: int, per_gate: int, seed: int) -> list[np.ndarray]:
         hi = i * np.pi / n_gates
         out.append(np.sort(rng.uniform(lo, hi, size=per_gate)))
     return out
-
-
-def gated_evaluate(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                   I0: Image, gated: GatedData, params: RegParams) -> float:
-    """Objective value summing per-gate discrepancies plus the regularisers."""
-    gated.check_against(v.tgrid)
-    return evaluate_parts(v, zeta, I0, gated.gates, params)[0]
-
-
-def gated_gradient(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                   I0: Image, gated: GatedData, params: RegParams,
-                   kernel: KernelSpec) -> GradientPair:
-    """Gradient of the gated objective; regulariser terms added once."""
-    gated.check_against(v.tgrid)
-    state = evaluate_parts(v, zeta, I0, gated.gates, params)[4]
-    return gradient_core(v, zeta, state, gated.gates, params, kernel)
 
 
 def reconstruct_gated(I0: Image, gated: GatedData, kernel: KernelSpec,

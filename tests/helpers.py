@@ -16,6 +16,7 @@ from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
 from metamorph.kernel import KernelSpec, kernel_apply, vfield_l2_inner
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.metamorphosis import TimeVaryingScalarField
+from metamorph.objective import evaluate_parts, gradient_core
 
 FD_SPEC = GridSpec(16.0, 32, 32)
 FD_KERNEL = KernelSpec(4.0)
@@ -56,23 +57,33 @@ def smooth_img(rng, scale, spec=FD_SPEC, kernel=FD_KERNEL, taper=None):
     return Image(spec, sm * taper * scale / np.abs(sm).max())
 
 
+def vfield(tg, samples):
+    """A velocity field with one VectorImage per time step."""
+    return TimeVaryingVectorField(tg, samples[0].spec, [(s.vx, s.vy) for s in samples])
+
+
+def sfield(tg, samples):
+    """An intensity control with one Image per time step."""
+    return TimeVaryingScalarField(tg, samples[0].spec, [s.values for s in samples])
+
+
 def random_state(n_steps, seed, amp_v=1e-4, amp_z=0.25):
     tg = TimeGrid(n_steps)
     rng = np.random.default_rng(seed)
-    v = TimeVaryingVectorField(tg, [smooth_vec(rng, amp_v) for _ in range(n_steps + 1)])
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, amp_z) for _ in range(n_steps + 1)])
+    v = vfield(tg, [smooth_vec(rng, amp_v) for _ in range(n_steps)])
+    zeta = sfield(tg, [smooth_img(rng, amp_z) for _ in range(n_steps)])
     return v, zeta
 
 
 def smoothed_direction(rng, n_steps):
     """Raw direction r and the kernel-smoothed perturbation K*r (for v),
     plus a smooth intensity direction, normalised to unit max displacement."""
-    rs = [smooth_vec(rng, 1.0) for _ in range(n_steps + 1)]
+    rs = [smooth_vec(rng, 1.0) for _ in range(n_steps)]
     dirs = [kernel_apply(r, FD_KERNEL) for r in rs]
     dmax = max(max(np.abs(d.vx).max(), np.abs(d.vy).max()) for d in dirs)
     dirs = [VectorImage(FD_SPEC, d.vx / dmax, d.vy / dmax) for d in dirs]
     rs = [VectorImage(FD_SPEC, r.vx / dmax, r.vy / dmax) for r in rs]
-    etas = [smooth_img(rng, 1.0) for _ in range(n_steps + 1)]
+    etas = [smooth_img(rng, 1.0) for _ in range(n_steps)]
     return rs, dirs, etas
 
 
@@ -84,9 +95,30 @@ def pair_gradient(grad, rs, etas, n_steps):
     so no kernel inverse is needed.
     """
     return (1.0 / n_steps) * sum(
-        vfield_l2_inner(grad.grad_v.samples[i], rs[i])
-        + image_l2_inner(grad.grad_zeta.samples[i], etas[i])
+        vfield_l2_inner(VectorImage(FD_SPEC, *grad.grad_v.values[i]), rs[i])
+        + image_l2_inner(Image(FD_SPEC, grad.grad_zeta.values[i]), etas[i])
         for i in range(n_steps))
+
+
+def gradient_at(v, zeta, I0, gates, params):
+    """gradient_core at (v, zeta), from the forward state evaluate_parts builds."""
+    state = evaluate_parts(v, zeta, I0, gates, params)[4]
+    return gradient_core(v, zeta, state, gates, params, FD_KERNEL)
+
+
+def fd_check(v, zeta, grad, objective, n_steps, eps):
+    """Predicted and four-point FD directional derivatives of objective(v, zeta)
+    along 20 smoothed directions drawn from seed 17."""
+    tg = TimeGrid(n_steps)
+    rng = np.random.default_rng(17)
+    pairs, fds = [], []
+    for _ in range(20):
+        rs, dirs, etas = smoothed_direction(rng, n_steps)
+        wf, ef = vfield(tg, dirs), sfield(tg, etas)
+        pairs.append(pair_gradient(grad, rs, etas, n_steps))
+        fds.append(central_fd(lambda a: objective(v.add_scaled(wf, a), zeta.add_scaled(ef, a)),
+                              eps))
+    return np.array(pairs), np.array(fds)
 
 
 def central_fd(objective, eps):

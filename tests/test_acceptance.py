@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from helpers import (
-    FD_KERNEL,
     FD_SPEC,
-    central_fd,
-    pair_gradient,
+    fd_check,
+    gradient_at,
     random_state,
     smooth_bump,
-    smoothed_direction,
+    vfield,
 )
 from metamorph.experiments import (
     concatenated_fbp,
@@ -31,13 +30,15 @@ from metamorph.experiments import (
     solve_case,
     solve_gated,
 )
-from metamorph.flow import TimeGrid, TimeVaryingVectorField, maps_from_zero
+from metamorph.flow import TimeGrid, maps_from_zero
 from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
 from metamorph.harness import Disc, PhantomSpec, add_noise, make_phantom, psnr, ssim
+from metamorph.kernel import KernelSpec
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories
-from metamorph.objective import RegParams, evaluate, gradient
+from metamorph.objective import RegParams, evaluate_parts
+from metamorph.optimizer import SolveConfig, reconstruct
 from metamorph.ray import Geometry, Sinogram, back_project, forward_project
-from metamorph.spatiotemporal import GatedData, gated_evaluate, gated_gradient
+from metamorph.spatiotemporal import GatedData, reconstruct_gated
 
 EXTENT = 16.0 * math.sqrt(2.0)
 
@@ -84,25 +85,15 @@ def test_02_disc_chord_oracle():
            f"max rel err {worst:.4f} (<=0.02), {elapsed:.1f}s (<5s)")
 
 
-def _fd_check(n_steps, make_eval, make_grad, eps):
+def _fd_check(n_steps, I0, gates, params, eps):
     v, zeta = random_state(n_steps, seed=3)
-    grad = make_grad(v, zeta)
-    rng = np.random.default_rng(17)
-    pairs, fds, rels = [], [], []
-    for _ in range(20):
-        rs, dirs, etas = smoothed_direction(rng, n_steps)
-        wf = TimeVaryingVectorField(TimeGrid(n_steps), dirs)
-        ef = TimeVaryingScalarField(TimeGrid(n_steps), etas)
-        pair = pair_gradient(grad, rs, etas, n_steps)
-        fd = central_fd(lambda a: make_eval(v.add_scaled(wf, a), zeta.add_scaled(ef, a)), eps)
-        pairs.append(pair)
-        fds.append(fd)
-        rels.append(abs(pair - fd) / abs(fd))
-    pairs, fds = np.array(pairs), np.array(fds)
+    grad = gradient_at(v, zeta, I0, gates, params)
+    pairs, fds = fd_check(v, zeta, grad,
+                          lambda v, z: evaluate_parts(v, z, I0, gates, params)[0], n_steps, eps)
     # relative to the batch scale: random directions can be near-orthogonal
     # to the gradient, where a per-direction ratio loses meaning
     batch_rel = np.abs(pairs - fds).max() / np.abs(fds).max()
-    return batch_rel, float(np.median(rels))
+    return batch_rel, float(np.median(np.abs(pairs - fds) / np.abs(fds)))
 
 
 def test_03_gradient_matches_finite_differences():
@@ -112,22 +103,14 @@ def test_03_gradient_matches_finite_differences():
     target = smooth_bump(-1.5, 1.0, 6.0, 0.85)
     g = forward_project(target, geo)
     params = RegParams(1e-6, 1e-6)
-    rel1, med1 = _fd_check(
-        5,
-        lambda v, z: evaluate(v, z, I0, g, params),
-        lambda v, z: gradient(v, z, I0, g, params, FD_KERNEL),
-        eps=0.02)
+    rel1, med1 = _fd_check(5, I0, [(5, g)], params, eps=0.02)
 
     frames = [Image(FD_SPEC, target.values * (0.5 + 0.5 * k / 6)) for k in range(7)]
     geos = [Geometry.uniform(m, 48, EXTENT) for m in (14, 15, 16)]
     gates = GatedData([(2, forward_project(frames[2], geos[0])),
                        (4, forward_project(frames[4], geos[1])),
                        (6, forward_project(frames[6], geos[2]))])
-    rel2, med2 = _fd_check(
-        6,
-        lambda v, z: gated_evaluate(v, z, I0, gates, params),
-        lambda v, z: gated_gradient(v, z, I0, gates, params, FD_KERNEL),
-        eps=0.04)
+    rel2, med2 = _fd_check(6, I0, gates.gates, params, eps=0.04)
     elapsed = time.time() - t0
     ok = rel1 <= 1e-3 and rel2 <= 1e-3 and med1 <= 1e-3 and med2 <= 1e-3 and elapsed < 120
     report("3 gradient FD", ok,
@@ -145,9 +128,8 @@ def test_04_flow_convergence_order():
     mask = (np.abs(ident[..., 0]) <= 8.0) & (np.abs(ident[..., 1]) <= 8.0)
     errs = []
     for n in (8, 16, 32):
-        v = TimeVaryingVectorField(TimeGrid(n), [
-            VectorImage.from_function(spec, lambda x, y: (-omega * y, omega * x))
-            for _ in range(n + 1)])
+        v = vfield(TimeGrid(n), [
+            VectorImage.from_function(spec, lambda x, y: (-omega * y, omega * x))] * n)
         end = maps_from_zero(v)[-1].points
         errs.append(np.linalg.norm(end[mask] - (ident[mask] @ rot.T), axis=-1).max())
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
@@ -160,10 +142,10 @@ def test_04_flow_convergence_order():
 def test_05_degeneracies():
     spec = GridSpec(16.0, 32, 32)
     rng = np.random.default_rng(5)
-    from helpers import smooth_img, smooth_vec
+    from helpers import smooth_vec
 
     tg = TimeGrid(5)
-    v = TimeVaryingVectorField(tg, [smooth_vec(rng, 1.0, spec=spec) for _ in range(6)])
+    v = vfield(tg, [smooth_vec(rng, 1.0, spec=spec) for _ in range(5)])
     zeta0 = TimeVaryingScalarField.zeros(tg, spec)
     I0 = smooth_bump(1.0, -1.0, 5.0, 1.0, spec=spec)
     traj = trajectories(v, zeta0, I0)
@@ -173,10 +155,12 @@ def test_05_degeneracies():
     geo = Geometry.uniform(20, 48, EXTENT)
     g = forward_project(smooth_bump(-1.0, 1.0, 5.5, 0.8, spec=spec), geo)
     params = RegParams(1e-4, 1e-3)
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.4, spec=spec) for _ in range(6)])
-    single = evaluate(v, zeta, I0, g, params)
-    gated = gated_evaluate(v, zeta, I0, GatedData([(5, g)]), params)
-    collapse_ok = gated == single
+    cfg = SolveConfig(max_iters=2)
+    single = reconstruct(I0, g, KernelSpec(2.0), params, tg, cfg)
+    gated = reconstruct_gated(I0, GatedData([(5, g)]), KernelSpec(2.0), params, tg, cfg)
+    collapse_ok = (gated.objective_history == single.objective_history
+                   and all(np.array_equal(a.values, b.values) for a, b in
+                           zip(gated.trajectories.image_traj, single.trajectories.image_traj)))
     report("5 degeneracy", transport_ok and collapse_ok,
            f"zero-intensity transport bitwise: {transport_ok}, "
            f"single-gate collapse bitwise: {collapse_ok}")

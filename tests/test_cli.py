@@ -496,6 +496,8 @@ out_dir = {out}
     ("drift", "nan, 0", "drift must be finite"),
     ("appear_time", "nan", "appear_time must be finite"),
     ("appear", "4, 4, inf", "appear must be finite"),
+    ("growth", "-2", "growth shrinks the shapes to nothing at t = 0.5 "
+                     "(needs 1 + t * growth > 0)"),
 ])
 def test_non_finite_phantom_parameter_is_a_config_problem(tmp_path, capsys, key, value,
                                                           problem):

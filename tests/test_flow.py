@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import vfield
 from metamorph.grid import GridSpec, VectorImage
+from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.flow import (
     TimeGrid,
     TimeVaryingVectorField,
@@ -16,17 +20,13 @@ SPEC = GridSpec(16.0, 64, 64)
 
 
 def constant_field(tg, cx, cy):
-    return TimeVaryingVectorField(tg, [
-        VectorImage(SPEC, np.full(SPEC.shape, cx), np.full(SPEC.shape, cy))
-        for _ in range(tg.n_steps + 1)
-    ])
+    return vfield(tg, [
+        VectorImage(SPEC, np.full(SPEC.shape, cx), np.full(SPEC.shape, cy))] * tg.n_steps)
 
 
 def rotation_field(tg, omega):
-    return TimeVaryingVectorField(tg, [
-        VectorImage.from_function(SPEC, lambda x, y: (-omega * y, omega * x))
-        for _ in range(tg.n_steps + 1)
-    ])
+    return vfield(tg, [
+        VectorImage.from_function(SPEC, lambda x, y: (-omega * y, omega * x))] * tg.n_steps)
 
 
 def interior(points):
@@ -98,9 +98,9 @@ def test_forward_backward_composition_near_identity():
 
 def test_maps_from_zero_end_is_prefix_bitwise():
     rng = np.random.default_rng(0)
-    v = TimeVaryingVectorField(TimeGrid(5), [
+    v = vfield(TimeGrid(5), [
         VectorImage(SPEC, rng.normal(0, 0.5, SPEC.shape), rng.normal(0, 0.5, SPEC.shape))
-        for _ in range(6)
+        for _ in range(5)
     ])
     full = maps_from_zero(v)
     for end in range(6):
@@ -132,10 +132,7 @@ def test_jacobian_chain_scaling_closed_form():
     rels = []
     for n in (8, 16, 32):
         tg = TimeGrid(n)
-        v = TimeVaryingVectorField(tg, [
-            VectorImage.from_function(SPEC, lambda x, y: (lam * x, lam * y))
-            for _ in range(n + 1)
-        ])
+        v = vfield(tg, [VectorImage.from_function(SPEC, lambda x, y: (lam * x, lam * y))] * n)
         vals = jacobian_chain_to_index(v, n)[0].values[mask]
         rels.append(np.abs(vals - np.exp(2 * lam)).max() / np.exp(2 * lam))
     assert rels[0] <= 0.03
@@ -146,15 +143,25 @@ def test_jacobian_chain_positive_under_compression():
     # strong compression would drive the first-order determinant negative
     n = 2
     tg = TimeGrid(n)
-    v = TimeVaryingVectorField(tg, [
-        VectorImage.from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))
-        for _ in range(n + 1)
-    ])
+    v = vfield(tg, [VectorImage.from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))] * n)
     for entry in jacobian_chain_to_index(v, n):
         assert np.all(entry.values > 0.0)
 
 
 def test_field_shape_validation():
+    # each control holds exactly N entries on its grid, all finite, and a
+    # bad one is named
     tg = TimeGrid(3)
-    with pytest.raises(ValueError):
-        TimeVaryingVectorField(tg, [VectorImage.zeros(SPEC)] * 3)
+    for field, kind, entry in ((TimeVaryingVectorField, "velocity", (2, *SPEC.shape)),
+                               (TimeVaryingScalarField, "intensity control", SPEC.shape)):
+        assert field(tg, SPEC, np.zeros((3, *entry))).values.shape == (3, *entry)
+        for n in (2, 4):  # 4 = N + 1, a sample at t = 1
+            with pytest.raises(ValueError, match=rf"^{kind} needs shape \(3, .*got \({n}, "):
+                field(tg, SPEC, np.zeros((n, *entry)))
+        with pytest.raises(ValueError, match=rf"^{kind} needs shape .*got \(3, .*, 32\)"):
+            field(tg, SPEC, np.zeros((3, *entry[:-2], 64, 32)))
+        for bad in (math.nan, math.inf):
+            values = np.zeros((3, *entry))
+            values[1].flat[7] = bad
+            with pytest.raises(ValueError, match=rf"^{kind} values must be finite"):
+                field(tg, SPEC, values)

@@ -88,6 +88,42 @@ def test_non_finite_or_non_positive_phantom_parameter_rejected(field, kw):
         PhantomSpec("evolving_sequence", **kw)
 
 
+@pytest.mark.parametrize("times, growth, when", [
+    ((0.0, 0.5, 1.0), -2.0, "t = 0.5"),  # the disc vanishes there
+    ((0.0, 0.25), -4.0, "t = 0.25"),
+    ((), -1.0, "t = 1.0"),  # no times: frames at 0 and 1
+    ((0.0, 1.0), -1.5, "t = 1.0"),  # a negative scale would draw radius |r| / 2
+])
+def test_growth_shrinking_a_shape_to_nothing_rejected(times, growth, when):
+    with pytest.raises(ValueError, match=rf"^growth .*{re.escape(when)}.*got {growth}$"):
+        PhantomSpec("evolving_sequence", discs=(Disc(0, 0, 3),), growth=growth, times=times)
+
+
+def test_growth_positive_on_every_frame_accepted():
+    spec = PhantomSpec("evolving_sequence", discs=(Disc(0, 0, 3),), growth=-1.5,
+                       times=(0.0, 0.5))
+    masses = [f.values.sum() * SPEC.h ** 2 for f in make_phantom(spec, SPEC)]
+    assert masses[1] == pytest.approx(math.pi * 0.75 ** 2, rel=0.05)
+
+
+@pytest.mark.parametrize("kw, when", [
+    (dict(drift=(10.0, 0.0), times=(0.0, 1.0)), "t = 1.0"),  # drifts off the right edge
+    (dict(drift=(0.0, -16.0), times=(0.0, 0.5, 1.0)), "t = 1.0"),
+    (dict(growth=3.0, times=(0.0, 0.5, 1.0)), "t = 0.5"),  # grows past the edge
+    (dict(drift=(10.0, 0.0)), "t = 1.0"),  # no times: frames at 0 and 1
+])
+def test_later_frame_leaving_the_domain_rejected(kw, when):
+    spec = PhantomSpec("evolving_sequence", discs=(Disc(10.0, 0.0, 3.0),), **kw)
+    with pytest.raises(ValueError, match=rf"leaves the domain at {re.escape(when)}$"):
+        make_phantom(spec, SPEC)
+
+
+def test_appearing_disc_outside_rejected_before_it_fades_in():
+    spec = PhantomSpec("evolving_sequence", appear=Disc(15.0, 0.0, 2.0), appear_time=2.0)
+    with pytest.raises(ValueError, match="leaves the domain"):
+        make_phantom(spec, SPEC)
+
+
 def test_evolving_zero_deformation_constant():
     spec = PhantomSpec("evolving_sequence", discs=(Disc(0, 0, 4.0, 1.0),),
                        times=(0.0, 0.5, 1.0))

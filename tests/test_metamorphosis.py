@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sfield, vfield
 from metamorph.grid import GridSpec, Image, VectorImage, image_l2_norm_sq, sample_values_xy
 from metamorph.flow import DeformationMap, TimeGrid, TimeVaryingVectorField
 from metamorph.kernel import KernelSpec, kernel_apply
@@ -64,10 +65,11 @@ def test_transport_step_transpose_is_exact():
     # x - dt v(x) leave the domain through the left edge, and others near the
     # edges read corners on the zero border
     rng = np.random.default_rng(7)
-    dt = 0.25
+    tg = TimeGrid(4)
+    dt = tg.dt
     wobble = smooth_vec(rng, 2.0)
     v = VectorImage(SPEC, 6.0 + wobble.vx, wobble.vy)
-    S = transport_stencil(v, dt)
+    S = transport_stencil(vfield(tg, [v] * 4), 0)
     px = SPEC.xs()[:, None] - dt * v.vx
     py = SPEC.ys()[None, :] - dt * v.vy
     L = SPEC.half_width
@@ -93,9 +95,7 @@ def test_transport_step_one_pixel_shift_oracle():
     # in through the left edge; the transpose moves it back
     n = 4
     tg = TimeGrid(n)
-    v = TimeVaryingVectorField(tg, [VectorImage(SPEC, np.full(SPEC.shape, SPEC.h * n),
-                                                np.zeros(SPEC.shape))
-                                    for _ in range(n + 1)])
+    v = vfield(tg, [VectorImage(SPEC, np.full(SPEC.shape, SPEC.h * n), np.zeros(SPEC.shape))] * n)
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     rng = np.random.default_rng(8)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
@@ -103,7 +103,7 @@ def test_transport_step_one_pixel_shift_oracle():
         assert np.array_equal(f.values[k:], I0.values[:SPEC.nx - k])
         assert np.all(f.values[:k] == 0.0)
     b = rng.normal(size=SPEC.shape)
-    back = transport_stencil(v.samples[0], tg.dt).transpose(b)
+    back = transport_stencil(v, 0).transpose(b)
     assert np.array_equal(back[:-1], b[1:])
     assert np.all(back[-1] == 0.0)
 
@@ -111,7 +111,7 @@ def test_transport_step_one_pixel_shift_oracle():
 def test_evolve_zero_intensity_keeps_template():
     tg = TimeGrid(6)
     rng = np.random.default_rng(2)
-    v = TimeVaryingVectorField(tg, [smooth_vec(rng, 0.8) for _ in range(7)])
+    v = vfield(tg, [smooth_vec(rng, 0.8) for _ in range(6)])
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     for entry in evolve_template(v, zeta, I0):
@@ -122,7 +122,7 @@ def test_evolve_constant_intensity_no_flow():
     tg = TimeGrid(5)
     v = TimeVaryingVectorField.zeros(tg, SPEC)
     c = 0.7
-    zeta = TimeVaryingScalarField(tg, [Image.full(SPEC, c) for _ in range(6)])
+    zeta = sfield(tg, [Image.full(SPEC, c)] * 5)
     I0 = Image.full(SPEC, 1.0)
     out = evolve_template(v, zeta, I0)
     for i, entry in enumerate(out):
@@ -142,8 +142,8 @@ def test_evolve_self_refinement_first_order():
 
     def final_template(n):
         tg = TimeGrid(n)
-        v = TimeVaryingVectorField(tg, [v_of(i / n) for i in range(n + 1)])
-        zeta = TimeVaryingScalarField(tg, [z_of(i / n) for i in range(n + 1)])
+        v = vfield(tg, [v_of(i / n) for i in range(n)])
+        zeta = sfield(tg, [z_of(i / n) for i in range(n)])
         I0 = Image.from_function(SPEC, lambda x, y: np.exp(-(x ** 2 + y ** 2) / 40))
         return evolve_template(v, zeta, I0)[-1].values
 
@@ -157,8 +157,8 @@ def test_evolve_self_refinement_first_order():
 def test_trajectories_start_at_template():
     tg = TimeGrid(4)
     rng = np.random.default_rng(3)
-    v = TimeVaryingVectorField(tg, [smooth_vec(rng, 0.5) for _ in range(5)])
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.5) for _ in range(5)])
+    v = vfield(tg, [smooth_vec(rng, 0.5) for _ in range(4)])
+    zeta = sfield(tg, [smooth_img(rng, 0.5) for _ in range(4)])
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     traj = trajectories(v, zeta, I0)
     for t in (traj.image_traj, traj.deformation_traj, traj.template_traj):
@@ -168,7 +168,7 @@ def test_trajectories_start_at_template():
 def test_zero_intensity_reduces_to_pure_transport():
     tg = TimeGrid(5)
     rng = np.random.default_rng(4)
-    v = TimeVaryingVectorField(tg, [smooth_vec(rng, 1.0) for _ in range(6)])
+    v = vfield(tg, [smooth_vec(rng, 1.0) for _ in range(5)])
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     traj = trajectories(v, zeta, I0)
@@ -180,7 +180,7 @@ def test_zero_flow_reduces_to_intensity_only():
     tg = TimeGrid(5)
     rng = np.random.default_rng(5)
     v = TimeVaryingVectorField.zeros(tg, SPEC)
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.5) for _ in range(6)])
+    zeta = sfield(tg, [smooth_img(rng, 0.5) for _ in range(5)])
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     traj = trajectories(v, zeta, I0)
     for a, b in zip(traj.image_traj, traj.template_traj):
@@ -192,10 +192,10 @@ def test_total_intensity_change_bounded_by_control_norm():
     tg = TimeGrid(6)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        v = TimeVaryingVectorField(tg, [smooth_vec(rng, 0.5) for _ in range(7)])
-        zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.8) for _ in range(7)])
+        v = vfield(tg, [smooth_vec(rng, 0.5) for _ in range(6)])
+        zeta = sfield(tg, [smooth_img(rng, 0.8) for _ in range(6)])
         I0 = Image.zeros(SPEC)
         final = evolve_template(v, zeta, I0)[-1]
         lhs = np.sqrt(image_l2_norm_sq(final))
-        znorm = np.sqrt(sum(image_l2_norm_sq(s) for s in zeta.samples[:-1]) / 6)
+        znorm = np.sqrt(sum(image_l2_norm_sq(Image(SPEC, z)) for z in zeta.values) / 6)
         assert lhs <= 2.0 * znorm

@@ -6,13 +6,12 @@ import pytest
 from helpers import (
     FD_KERNEL,
     FD_SPEC,
-    central_fd,
-    pair_gradient,
+    fd_check,
+    gradient_at,
     random_state,
+    sfield,
     smooth_bump,
     smooth_img,
-    smooth_vec,
-    smoothed_direction,
 )
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import GridSpec, Image, VectorImage, gradient_central, image_l2_inner
@@ -23,9 +22,7 @@ from metamorph.objective import (
     RegParams,
     data_discrepancy,
     discrepancy_gradient,
-    evaluate,
     evaluate_parts,
-    gradient,
     gradient_core,
 )
 from metamorph.ray import Geometry, Sinogram, forward_project
@@ -117,7 +114,7 @@ def test_evaluate_at_rest_is_template_discrepancy():
     tg, geo, I0, g = make_problem()
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
-    val = evaluate(v, zeta, I0, g, RegParams(0.3, 0.7))
+    val = evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.3, 0.7))[0]
     assert val == pytest.approx(data_discrepancy(forward_project(I0, geo), g))
 
 
@@ -126,14 +123,14 @@ def test_evaluate_zero_at_consistent_data():
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     g = forward_project(I0, geo)
-    assert evaluate(v, zeta, I0, g, RegParams(1.0, 1.0)) == 0.0
+    assert evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(1.0, 1.0))[0] == 0.0
 
 
 def test_evaluate_intensity_term_quadratic():
     tg, geo, I0, g = make_problem()
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     rng = np.random.default_rng(4)
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.5) for _ in range(6)])
+    zeta = sfield(tg, [smooth_img(rng, 0.5) for _ in range(5)])
     params = RegParams(0.0, 2.0)
     gates = [(tg.n_steps, g)]
     z_term = evaluate_parts(v, zeta, I0, gates, params)[3]
@@ -146,11 +143,9 @@ def test_gradient_zero_at_consistent_data():
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     g = forward_project(I0, geo)
-    grad = gradient(v, zeta, I0, g, RegParams(0.0, 0.0), FD_KERNEL)
-    for s in grad.grad_v.samples:
-        assert np.all(s.vx == 0.0) and np.all(s.vy == 0.0)
-    for s in grad.grad_zeta.samples:
-        assert np.all(s.values == 0.0)
+    grad = gradient_at(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.0, 0.0))
+    assert not grad.grad_v.values.any()
+    assert not grad.grad_zeta.values.any()
 
 
 def test_single_step_closed_form_reduction():
@@ -162,32 +157,22 @@ def test_single_step_closed_form_reduction():
     g = forward_project(target, geo)
     v = TimeVaryingVectorField.zeros(tg, spec)
     rng = np.random.default_rng(5)
-    zeta = TimeVaryingScalarField(tg, [smooth_img(rng, 0.4, spec=spec),
-                                       Image.zeros(spec)])
-    grad = gradient(v, zeta, I0, g, RegParams(0.0, 0.0), FD_KERNEL)
-    f1 = Image(spec, I0.values + zeta.samples[0].values)
+    zeta = sfield(tg, [smooth_img(rng, 0.4, spec=spec)])
+    grad = gradient_at(v, zeta, I0, [(1, g)], RegParams(0.0, 0.0))
+    f1 = Image(spec, I0.values + zeta.values[0])
     direct = discrepancy_gradient(forward_project(f1, geo), g, spec)
     scale = np.abs(direct.values).max()
-    assert np.abs(grad.grad_zeta.samples[0].values - direct.values).max() <= 1e-10 * scale
+    assert np.abs(grad.grad_zeta.values[0] - direct.values).max() <= 1e-10 * scale
 
 
 def test_gradient_matches_finite_differences():
     tg, geo, I0, g = make_problem(n_steps=5)
     params = RegParams(1e-6, 1e-6)
+    gates = [(5, g)]
     v, zeta = random_state(5, seed=3)
-    grad = gradient(v, zeta, I0, g, params, FD_KERNEL)
-    rng = np.random.default_rng(17)
-    eps = 0.02
-    pairs, fds = [], []
-    for _ in range(20):
-        rs, dirs, etas = smoothed_direction(rng, 5)
-        wf = TimeVaryingVectorField(tg, dirs)
-        ef = TimeVaryingScalarField(tg, etas)
-        pairs.append(pair_gradient(grad, rs, etas, 5))
-        fds.append(central_fd(
-            lambda a: evaluate(v.add_scaled(wf, a), zeta.add_scaled(ef, a), I0, g, params),
-            eps))
-    pairs, fds = np.array(pairs), np.array(fds)
+    grad = gradient_at(v, zeta, I0, gates, params)
+    pairs, fds = fd_check(v, zeta, grad,
+                          lambda v, z: evaluate_parts(v, z, I0, gates, params)[0], 5, eps=0.02)
     scale = np.abs(fds).max()
     assert np.abs(pairs - fds).max() <= 1e-3 * scale
     assert np.median(np.abs(pairs - fds) / np.abs(fds)) <= 1e-3
@@ -200,23 +185,22 @@ def test_zero_residual_fixed_point():
     v, zeta = random_state(4, seed=8, amp_v=0.3, amp_z=0.4)
     traj = trajectories(v, zeta, I0)
     g = forward_project(traj.image_traj[-1], geo)
-    grad = gradient(v, zeta, I0, g, RegParams(0.0, 0.0), FD_KERNEL)
-    for s in grad.grad_v.samples:
-        assert np.all(s.vx == 0.0) and np.all(s.vy == 0.0)
-    for s in grad.grad_zeta.samples:
-        assert np.all(s.values == 0.0)
+    grad = gradient_at(v, zeta, I0, [(4, g)], RegParams(0.0, 0.0))
+    assert not grad.grad_v.values.any()
+    assert not grad.grad_zeta.values.any()
 
 
 def test_descent_direction_decreases_objective():
     tg, geo, I0, g = make_problem(n_steps=4)
     params = RegParams(1e-5, 1e-5)
+    gates = [(4, g)]
     v, zeta = random_state(4, seed=9, amp_v=0.2, amp_z=0.3)
-    grad = gradient(v, zeta, I0, g, params, FD_KERNEL)
-    J0 = evaluate(v, zeta, I0, g, params)
+    grad = gradient_at(v, zeta, I0, gates, params)
+    J0 = evaluate_parts(v, zeta, I0, gates, params)[0]
     step = 1e-4
     for _ in range(20):
-        J_new = evaluate(v.add_scaled(grad.grad_v, -step),
-                         zeta.add_scaled(grad.grad_zeta, -step), I0, g, params)
+        J_new = evaluate_parts(v.add_scaled(grad.grad_v, -step),
+                               zeta.add_scaled(grad.grad_zeta, -step), I0, gates, params)[0]
         if J_new < J0:
             break
         step *= 0.5
@@ -234,25 +218,18 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
     # the whole gradient at gamma = tau = 0 is the data gradient
     data = gradient_core(v, zeta, state, gates, RegParams(0.0, 0.0), FD_KERNEL)
-    for i in range(4):
-        got, vi, di = grad.grad_v.samples[i], v.samples[i], data.grad_v.samples[i]
-        assert np.array_equal(got.vx, params.gamma * vi.vx + di.vx)
-        assert np.array_equal(got.vy, params.gamma * vi.vy + di.vy)
-        assert np.array_equal(grad.grad_zeta.samples[i].values,
-                              params.tau * zeta.samples[i].values
-                              + data.grad_zeta.samples[i].values)
+    assert np.array_equal(grad.grad_v.values, params.gamma * v.values + data.grad_v.values)
+    assert np.array_equal(grad.grad_zeta.values,
+                          params.tau * zeta.values + data.grad_zeta.values)
     # at the last step the velocity data gradient is the kernel-smoothed r G_3,
     # with G_3 the gradient of f_3 + dt zeta_3 sampled through that step's
     # stencil S_3, and the intensity one is r carried back by S_3^T, unsmoothed
     r = discrepancy_gradient(state.projections[0], g, FD_SPEC).values
     dt = tg.dt
-    S3 = transport_stencil(v.samples[3], dt)
-    G = gradient_central(Image(FD_SPEC, state.images[3].values + dt * zeta.samples[3].values))
+    S3 = transport_stencil(v, 3)
+    G = gradient_central(Image(FD_SPEC, state.images[3].values + dt * zeta.values[3]))
     Gx, Gy = S3.apply(G.vx), S3.apply(G.vy)
     smoothed = kernel_apply(VectorImage(FD_SPEC, r * Gx, r * Gy), FD_KERNEL)
-    assert np.array_equal(data.grad_v.samples[3].vx, -smoothed.vx)
-    assert np.array_equal(data.grad_v.samples[3].vy, -smoothed.vy)
-    assert np.array_equal(data.grad_zeta.samples[3].values, S3.transpose(r))
-    # the inert final sample gets a zero gradient
-    assert np.all(grad.grad_v.samples[4].vx == 0.0)
-    assert np.all(grad.grad_zeta.samples[4].values == 0.0)
+    assert np.array_equal(data.grad_v.values[3, 0], -smoothed.vx)
+    assert np.array_equal(data.grad_v.values[3, 1], -smoothed.vy)
+    assert np.array_equal(data.grad_zeta.values[3], S3.transpose(r))

@@ -6,30 +6,18 @@ import pytest
 from helpers import (
     FD_KERNEL,
     FD_SPEC,
-    central_fd,
-    pair_gradient,
+    fd_check,
+    gradient_at,
     random_state,
     smooth_bump,
-    smoothed_direction,
 )
 from metamorph import objective
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import Image
 from metamorph.metamorphosis import TimeVaryingScalarField
-from metamorph.objective import (
-    RegParams,
-    evaluate,
-    evaluate_parts,
-    gradient,
-    gradient_core,
-)
+from metamorph.objective import RegParams, evaluate_parts, gradient_core
 from metamorph.ray import Geometry, Sinogram, _build_operator, forward_project
-from metamorph.spatiotemporal import (
-    GatedData,
-    gate_angles,
-    gated_evaluate,
-    gated_gradient,
-)
+from metamorph.spatiotemporal import GatedData, gate_angles
 
 EXTENT = 16.0 * math.sqrt(2.0)
 
@@ -82,7 +70,7 @@ def test_consistent_static_gates_give_zero():
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     geos = [Geometry.uniform(m, 40, EXTENT) for m in (8, 9, 10)]
     gated = GatedData([(k, forward_project(I0, geos[k - 1])) for k in (1, 2, 3)])
-    assert gated_evaluate(v, zeta, I0, gated, RegParams(1.0, 1.0)) == 0.0
+    assert evaluate_parts(v, zeta, I0, gated.gates, RegParams(1.0, 1.0))[0] == 0.0
 
 
 def test_repeated_gated_evaluation_builds_no_operator():
@@ -106,12 +94,10 @@ def test_gated_data_rejects_empty_gate_list():
 
 @pytest.mark.parametrize("index", [7, -1])
 def test_gated_data_rejects_gate_index_off_the_time_grid(index):
-    tg, I0, gated = make_gated_problem()
-    v, zeta = random_state(tg.n_steps, seed=3)
+    tg, _, gated = make_gated_problem()
     grid = r"1\.\.6" if index > 0 else r"1\.\.N"
     with pytest.raises(ValueError, match=rf"gate index {index} outside the time grid {grid}"):
-        gated_evaluate(v, zeta, I0, GatedData(gated.gates[:2] + [(index, gated.gates[2][1])]),
-                       RegParams(1e-4, 1e-3))
+        GatedData(gated.gates[:2] + [(index, gated.gates[2][1])]).check_against(tg)
 
 
 def test_gated_data_rejects_decreasing_gate_indices():
@@ -161,23 +147,6 @@ def test_bound_below_first_gate_stops_after_one_projection(monkeypatch):
     assert len(calls) == 1
 
 
-def test_single_gate_collapses_to_single_target():
-    n = 5
-    tg, geo, I0, g = TimeGrid(n), Geometry.uniform(20, 48, EXTENT), smooth_bump(1.0, 0.0, 5.0, 1.0), None
-    target = smooth_bump(-1.0, 0.5, 5.5, 0.8)
-    g = forward_project(target, geo)
-    params = RegParams(1e-4, 1e-3)
-    v, zeta = random_state(n, seed=21, amp_v=0.3, amp_z=0.4)
-    gated = GatedData([(n, g)])
-    assert gated_evaluate(v, zeta, I0, gated, params) == evaluate(v, zeta, I0, g, params)
-    a = gated_gradient(v, zeta, I0, gated, params, FD_KERNEL)
-    b = gradient(v, zeta, I0, g, params, FD_KERNEL)
-    for sa, sb in zip(a.grad_v.samples, b.grad_v.samples):
-        assert np.array_equal(sa.vx, sb.vx) and np.array_equal(sa.vy, sb.vy)
-    for sa, sb in zip(a.grad_zeta.samples, b.grad_zeta.samples):
-        assert np.array_equal(sa.values, sb.values)
-
-
 def test_two_identical_gates_double_data_term():
     n = 4
     tg = TimeGrid(n)
@@ -189,8 +158,8 @@ def test_two_identical_gates_double_data_term():
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     params = RegParams(0.0, 0.0)
     # same sinogram pinned at two different times of a static trajectory
-    single = gated_evaluate(v, zeta, I0, GatedData([(4, g)]), params)
-    double = gated_evaluate(v, zeta, I0, GatedData([(2, g), (4, g)]), params)
+    single = evaluate_parts(v, zeta, I0, [(4, g)], params)[0]
+    double = evaluate_parts(v, zeta, I0, [(2, g), (4, g)], params)[0]
     assert double == pytest.approx(2.0 * single, rel=1e-12)
 
 
@@ -204,8 +173,7 @@ def test_data_gradient_adds_up_over_gates():
     def arrays(gates):
         state = evaluate_parts(v, zeta, I0, gates, params)[4]
         grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
-        return ([s.vx for s in grad.grad_v.samples], [s.vy for s in grad.grad_v.samples],
-                [s.values for s in grad.grad_zeta.samples])
+        return grad.grad_v.values[:, 0], grad.grad_v.values[:, 1], grad.grad_zeta.values
 
     together = arrays(gated.gates)
     alone = [arrays([gate]) for gate in gated.gates]
@@ -224,32 +192,21 @@ def test_gate_locality_of_data_gradient():
     geo = Geometry.uniform(15, 40, EXTENT)
     gated = GatedData([(1, forward_project(target, geo))])
     v, zeta = random_state(n, seed=23, amp_v=0.2, amp_z=0.3)
-    grad = gated_gradient(v, zeta, I0, gated, RegParams(0.0, 0.0), FD_KERNEL)
-    # data contributions exist only for samples feeding the first step
-    assert np.any(grad.grad_v.samples[0].vx)
-    assert np.any(grad.grad_zeta.samples[0].values)
-    for i in range(1, n + 1):
-        assert np.all(grad.grad_v.samples[i].vx == 0.0)
-        assert np.all(grad.grad_v.samples[i].vy == 0.0)
-        assert np.all(grad.grad_zeta.samples[i].values == 0.0)
+    grad = gradient_at(v, zeta, I0, gated.gates, RegParams(0.0, 0.0))
+    # data contributions exist only for the controls driving the first step
+    assert np.any(grad.grad_v.values[0, 0])
+    assert np.any(grad.grad_zeta.values[0])
+    assert not grad.grad_v.values[1:].any()
+    assert not grad.grad_zeta.values[1:].any()
 
 
 def test_gated_gradient_matches_finite_differences():
     tg, I0, gates = make_gated_problem(n_steps=6)
     params = RegParams(1e-6, 1e-6)
     v, zeta = random_state(6, seed=3)
-    grad = gated_gradient(v, zeta, I0, gates, params, FD_KERNEL)
-    rng = np.random.default_rng(17)
-    eps = 0.04
-    pairs, fds = [], []
-    for _ in range(20):
-        rs, dirs, etas = smoothed_direction(rng, 6)
-        wf = TimeVaryingVectorField(tg, dirs)
-        ef = TimeVaryingScalarField(tg, etas)
-        pairs.append(pair_gradient(grad, rs, etas, 6))
-        fds.append(central_fd(
-            lambda a: gated_evaluate(v.add_scaled(wf, a), zeta.add_scaled(ef, a),
-                                     I0, gates, params), eps))
-    pairs, fds = np.array(pairs), np.array(fds)
+    grad = gradient_at(v, zeta, I0, gates.gates, params)
+    pairs, fds = fd_check(v, zeta, grad,
+                          lambda v, z: evaluate_parts(v, z, I0, gates.gates, params)[0], 6,
+                          eps=0.04)
     assert np.abs(pairs - fds).max() <= 1e-3 * np.abs(fds).max()
     assert np.median(np.abs(pairs - fds) / np.abs(fds)) <= 1e-3
