@@ -22,7 +22,8 @@ from .fileio import (atomic_write_bytes, read_gated_bundle, read_image_raw, read
                      write_gated_bundle, write_image_raw, write_pgm, write_sinogram)
 from .flow import TimeGrid
 from .grid import GridSpec
-from .harness import Disc, Ellipse, PhantomSpec, Triangle, make_phantom, psnr, ssim
+from .harness import (Disc, Ellipse, PhantomSpec, Triangle, check_inside, make_phantom, psnr,
+                      ssim)
 from .kernel import KernelSpec
 from .objective import RegParams
 from .optimizer import LOG_FIELDS, SolveConfig, reconstruct
@@ -175,8 +176,12 @@ def _shape_takes(cfg: ConfigReader, key: str, shape: str, vals) -> bool:
     return takes
 
 
-def _phantom_spec(cfg: ConfigReader):
-    """The [phantom] section; an evolving sequence also reads and checks [time] steps."""
+def _phantom_spec(cfg: ConfigReader, spec):
+    """The [phantom] section; an evolving sequence also reads and checks [time] steps.
+
+    Every shape of every frame must lie inside the grid's domain, checked
+    once the section has no other problem."""
+    problems = len(cfg.problems)
     kind = cfg.get_str("phantom", "kind", required=True,
                        choices=("discs", "triangle_pair", "shepp_like", "evolving_sequence"))
     background = cfg.get_float("phantom", "background", 0.0)
@@ -219,7 +224,10 @@ def _phantom_spec(cfg: ConfigReader):
         appear = cfg.get_floats("phantom", "appear", None)
         if appear and _shape_takes(cfg, "appear", "disc", appear):
             kw["appear"] = Disc(*appear)
-    return _build(cfg, "phantom", PhantomSpec, **kw)
+    phantom = _build(cfg, "phantom", PhantomSpec, **kw)
+    if phantom is not None and spec is not None and len(cfg.problems) == problems:
+        _build(cfg, "phantom", check_inside, phantom, spec)
+    return phantom
 
 
 def _out_dir(cfg: ConfigReader, args) -> Path:
@@ -256,7 +264,7 @@ def _write_rows_csv(path, fieldnames, rows):
 def cmd_phantom(args) -> int:
     cfg = ConfigReader(args.config)
     spec = _grid(cfg)
-    phantom = _phantom_spec(cfg)
+    phantom = _phantom_spec(cfg, spec)
     cfg.finish()
     out = _out_dir(cfg, args)
     result = make_phantom(phantom, spec)
@@ -362,7 +370,7 @@ def cmd_gated(args) -> int:
 def cmd_project_gated(args) -> int:
     cfg = ConfigReader(args.config)
     spec = _grid(cfg)
-    phantom = _phantom_spec(cfg)
+    phantom = _phantom_spec(cfg, spec)
     steps = None
     if phantom is not None and phantom.kind != "evolving_sequence":
         cfg.problems.append("[phantom] kind: gated projection needs an evolving_sequence")

@@ -1,6 +1,6 @@
 """Shared builders for the gradient finite-difference checks, and per-sample
-references for the ray transform, the bilinear samplers and the SSIM window
-mean.
+references for the ray transform, the bilinear samplers, the SSIM window
+mean and the phantom rasteriser.
 
 The fields are kernel-smoothed noise, tapered to vanish near the boundary
 (velocities are compactly supported in the model), and the template/target
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
+from metamorph.harness import _SUPER, _disc_mask, _downsample, _ellipse_mask, _triangle_mask
 from metamorph.kernel import KernelSpec, kernel_apply, vfield_l2_inner
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.metamorphosis import TimeVaryingScalarField
@@ -214,3 +215,18 @@ def strided_window_mean(x, w):
     """Reference for harness._window_mean: numpy's mean over a strided view
     of every w x w window."""
     return np.lib.stride_tricks.sliding_window_view(x, (w, w)).mean(axis=(2, 3))
+
+
+def full_grid_rasterise(grid, background, discs, triangles, ellipses):
+    """Reference for harness._rasterise: every shape's mask over the whole
+    supersampled grid, from 2-D meshgrid coordinates, added in shape order."""
+    sub = GridSpec(grid.half_width, grid.nx * _SUPER, grid.ny * _SUPER)
+    xx, yy = np.meshgrid(sub.xs(), sub.ys(), indexing="ij")
+    fine = np.full(xx.shape, float(background))
+    for d in discs:
+        fine += d.intensity * _disc_mask(xx, yy, d)
+    for t in triangles:
+        fine += t.intensity * _triangle_mask(xx, yy, t)
+    for e in ellipses:
+        fine += e.intensity * _ellipse_mask(xx, yy, e)
+    return Image(grid, _downsample(fine, grid))

@@ -489,6 +489,30 @@ out_dir = {out}
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["phantom", "project-gated"])
+@pytest.mark.parametrize("extra, problem", [
+    ("disc0 = 14, 0, 3.0, 1.0", "disc at (14.0, 0.0) r=3.0 leaves the domain at t = 0.0"),
+    ("disc0 = 10, 0, 3.0, 1.0\ndrift = 10, 0",
+     "disc at (15.0, 0.0) r=3.0 leaves the domain at t = 0.5"),
+    ("triangle0 = -4, -4, 4, -4, 0, 4\ndrift = 0, 14",
+     "triangle vertex (0.0, 18.0) leaves the domain at t = 1.0"),
+])
+def test_shape_outside_the_domain_is_a_config_problem(tmp_path, capsys, command, extra,
+                                                      problem):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+{extra}
+
+[io]
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == f"error: config: 1 problem(s): [phantom]: {problem}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, problem", [
     ("disc1", "0, 0, nan", "discs[1] must be finite"),
     ("disc1", "0, 0, -3", "discs[1] needs r > 0"),

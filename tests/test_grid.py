@@ -179,6 +179,19 @@ def test_gradient_quadratic_analytic():
     assert err <= 1e-10  # central differences are exact on quadratics
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 128])
+def test_gradient_and_divergence_equal_np_gradient_bit_for_bit(n):
+    spec = GridSpec(16.0, n, n)
+    rng = np.random.default_rng(n)
+    f, w = rng.normal(size=spec.shape), rng.normal(size=spec.shape)
+    g = gradient_central(Image(spec, f))
+    assert np.array_equal(g.vx, np.gradient(f, spec.h, axis=0, edge_order=1))
+    assert np.array_equal(g.vy, np.gradient(f, spec.h, axis=1, edge_order=1))
+    d = divergence(VectorImage(spec, f, w))
+    assert np.array_equal(d.values, np.gradient(f, spec.h, axis=0, edge_order=1)
+                          + np.gradient(w, spec.h, axis=1, edge_order=1))
+
+
 def test_divergence_trivials(spec):
     zero = divergence(VectorImage(spec, np.full(spec.shape, 1.0), np.full(spec.shape, -2.0)))
     assert np.all(zero.values == 0.0)

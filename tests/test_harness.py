@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import strided_window_mean
+from helpers import full_grid_rasterise, strided_window_mean
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from metamorph.harness import (
     Triangle,
     add_noise,
     make_phantom,
+    _frame_at,
     _window_mean,
     psnr,
     ssim,
@@ -152,6 +153,78 @@ def test_evolving_drift_and_appearance():
     # appearing disc present at t=1
     assert frames[2].values[np.argmin(np.abs(SPEC.xs() - 5)), np.argmin(np.abs(SPEC.ys() - 5))] > 0.9
     assert frames[1].values[np.argmin(np.abs(SPEC.xs() - 5)), np.argmin(np.abs(SPEC.ys() - 5))] == 0.0
+
+
+def test_evolving_triangle_drifts():
+    spec = PhantomSpec("evolving_sequence", triangles=(Triangle(((-4, -4), (4, -4), (0, 4))),),
+                       drift=(5.0, 0.0), times=(0.0, 1.0))
+    frames = make_phantom(spec, SPEC)
+    assert not np.array_equal(frames[0].values, frames[1].values)
+    centroids = [np.array([np.sum(SPEC.xs()[:, None] * f.values),
+                           np.sum(SPEC.ys()[None, :] * f.values)]) / f.values.sum()
+                 for f in frames]
+    assert np.abs(centroids[1] - centroids[0] - (5.0, 0.0)).max() <= SPEC.h
+
+
+def test_evolving_triangle_leaving_the_domain_rejected():
+    spec = PhantomSpec("evolving_sequence", triangles=(Triangle(((-4, -4), (4, -4), (0, 4))),),
+                       growth=1.0, times=(0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match=r"^triangle vertex .* leaves the domain at t = 1.0$"):
+        make_phantom(spec, GridSpec(7.0, 64, 64))
+
+
+RASTER_SPEC = GridSpec(8.0, 16, 16)
+L_RASTER = RASTER_SPEC.half_width
+intensities = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def discs(draw, room=L_RASTER):
+    """A disc inside [-room, room]^2; a centre factor of +-1 puts it against an edge."""
+    r = draw(st.floats(0.05, room / 2))
+    cx, cy = (draw(st.floats(-1.0, 1.0)) * (room - r) for _ in range(2))
+    return Disc(cx, cy, r, draw(intensities))
+
+
+@st.composite
+def ellipses(draw, room=L_RASTER):
+    a, b = draw(st.floats(0.05, room / 2)), draw(st.floats(0.05, room / 2))
+    cx, cy = (draw(st.floats(-1.0, 1.0)) * (room - max(a, b)) for _ in range(2))
+    return Ellipse(cx, cy, a, b, draw(st.floats(0.0, 360.0)), draw(intensities))
+
+
+@st.composite
+def triangles(draw, room=L_RASTER):
+    coord = st.floats(-room, room)
+    verts = tuple((draw(coord), draw(coord)) for _ in range(3))
+    return Triangle(verts, draw(intensities))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(discs(), max_size=3), st.lists(triangles(), max_size=3),
+       st.lists(ellipses(), max_size=3), st.floats(-1.0, 1.0))
+def test_box_rasteriser_matches_the_full_grid(ds, ts, es, background):
+    spec = PhantomSpec("discs", background, tuple(ds), tuple(ts), tuple(es))
+    expected = full_grid_rasterise(RASTER_SPEC, background, spec.discs, spec.triangles,
+                                   spec.ellipses)
+    assert np.array_equal(make_phantom(spec, RASTER_SPEC).values, expected.values)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(discs(L_RASTER / 4), max_size=2), st.lists(triangles(L_RASTER / 4), max_size=2),
+       st.lists(ellipses(L_RASTER / 4), max_size=2), st.floats(-1.0, 1.0),
+       st.tuples(st.floats(-L_RASTER / 4, L_RASTER / 4), st.floats(-L_RASTER / 4, L_RASTER / 4)),
+       st.floats(-0.5, 0.5), st.none() | discs())
+def test_box_rasteriser_matches_the_full_grid_on_evolving_frames(ds, ts, es, background, drift,
+                                                                 growth, appear):
+    # shapes within L/4 of the centre, moved by at most L/4 and scaled by at most 1.5,
+    # stay inside on every frame
+    spec = PhantomSpec("evolving_sequence", background, tuple(ds), tuple(ts), tuple(es),
+                       times=(0.0, 0.3, 0.7, 1.0), drift=drift, growth=growth, appear=appear)
+    frames = make_phantom(spec, RASTER_SPEC)
+    for t, frame in zip(spec.times, frames):
+        expected = full_grid_rasterise(RASTER_SPEC, background, *_frame_at(spec, t))
+        assert np.array_equal(frame.values, expected.values)
 
 
 def noisy_sinogram():
