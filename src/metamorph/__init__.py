@@ -19,7 +19,7 @@ from .grid import (
     gradient_central,
 )
 from .harness import Disc, Ellipse, PhantomSpec, Triangle, add_noise, make_phantom, psnr, ssim
-from .kernel import KernelSpec, kernel_apply, vfield_l2_inner
+from .kernel import KernelSpec, kernel_apply
 from .metamorphosis import (
     TimeVaryingScalarField,
     Trajectories,

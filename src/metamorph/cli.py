@@ -212,11 +212,12 @@ def _phantom_spec(cfg: ConfigReader, spec):
         if tgrid is None:
             return None
         drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
-        if len(drift) != 2:
+        if len(drift) == 2:
+            kw["drift"] = tuple(drift)
+        else:
             cfg.problems.append(f"[phantom] drift: need 2 values (dx, dy), got {len(drift)}")
         kw.update(
             times=tuple(tgrid.times()),
-            drift=tuple(drift),
             growth=cfg.get_float("phantom", "growth", 0.0),
             appear_time=cfg.get_float("phantom", "appear_time", 0.5),
             appear_ramp=cfg.get_float("phantom", "appear_ramp", 0.2),

@@ -137,9 +137,10 @@ def _advect(points: np.ndarray, stencil: Stencil, v_k: np.ndarray,
             dt_signed: float) -> np.ndarray:
     """points + dt * v_k(points), sampling the (2, nx, ny) control v_k
     through the points' stencil (zero extension outside)."""
+    weights = stencil.weights()
     out = np.empty_like(points)
-    out[..., 0] = points[..., 0] + dt_signed * stencil.apply(v_k[0])
-    out[..., 1] = points[..., 1] + dt_signed * stencil.apply(v_k[1])
+    out[..., 0] = points[..., 0] + dt_signed * stencil.apply(v_k[0], weights)
+    out[..., 1] = points[..., 1] + dt_signed * stencil.apply(v_k[1], weights)
     return _clamp_points(out, stencil.spec)
 
 

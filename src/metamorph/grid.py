@@ -7,15 +7,20 @@ here.  Fields are treated as zero outside the domain.
 
 This is the one bilinear interpolant; ray.py builds its matrix from
 bilinear_stencil too.  A Stencil, built once from a grid and a point set,
-holds each point's four corner indices and weights; applying it to a nodal
-array reads the corners from a copy with a one-pixel zero border, so
-off-grid corners need no masks or clips, and points outside the domain sit
-on the border's corner, so they read exactly zero.  Flows build one
+holds each point's corner (0, 0) as one flat index into a copy of the nodal
+array with a one-pixel zero border, plus the point's fractional offsets in
+its cell: 24 bytes per point.  The other three corners are fixed offsets
+from that index, read through shifted views of the padded array, and the
+four weights are derived from the offsets when the stencil is used.
+Corners off the grid need no masks or clips, and points outside the domain
+sit on the border's corner, so they read exactly zero.  The build does its
+arithmetic in place on the arrays the stencil keeps.  Flows build one
 stencil per point set and apply it to every array sampled there (both
-velocity components, or a velocity and an intensity control);
-sample_values_xy is one build and one apply.  Stencil.transpose scatters
-values at the points back onto the grid, the exact transpose of apply.
-sample_points_xy uses the same stencil on queries clamped onto the node hull.
+velocity components, or a velocity and an intensity control), deriving the
+weights once; sample_values_xy is one build and one apply.
+Stencil.transpose scatters values at the points back onto the grid, the
+exact transpose of apply.  sample_points_xy uses the same stencil on
+queries clamped onto the node hull.
 """
 
 from __future__ import annotations
@@ -133,58 +138,80 @@ class VectorImage:
 
 @dataclass(frozen=True, eq=False)
 class Stencil:
-    """Bilinear weights of one point set on one grid.
+    """Bilinear stencil of one point set on one grid, stored compactly.
 
-    index[c] and weights[c] address corner c = (0, 0), (1, 0), (0, 1), (1, 1)
-    of each point's cell in the nodal array padded with a one-pixel zero
-    border, so corners off the grid read zero and need no mask or clip.
-    One stencil serves every array sampled at the same points.
+    index holds each point's corner (0, 0) as a flat index into the nodal
+    array padded with a one-pixel zero border; corners (1, 0), (0, 1) and
+    (1, 1) lie ny + 2, 1 and ny + 3 further on (offsets), so they are read
+    through shifted views of the padded array, and corners off the grid
+    read zero and need no mask or clip.  (fu, fw) are the point's
+    fractional offsets in its cell: 24 bytes per point in all.  weights()
+    derives the four corner weights; a caller that applies one stencil to
+    several arrays derives them once and passes them to each apply.
     """
 
     spec: GridSpec
-    index: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    index: np.ndarray
+    fu: np.ndarray
+    fw: np.ndarray
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    @property
+    def offsets(self) -> tuple[int, int, int, int]:
+        """Flat offsets of corners (0, 0), (1, 0), (0, 1), (1, 1) from index."""
+        stride = self.spec.ny + 2
+        return (0, stride, 1, stride + 1)
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The weights of corners (0, 0), (1, 0), (0, 1), (1, 1)."""
+        gu = 1.0 - self.fu
+        gw = 1.0 - self.fw
+        return gu * gw, self.fu * gw, gu * self.fw, self.fu * self.fw
+
+    def apply(self, values: np.ndarray, weights=None) -> np.ndarray:
         """Sample one nodal value array at the stencil's points."""
         nx, ny = self.spec.shape
         padded = np.zeros((nx + 2, ny + 2))
         padded[1:-1, 1:-1] = values
         flat = padded.ravel()
-        (i00, i10, i01, i11), (w00, w10, w01, w11) = self.index, self.weights
+        i00 = self.index
+        _, o10, o01, o11 = self.offsets
+        w00, w10, w01, w11 = self.weights() if weights is None else weights
         out = w00 * flat.take(i00)
-        out += w10 * flat.take(i10)
-        out += w01 * flat.take(i01)
-        out += w11 * flat.take(i11)
+        out += w10 * flat[o10:].take(i00)
+        out += w01 * flat[o01:].take(i00)
+        out += w11 * flat[o11:].take(i00)
         return out
 
-    def transpose(self, values: np.ndarray) -> np.ndarray:
+    def transpose(self, values: np.ndarray, weights=None) -> np.ndarray:
         """Scatter values given at the stencil's points onto the grid.
 
         This is the exact transpose of apply: each point adds its value
         times a corner's weight into that corner, corners on the zero border
-        are dropped, so points outside the domain add nothing.
+        are dropped, so points outside the domain add nothing.  Each
+        corner's sums are binned on the one index and added at its offset.
         """
         nx, ny = self.spec.shape
         size = (nx + 2) * (ny + 2)
-        out = sum(np.bincount(index.ravel(), (weight * values).ravel(), size)
-                  for index, weight in zip(self.index, self.weights))
+        index = self.index.ravel()
+        out = np.zeros(size)
+        for offset, weight in zip(self.offsets, self.weights() if weights is None else weights):
+            out[offset:] += np.bincount(index, (weight * values).ravel(), size - offset)
         return out.reshape(nx + 2, ny + 2)[1:-1, 1:-1]
 
 
-def _stencil(spec: GridSpec, u, w) -> Stencil:
-    # (u, w) are node coordinates; the padded array puts node (i, j) at
-    # (i + 1, j + 1)
+def _stencil(spec: GridSpec, u: np.ndarray, w: np.ndarray) -> Stencil:
+    """The stencil of node coordinates (u, w), which it takes over: they
+    become its fractional offsets."""
+    # the padded array puts node (i, j) at (i + 1, j + 1)
     i0 = np.floor(u)
     j0 = np.floor(w)
-    fu = u - i0
-    fw = w - j0
-    stride = spec.ny + 2
-    k = ((i0 + 1.0) * stride + (j0 + 1.0)).astype(np.intp)
-    gu = 1.0 - fu
-    gw = 1.0 - fw
-    return Stencil(spec, (k, k + stride, k + 1, k + (stride + 1)),
-                   (gu * gw, fu * gw, gu * fw, fu * fw))
+    u -= i0
+    w -= j0
+    i0 += 1.0
+    i0 *= spec.ny + 2
+    j0 += 1.0
+    i0 += j0
+    return Stencil(spec, i0.astype(np.intp), u, w)
 
 
 def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
@@ -194,11 +221,18 @@ def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
     the domain itself return exactly zero.
     """
     L = spec.half_width
-    outside = (np.abs(px) > L) | (np.abs(py) > L)
+    outside = np.abs(px) > L
+    outside |= np.abs(py) > L
+    u = px + L
+    u /= spec.h
+    u -= 0.5
+    w = py + L
+    w /= spec.h
+    w -= 0.5
     # node (-1, -1) is the border's corner: weight 1 on a padded zero, 0 on
     # the other three corners
-    u = np.where(outside, -1.0, (px + L) / spec.h - 0.5)
-    w = np.where(outside, -1.0, (py + L) / spec.h - 0.5)
+    u[outside] = -1.0
+    w[outside] = -1.0
     return _stencil(spec, u, w)
 
 
@@ -226,9 +260,10 @@ def sample_points_xy(points: np.ndarray, spec: GridSpec,
     # a query on the far edge u = nx - 1 gives the corners past it weight 0,
     # and they read the zero border
     st = _stencil(spec, u, w)
+    weights = st.weights()
     out = np.empty(u.shape + (2,))
-    out[..., 0] = st.apply(points[..., 0])
-    out[..., 1] = st.apply(points[..., 1])
+    out[..., 0] = st.apply(points[..., 0], weights)
+    out[..., 1] = st.apply(points[..., 1], weights)
     return out
 
 
@@ -259,13 +294,3 @@ def divergence(v: VectorImage) -> Image:
     h = v.spec.h
     return Image(v.spec, _central_difference(v.vx, h, 0) + _central_difference(v.vy, h, 1))
 
-
-def image_l2_inner(a: Image, b: Image) -> float:
-    """Grid L2 inner product sum(a*b) h^2."""
-    if a.spec != b.spec:
-        raise ValueError("images must share one grid")
-    return float(np.sum(a.values * b.values)) * a.spec.h ** 2
-
-
-def image_l2_norm_sq(a: Image) -> float:
-    return float(np.sum(a.values * a.values)) * a.spec.h ** 2

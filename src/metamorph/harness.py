@@ -80,6 +80,8 @@ class PhantomSpec:
         kinds = ("discs", "triangle_pair", "shepp_like", "evolving_sequence")
         if self.kind not in kinds:
             raise ValueError(f"unknown phantom kind {self.kind!r}, expected one of {kinds}")
+        if np.shape(self.drift) != (2,):
+            raise ValueError(f"drift needs 2 values (dx, dy), got {self.drift!r}")
         for name in ("background", "drift", "growth", "appear_time", "appear_ramp", "times"):
             value = getattr(self, name)
             if not np.isfinite(value).all():

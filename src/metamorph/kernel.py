@@ -61,9 +61,3 @@ def kernel_apply(v: VectorImage, k: KernelSpec) -> VectorImage:
     hsq = spec.h ** 2
     return VectorImage(spec, B @ v.vx @ B.T * hsq, B @ v.vy @ B.T * hsq)
 
-
-def vfield_l2_inner(u: VectorImage, v: VectorImage) -> float:
-    """Grid L2 inner product of vector fields, sum(u . v) h^2."""
-    if u.spec != v.spec:
-        raise ValueError("vector fields must share one grid")
-    return float(np.sum(u.vx * v.vx) + np.sum(u.vy * v.vy)) * u.spec.h ** 2

@@ -11,9 +11,9 @@ x - (1/N) v_k(x) of the nodes, built once per step by transport_stencil.
 The controls v_k and zeta_k, k = 0..N-1, drive step k and nothing else.
 Three trajectories are exposed:
 
-* the image f_{t_i}: the step above (image_levels streams it level by level,
-  so the objective can stop as soon as the levels it has seen decide the
-  evaluation);
+* the image f_{t_i}: the step above (image_levels streams it step by step,
+  each level with the stencil that reached it, so the objective can stop as
+  soon as the levels it has seen decide the evaluation);
 * the deformation part: the same step with zeta = 0, one more apply of each
   level's S_k, so geometry alone moves the template;
 * the template part I(t_i): intensity alone, the running sum in the frame
@@ -24,13 +24,18 @@ Three trajectories are exposed:
   with zeta_j sampled through the stencil that also advects the points
   phi_{0,t_j} a step further (flow.forward_levels).
 
-The objective reads image_levels only; the optimizer calls trajectories once,
-when the solve is done.  evolve_template and group_action are standalone
-forms the solver does not call.
+The objective reads image_levels only, and keeps each step's stencil S_k
+with the levels, so S_k is built once per accepted iterate and read again by
+the gradient and by trajectories.  The optimizer calls trajectories once,
+when the solve is done, with the last accepted evaluation's levels and
+stencils; it builds only the steps after the last gate, and the template
+part.  evolve_template and group_action are standalone forms the solver
+does not call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,28 +121,38 @@ def transport_stencil(v: TimeVaryingVectorField, k: int) -> Stencil:
 
 def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                  I0: Image, end: int):
-    """Yield the image trajectory f_{t_i} for i = 0..end, one step per request."""
+    """Yield each step's stencil S_k and the level f_{t_{k+1}} it reaches,
+    k = 0..end-1, one step per request (f_0 is I0)."""
     _check_consistent(v, zeta, I0)
     dt = v.tgrid.dt
     f = I0.values
-    yield I0.copy()
     for k in range(end):
-        f = transport_stencil(v, k).apply(f + dt * zeta.values[k])
-        yield Image(v.spec, f)
-
-
-def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                 I0: Image) -> Trajectories:
-    """All three output trajectories; entry 0 of each equals the template."""
-    _check_consistent(v, zeta, I0)
-    n = v.tgrid.n_steps
-    dt = v.tgrid.dt
-    out = Trajectories([I0.copy()], [I0.copy()], list(_template_levels(v, zeta, I0, n)))
-    f = d = I0.values
-    for k in range(n):
         stencil = transport_stencil(v, k)
         f = stencil.apply(f + dt * zeta.values[k])
-        d = stencil.apply(d)
+        yield stencil, Image(v.spec, f)
+
+
+def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Image,
+                 images: Sequence[Image] = (), stencils: Sequence[Stencil] = ()
+                 ) -> Trajectories:
+    """All three output trajectories; entry 0 of each equals the template.
+
+    images f_0..f_M and stencils S_0..S_{M-1}, as an evaluation built them
+    for these (v, zeta, I0), are read instead of being built again; the
+    steps after M are built here.
+    """
+    _check_consistent(v, zeta, I0)
+    dt = v.tgrid.dt
+    stencils = list(stencils)
+    out = Trajectories([I0.copy(), *images[1:]], [I0.copy()],
+                       list(_template_levels(v, zeta, I0, v.tgrid.n_steps)))
+    f = out.image_traj[-1].values
+    for k in range(len(stencils), v.tgrid.n_steps):
+        stencils.append(transport_stencil(v, k))
+        f = stencils[k].apply(f + dt * zeta.values[k])
         out.image_traj.append(Image(v.spec, f))
+    d = I0.values
+    for stencil in stencils:
+        d = stencil.apply(d)
         out.deformation_traj.append(Image(v.spec, d))
     return out

@@ -39,10 +39,13 @@ Gate indices must be strictly increasing in 1..N; nothing here checks
 that.  spatiotemporal.GatedData does, where a gate list enters the library,
 and optimizer.reconstruct builds its one gate at N.
 
-The forward model (image trajectory and gate projections) is built in one
-place, evaluate_parts.  It returns the image trajectory and the projections
-as a ForwardState, and the gradient at the same (v, zeta) reads them instead
-of building the model again.
+The forward model (image trajectory, step stencils and gate projections) is
+built in one place, evaluate_parts.  It returns them as a ForwardState, and
+the gradient at the same (v, zeta) reads them instead of building the model
+again: S_k is built once per accepted iterate, by the evaluation, and the
+backward sweep reads it, as the optimizer's final trajectories do.  Each
+stencil is stored compactly (grid.Stencil, 24 bytes per node), so the state
+holds 32 bytes per node per level with its image.
 
 evaluate_parts builds the model one time level at a time (image_levels) and
 projects each gate as soon as its level exists, adding the discrepancies in
@@ -63,9 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeVaryingVectorField
-from .grid import GridSpec, Image, VectorImage, gradient_central
+from .grid import GridSpec, Image, Stencil, VectorImage, gradient_central
 from .kernel import KernelSpec, kernel_apply
-from .metamorphosis import TimeVaryingScalarField, image_levels, transport_stencil
+from .metamorphosis import TimeVaryingScalarField, image_levels
 from .ray import Sinogram, back_project, forward_project
 
 
@@ -117,10 +120,12 @@ def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
 
 @dataclass
 class ForwardState:
-    """Image trajectory f_0..f_M (M the last gate index) and T f_e per gate,
-    as one evaluation built them for the gradient at the same (v, zeta)."""
+    """Image trajectory f_0..f_M (M the last gate index), the step stencils
+    S_0..S_{M-1} and T f_e per gate, as one evaluation built them for the
+    gradient and the trajectories at the same (v, zeta)."""
 
     images: list[Image]
+    stencils: list[Stencil]
     projections: list[Sinogram]
 
 
@@ -136,18 +141,22 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     v_term = 0.5 * params.gamma * velocity_norm_sq(v)
     z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
     levels = image_levels(v, zeta, I0, gates[-1][0])
-    images = []
+    images = [I0.copy()]
+    stencils = []
     projections = []
     data = 0
     for end, g in gates:
         while len(images) <= end:
-            images.append(next(levels))
+            stencil, image = next(levels)
+            stencils.append(stencil)
+            images.append(image)
         proj = forward_project(images[end], g.geometry)
         projections.append(proj)
         data = data + data_discrepancy(proj, g)
         if bound is not None and not (v_term + z_term + data <= bound):
             return None
-    return v_term + z_term + data, data, v_term, z_term, ForwardState(images, projections)
+    state = ForwardState(images, stencils, projections)
+    return v_term + z_term + data, data, v_term, z_term, state
 
 
 def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
@@ -155,10 +164,12 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                   params: RegParams, kernel: KernelSpec) -> GradientPair:
     """Full gradient for (end index, sinogram) gates from evaluate_parts' state.
 
-    One backward sweep from the last gate.  Each level rebuilds its step's
-    stencil S_k from v_k; the forward state supplies the image f_k, whose
-    sampled gradient is G_k, and the gate projections, whose residuals the
-    sweep carries to every level through S_k^T.
+    One backward sweep from the last gate, which builds no stencil: the
+    forward state supplies each step's stencil S_k, as the evaluation built
+    it, the image f_k, whose sampled gradient is G_k, and the gate
+    projections, whose residuals the sweep carries to every level through
+    S_k^T.  Each level derives S_k's weights once, for G_k and for S_k^T.
+    The state is only read, so one state serves any number of calls.
     """
     spec = v.spec
     dt = v.tgrid.dt
@@ -174,15 +185,16 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     # at k+1 and later
     L = residuals[last]
     for k in range(last - 1, -1, -1):
-        stencil = transport_stencil(v, k)
+        stencil = state.stencils[k]
+        weights = stencil.weights()
         G = gradient_central(Image(spec, state.images[k].values + dt * zeta.values[k]))
         # one apply per component: a stacked (2, nx, ny) gather measured
         # about twice the time of two applies at 128^2
-        Gx, Gy = stencil.apply(G.vx), stencil.apply(G.vy)
+        Gx, Gy = stencil.apply(G.vx, weights), stencil.apply(G.vy, weights)
         smoothed = kernel_apply(VectorImage(spec, L * Gx, L * Gy), kernel)
         grad_v[k, 0] -= smoothed.vx
         grad_v[k, 1] -= smoothed.vy
-        carried = stencil.transpose(L)
+        carried = stencil.transpose(L, weights)
         grad_z[k] += carried
         L = carried + residuals.get(k, 0.0)
     return GradientPair(TimeVaryingVectorField(v.tgrid, spec, grad_v),

@@ -7,8 +7,11 @@ objective.  The 'lddmm' mode freezes zeta at zero and follows the velocity
 gradient only.
 
 Between the line search and the next gradient, descend keeps the accepted
-candidate's (v, zeta), objective terms and forward state (image trajectory
-and gate projections); the gradient reads that state, and is its last use.
+candidate's (v, zeta), objective terms and forward state (image trajectory,
+step stencils and gate projections); the gradient reads that state.  The
+previous gradient is dropped first, which makes room for the stencils.
+The last accepted state also gives the final trajectories their image part
+up to the last gate, unless a line search that found no decrease dropped it.
 
 Each candidate is evaluated against the current objective as a bound, so a
 rejected one stops at the first gate whose running objective exceeds it;
@@ -86,10 +89,10 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
 
     for it in range(1, cfg.max_iters + 1):
         grad = gradient_core(v, zeta, state, gates, params, kernel)
-        state = cand = None  # the line search holds one trajectory at a time
         if not (grad.grad_v.values.any() or (not lddmm and grad.grad_zeta.values.any())):
             stop_reason = "zero_gradient"
             break
+        state = cand = None  # the line search holds one trajectory at a time
 
         sv, sz = cfg.step_v, cfg.step_zeta
         for evals in range(1, MAX_HALVINGS + 2):
@@ -107,6 +110,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             break
 
         v, zeta = v_new, zeta_new
+        grad = None  # freed before the next one, making room for the stored stencils
         previous = total
         *terms, state = cand
         total = terms[0]
@@ -116,10 +120,12 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             stop_reason = "converged"
             break
 
+    # the last accepted state, unless a failed line search dropped it
+    known = (state.images, state.stencils) if state is not None else ()
     return SolveReport(
         objective_history=history,
         iterations_used=it,
-        trajectories=trajectories(v, zeta, I0),
+        trajectories=trajectories(v, zeta, I0, *known),
         stop_reason=stop_reason,
         log_rows=rows,
         final_v=v,

@@ -166,7 +166,7 @@ def _band_sums(spec: GridSpec, px: np.ndarray, py: np.ndarray, steep: bool,
     # the padded grid puts node (i, j) at (i + 1, j + 1), so corner (0, 0)
     # decodes to the node (i1, j1) of corner (1, 1); every point lies in the
     # domain or at node (-1, -1), so 0 <= i1 <= nx and 0 <= j1 <= ny
-    i1, j1 = np.divmod(stencil.index[0], ny + 2)
+    i1, j1 = np.divmod(stencil.index, ny + 2)
     # a corner on the zero border weighs nothing; clip it into the grid for
     # the band arithmetic
     i_on, j_on = (i1 > 0, i1 < nx), (j1 > 0, j1 < ny)
@@ -174,7 +174,7 @@ def _band_sums(spec: GridSpec, px: np.ndarray, py: np.ndarray, steep: bool,
     j_in = (np.maximum(j1 - 1, 0), np.minimum(j1, ny - 1))
     ray_major = (np.arange(px.shape[0]) * n_major)[:, None]
     sums = np.zeros(px.shape[0] * n_major * band)
-    for (di, dj), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), stencil.weights):
+    for (di, dj), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), stencil.weights()):
         wt = wt * (i_on[di] & j_on[dj])
         ii, jj = i_in[di], j_in[dj]
         major, minor = (jj, ii) if steep else (ii, jj)

@@ -12,15 +12,33 @@ import math
 
 import numpy as np
 
-from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
+from metamorph.grid import GridSpec, Image, VectorImage
 from metamorph.harness import _SUPER, _disc_mask, _downsample, _ellipse_mask, _triangle_mask
-from metamorph.kernel import KernelSpec, kernel_apply, vfield_l2_inner
+from metamorph.kernel import KernelSpec, kernel_apply
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.objective import evaluate_parts, gradient_core
 
 FD_SPEC = GridSpec(16.0, 32, 32)
 FD_KERNEL = KernelSpec(4.0)
+
+
+def image_l2_inner(a: Image, b: Image) -> float:
+    """Grid L2 inner product sum(a*b) h^2."""
+    if a.spec != b.spec:
+        raise ValueError("images must share one grid")
+    return float(np.sum(a.values * b.values)) * a.spec.h ** 2
+
+
+def image_l2_norm_sq(a: Image) -> float:
+    return float(np.sum(a.values * a.values)) * a.spec.h ** 2
+
+
+def vfield_l2_inner(u: VectorImage, v: VectorImage) -> float:
+    """Grid L2 inner product of vector fields, sum(u . v) h^2."""
+    if u.spec != v.spec:
+        raise ValueError("vector fields must share one grid")
+    return float(np.sum(u.vx * v.vx) + np.sum(u.vy * v.vy)) * u.spec.h ** 2
 
 
 def _taper(spec):

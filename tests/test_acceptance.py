@@ -15,6 +15,7 @@ from helpers import (
     FD_SPEC,
     fd_check,
     gradient_at,
+    image_l2_inner,
     random_state,
     smooth_bump,
     vfield,
@@ -31,7 +32,7 @@ from metamorph.experiments import (
     solve_gated,
 )
 from metamorph.flow import TimeGrid, maps_from_zero
-from metamorph.grid import GridSpec, Image, VectorImage, image_l2_inner
+from metamorph.grid import GridSpec, Image, VectorImage
 from metamorph.harness import Disc, PhantomSpec, add_noise, make_phantom, psnr, ssim
 from metamorph.kernel import KernelSpec
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories

@@ -489,6 +489,25 @@ out_dir = {out}
     assert not out.exists()
 
 
+def test_one_value_drift_is_one_config_problem(tmp_path, capsys):
+    # the CLI reports it once, in its own words; the library's drift check
+    # never sees the value
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+drift = 4
+
+[io]
+out_dir = {out}
+""")
+    assert main(["phantom", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [phantom] drift: need 2 values (dx, dy), got 1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["phantom", "project-gated"])
 @pytest.mark.parametrize("extra, problem", [
     ("disc0 = 14, 0, 3.0, 1.0", "disc at (14.0, 0.0) r=3.0 leaves the domain at t = 0.0"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hull_sample_points, masked_sample_values
+from helpers import hull_sample_points, image_l2_inner, masked_sample_values
 from metamorph.grid import (
     GridSpec,
     Image,
@@ -11,7 +11,6 @@ from metamorph.grid import (
     bilinear_stencil,
     divergence,
     gradient_central,
-    image_l2_inner,
     sample_points_xy,
     sample_values_xy,
 )

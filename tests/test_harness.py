@@ -89,6 +89,13 @@ def test_non_finite_or_non_positive_phantom_parameter_rejected(field, kw):
         PhantomSpec("evolving_sequence", **kw)
 
 
+@pytest.mark.parametrize("drift", [(4.0,), (1.0, 2.0, 3.0), ()])
+def test_drift_without_two_entries_rejected(drift):
+    # it used to construct, and make_phantom then failed with an IndexError
+    with pytest.raises(ValueError, match=r"^drift needs 2 values \(dx, dy\)"):
+        PhantomSpec("evolving_sequence", discs=(Disc(0, 0, 3),), drift=drift)
+
+
 @pytest.mark.parametrize("times, growth, when", [
     ((0.0, 0.5, 1.0), -2.0, "t = 0.5"),  # the disc vanishes there
     ((0.0, 0.25), -4.0, "t = 0.25"),

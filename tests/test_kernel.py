@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import vfield_l2_inner
 from metamorph.grid import GridSpec, VectorImage
-from metamorph.kernel import KernelSpec, kernel_apply, kernel_taps_1d, vfield_l2_inner
+from metamorph.kernel import KernelSpec, kernel_apply, kernel_taps_1d
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import sfield, vfield
-from metamorph.grid import GridSpec, Image, VectorImage, image_l2_norm_sq, sample_values_xy
+from helpers import image_l2_norm_sq, sfield, vfield
+from metamorph.grid import GridSpec, Image, VectorImage, sample_values_xy
 from metamorph.flow import DeformationMap, TimeGrid, TimeVaryingVectorField
 from metamorph.kernel import KernelSpec, kernel_apply
 from metamorph.metamorphosis import (
@@ -99,7 +99,7 @@ def test_transport_step_one_pixel_shift_oracle():
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     rng = np.random.default_rng(8)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
-    for k, f in enumerate(image_levels(v, zeta, I0, n)):
+    for k, f in enumerate([I0, *(f for _, f in image_levels(v, zeta, I0, n))]):
         assert np.array_equal(f.values[k:], I0.values[:SPEC.nx - k])
         assert np.all(f.values[:k] == 0.0)
     b = rng.normal(size=SPEC.shape)

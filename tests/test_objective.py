@@ -8,13 +8,14 @@ from helpers import (
     FD_SPEC,
     fd_check,
     gradient_at,
+    image_l2_inner,
     random_state,
     sfield,
     smooth_bump,
     smooth_img,
 )
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
-from metamorph.grid import GridSpec, Image, VectorImage, gradient_central, image_l2_inner
+from metamorph.grid import GridSpec, Image, VectorImage, gradient_central
 from metamorph.harness import Disc, PhantomSpec, make_phantom
 from metamorph.kernel import kernel_apply
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories, transport_stencil

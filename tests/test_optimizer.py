@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_state, smooth_bump
 from metamorph import flow, grid, metamorphosis, objective, optimizer
 from metamorph.experiments import (
     evolving_gated_case,
@@ -121,10 +122,9 @@ def test_forward_model_built_once_per_evaluation(monkeypatch):
     assert counts == dict.fromkeys(counts, 1 + k)
 
 
-def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
-    # each semi-Lagrangian step builds the one stencil of its departure
-    # points, so an evaluation builds N stencils; the template evolution
-    # (forward_levels) is not part of the solver's forward model
+def count_stencil_builds(monkeypatch):
+    """Count bilinear_stencil builds, in total and while the template's
+    forward levels step."""
     build = grid.bilinear_stencil
     builds = {"template": 0, "total": 0}
     in_template = []
@@ -151,7 +151,14 @@ def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
                 in_template.pop()
             yield item
     monkeypatch.setattr(metamorphosis, "forward_levels", levels_counted)
+    return builds
 
+
+def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
+    # each semi-Lagrangian step builds the one stencil of its departure
+    # points, so an evaluation builds N stencils; the template evolution
+    # (forward_levels) is not part of the solver's forward model
+    builds = count_stencil_builds(monkeypatch)
     n = 10
     case = shifted_disc_case(nx=32, n_angles=20)
     tg = TimeGrid(n)
@@ -159,6 +166,87 @@ def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
                              TimeVaryingScalarField.zeros(tg, case.spec),
                              case.template, [(n, case.data)], RegParams(1e-5, 1e-5))
     assert builds == {"template": 0, "total": n}
+
+
+def test_gradient_and_trajectories_build_no_stencils(monkeypatch):
+    # the gradient and the final trajectories read the accepted evaluation's
+    # stencils: k steps that never backtrack build (1 + k) N transport
+    # stencils, plus the template part's N levels
+    builds = count_stencil_builds(monkeypatch)
+    counts = {}
+    count_calls(monkeypatch, optimizer, "evaluate_parts", counts)
+    k, n = 3, 6
+    case = shifted_disc_case(nx=32, n_angles=20)
+    report, _ = solve_case(case, n_steps=n, max_iters=k, step_v=5e-4, step_zeta=1e-2)
+    assert report.stop_reason == "max_iters" and counts["evaluate_parts"] == 1 + k
+    assert builds == {"template": n, "total": (1 + k) * n + n}
+
+
+def random_forward_state(gates, n=6, seed=4):
+    """(v, zeta, I0, state) at a smooth random (v, zeta) on the 32^2 grid."""
+    v, zeta = random_state(n, seed, amp_v=3.0)
+    I0 = smooth_bump(1.0, -2.0, 4.0, 1.0)
+    *_, state = objective.evaluate_parts(v, zeta, I0, gates, RegParams(1e-3, 1e-3))
+    return v, zeta, I0, state
+
+
+def same_bits(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x.values.tobytes() == y.values.tobytes()
+                                    for x, y in zip(a, b))
+
+
+def gates_on(ends):
+    geo = Geometry.uniform(8, 48, EXTENT)
+    return [(end, forward_project(smooth_bump(0.5 * end, 0.0, 3.0, 1.0), geo)) for end in ends]
+
+
+def test_gradient_core_reads_the_state_without_changing_it():
+    gates = gates_on((2, 4, 6))
+    v, zeta, _, state = random_forward_state(gates)
+    params = RegParams(1e-3, 1e-3)
+    first = objective.gradient_core(v, zeta, state, gates, params, KernelSpec(2.0))
+    second = objective.gradient_core(v, zeta, state, gates, params, KernelSpec(2.0))
+    assert first.grad_v.values.tobytes() == second.grad_v.values.tobytes()
+    assert first.grad_zeta.values.tobytes() == second.grad_zeta.values.tobytes()
+
+
+@pytest.mark.parametrize("ends", [(6,), (2, 4), (1, 3)])
+def test_trajectories_from_the_state_equal_recomputed_ones(ends):
+    # one gate at N, and gates ending before N (steps M..N-1 built afterwards)
+    v, zeta, I0, state = random_forward_state(gates_on(ends))
+    assert len(state.stencils) == ends[-1] == len(state.images) - 1
+    fed = metamorphosis.trajectories(v, zeta, I0, state.images, state.stencils)
+    recomputed = metamorphosis.trajectories(v, zeta, I0)
+    for name in ("image_traj", "deformation_traj", "template_traj"):
+        assert same_bits(getattr(fed, name), getattr(recomputed, name)), name
+
+
+def test_solve_hands_its_last_state_to_trajectories():
+    # a solve whose one gate ends before N: the report's trajectories equal
+    # those recomputed from its final controls, bit for bit
+    n = 6
+    spec, I0, geo, g = consistent_problem(nx=32)
+    target = make_phantom(PhantomSpec("discs", discs=(Disc(1.0, 0.0, 5.0, 1.0),)), spec)
+    gates = [(4, forward_project(target, geo))]
+    report = optimizer.descend(I0, gates, KernelSpec(2.0), RegParams(1e-5, 1e-5), TimeGrid(n),
+                               SolveConfig(max_iters=2, step_v=5e-4, step_zeta=1e-2))
+    assert report.stop_reason == "max_iters"
+    recomputed = metamorphosis.trajectories(report.final_v, report.final_zeta, I0)
+    for name in ("image_traj", "deformation_traj", "template_traj"):
+        assert same_bits(getattr(report.trajectories, name), getattr(recomputed, name)), name
+
+
+def test_forward_state_holds_one_image_and_one_compact_stencil_per_level():
+    # 8 bytes of image plus 24 of stencil (one index, two offsets) per node
+    # and level: the bound that keeps the stored stencils' memory small
+    ends = (2, 5)
+    _, _, I0, state = random_forward_state(gates_on(ends))
+    levels = ends[-1] + 1
+    arrays = [img.values for img in state.images]
+    arrays += [a for st in state.stencils for a in (st.index, st.fu, st.fw)]
+    assert all(a.base is None for a in arrays)  # no view hides a larger array
+    held = sum(a.nbytes for a in arrays)
+    assert held <= (8 + 24) * I0.values.size * levels
 
 
 def backtracking_gated_solve():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import midpoint_ray_sums
-from metamorph.grid import GridSpec, Image, image_l2_inner
+from helpers import image_l2_inner, midpoint_ray_sums
+from metamorph.grid import GridSpec, Image
 from metamorph.harness import Disc, PhantomSpec, make_phantom, ssim
 from metamorph.ray import (
     Geometry,
