@@ -1,9 +1,10 @@
 """Batch front-end: phantom generation, projection, reconstruction, metrics.
 
 Every subcommand is driven by a plain sectioned key-value config file (INI
-syntax).  Validation collects every problem before exiting, output files are
-written atomically, and identical config + seed reproduces byte-identical
-CSVs.
+syntax).  Validation collects every problem before exiting, including every
+key that is not in the one table of known keys per section (_KNOWN_KEYS),
+which is reported with the closest known key; output files are written
+atomically, and identical config + seed reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import difflib
 import io
 import math
 import sys
@@ -29,6 +31,43 @@ from .objective import RegParams
 from .optimizer import LOG_FIELDS, SolveConfig, reconstruct
 from .ray import Geometry, fbp
 from .spatiotemporal import GatedData, reconstruct_gated
+
+
+# every key a section may hold, whichever command or mode reads it; [phantom]
+# also takes shape keys (_shape_of)
+_KNOWN_KEYS = {
+    "grid": ("half_width", "nx", "ny"),
+    "geometry": ("n_angles", "n_det", "det_extent"),
+    "time": ("steps",),
+    "kernel": ("sigma", "truncation_radius"),
+    "reg": ("gamma", "tau"),
+    "solver": ("mode", "max_iters", "step_v", "step_zeta", "rel_tol", "fbp_cutoff"),
+    "phantom": ("kind", "background", "drift", "growth", "appear_time", "appear_ramp",
+                "appear"),
+    "noise": ("psnr_db", "seed"),
+    "gated": ("angles_per_gate", "n_gates", "seed"),
+    "io": ("out_dir", "image", "template", "data", "target", "gated_dir"),
+    "metrics": ("reference", "test", "id"),
+    "sweep": ("sigma_values", "gamma_values", "tau_values"),
+}
+# keys that were settings once, with what to say instead of a near match
+_RETIRED_KEYS = {
+    ("solver", "backtracking"): "not a setting; the line search always backtracks",
+}
+# how many values each shape key takes: disc cx cy r [intensity], ellipse
+# cx cy a b [angle_deg [intensity]], triangle x0 y0 x1 y1 x2 y2 [intensity]
+_SHAPE_VALUE_COUNTS = {"disc": (3, 4), "ellipse": (4, 6), "triangle": (6, 7)}
+
+
+def _shape_of(key: str) -> str | None:
+    """The shape a [phantom] key draws (a shape name, anything, a final
+    digit, such as disc0), or None."""
+    shape = next((s for s in _SHAPE_VALUE_COUNTS if key.startswith(s)), None)
+    return shape if key[-1:].isdigit() else None
+
+
+def _closest(name: str, known) -> str:
+    return difflib.get_close_matches(name, known, n=1, cutoff=0.0)[0]
 
 
 class ConfigError(Exception):
@@ -103,7 +142,33 @@ class ConfigReader:
             return None
         return p
 
+    def _check_keys(self):
+        """Every key must be in _KNOWN_KEYS; an unknown one is reported with
+        the closest known key, since it is most likely a misspelling."""
+        defaults = set(self.parser.defaults())
+        every_key = {key for keys in _KNOWN_KEYS.values() for key in keys}
+        for key in sorted(defaults - every_key):
+            self.problems.append(f"[DEFAULT] {key}: unknown key; "
+                                 f"did you mean {_closest(key, every_key)!r}?")
+        for section in self.parser.sections():
+            known = _KNOWN_KEYS.get(section)
+            if known is None:
+                self.problems.append(f"[{section}]: unknown section; "
+                                     f"did you mean [{_closest(section, _KNOWN_KEYS)}]?")
+                continue
+            for key in self.parser.options(section):
+                if key in known or key in defaults or (section == "phantom" and _shape_of(key)):
+                    continue
+                reason = _RETIRED_KEYS.get((section, key))
+                if reason is None:
+                    candidates = known
+                    if section == "phantom":
+                        candidates += tuple(f"{shape}0" for shape in _SHAPE_VALUE_COUNTS)
+                    reason = f"unknown key; did you mean {_closest(key, candidates)!r}?"
+                self.problems.append(f"[{section}] {key}: {reason}")
+
     def finish(self):
+        self._check_keys()
         if self.problems:
             # a bad value shared by several sweep rows is one problem
             raise ConfigError(dict.fromkeys(self.problems))
@@ -149,9 +214,6 @@ def _geometry(cfg: ConfigReader, spec):
 def _solver(cfg: ConfigReader):
     mode = cfg.get_str("solver", "mode", "metamorphosis",
                        choices=("metamorphosis", "lddmm", "fbp"))
-    if cfg.parser.has_option("solver", "backtracking"):
-        cfg.problems.append("[solver] backtracking: not a setting; "
-                            "the line search always backtracks")
     kw = dict(
         max_iters=cfg.get_int("solver", "max_iters", 200),
         step_v=cfg.get_float("solver", "step_v", 5e-4),
@@ -160,11 +222,6 @@ def _solver(cfg: ConfigReader):
         mode="metamorphosis" if mode == "fbp" else mode,
     )
     return mode, _build(cfg, "solver", SolveConfig, **kw)
-
-
-# how many values each shape key takes: disc cx cy r [intensity], ellipse
-# cx cy a b [angle_deg [intensity]], triangle x0 y0 x1 y1 x2 y2 [intensity]
-_SHAPE_VALUE_COUNTS = {"disc": (3, 4), "ellipse": (4, 6), "triangle": (6, 7)}
 
 
 def _shape_takes(cfg: ConfigReader, key: str, shape: str, vals) -> bool:
@@ -188,8 +245,8 @@ def _phantom_spec(cfg: ConfigReader, spec):
     shapes = {"discs": [], "triangles": [], "ellipses": []}
     if cfg.parser.has_section("phantom"):
         for key in cfg.parser.options("phantom"):
-            shape = next((s for s in _SHAPE_VALUE_COUNTS if key.startswith(s)), None)
-            if shape is None or not key[-1].isdigit():
+            shape = _shape_of(key)
+            if shape is None:
                 continue
             vals = cfg.get_floats("phantom", key)
             if vals is None or not _shape_takes(cfg, key, shape, vals):

@@ -54,10 +54,15 @@ def _tap_matrix(k: KernelSpec, spec: GridSpec) -> np.ndarray:
     return B
 
 
-def kernel_apply(v: VectorImage, k: KernelSpec) -> VectorImage:
-    """Apply the kernel: (K * v)(y) = sum_x K(x, y) v(x) h^2, componentwise."""
-    spec = v.spec
+def _kernel_product(k: KernelSpec, spec: GridSpec, vx: np.ndarray,
+                    vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_apply on raw component arrays, for callers that checked them."""
     B = _tap_matrix(k, spec)
     hsq = spec.h ** 2
-    return VectorImage(spec, B @ v.vx @ B.T * hsq, B @ v.vy @ B.T * hsq)
+    return B @ vx @ B.T * hsq, B @ vy @ B.T * hsq
+
+
+def kernel_apply(v: VectorImage, k: KernelSpec) -> VectorImage:
+    """Apply the kernel: (K * v)(y) = sum_x K(x, y) v(x) h^2, componentwise."""
+    return VectorImage(v.spec, *_kernel_product(k, v.spec, v.vx, v.vy))
 

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeVaryingVectorField
-from .grid import GridSpec, Image, Stencil, VectorImage, gradient_central
-from .kernel import KernelSpec, kernel_apply
+from .grid import GridSpec, Image, Stencil, _central_difference
+from .kernel import KernelSpec, _kernel_product
 from .metamorphosis import TimeVaryingScalarField, image_levels
 from .ray import Sinogram, back_project, forward_project
 
@@ -172,6 +172,7 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     The state is only read, so one state serves any number of calls.
     """
     spec = v.spec
+    h = spec.h
     dt = v.tgrid.dt
     residuals = {end: discrepancy_gradient(proj, g, spec).values
                  for proj, (end, g) in zip(state.projections, gates)}
@@ -187,13 +188,14 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     for k in range(last - 1, -1, -1):
         stencil = state.stencils[k]
         weights = stencil.weights()
-        G = gradient_central(Image(spec, state.images[k].values + dt * zeta.values[k]))
+        f = state.images[k].values + dt * zeta.values[k]
         # one apply per component: a stacked (2, nx, ny) gather measured
         # about twice the time of two applies at 128^2
-        Gx, Gy = stencil.apply(G.vx, weights), stencil.apply(G.vy, weights)
-        smoothed = kernel_apply(VectorImage(spec, L * Gx, L * Gy), kernel)
-        grad_v[k, 0] -= smoothed.vx
-        grad_v[k, 1] -= smoothed.vy
+        Gx = stencil.apply(_central_difference(f, h, 0), weights)
+        Gy = stencil.apply(_central_difference(f, h, 1), weights)
+        smoothed_x, smoothed_y = _kernel_product(kernel, spec, L * Gx, L * Gy)
+        grad_v[k, 0] -= smoothed_x
+        grad_v[k, 1] -= smoothed_y
         carried = stencil.transpose(L, weights)
         grad_z[k] += carried
         L = carried + residuals.get(k, 0.0)

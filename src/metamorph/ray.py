@@ -12,20 +12,45 @@ passes inner-product adjoint tests at machine precision.  The FBP baseline
 filters detector rows with a Ram-Lak kernel under a cosine window and
 backprojects.
 
-A is built once per grid and geometry.  Each Geometry keeps the matrices it
-has used, so a caller holding its geometries (a gated solve, whatever its
-number of gates) never rebuilds one; an LRU cache of 32 entries keyed by value,
-(GridSpec, n_det, det_extent, angle bytes), lets separately built but equal
-geometries share one.  A takes 12 bytes per nonzero, about 215 nonzeros per ray
-at 128^2: 40 MB for 60 angles x 256 bins, 1.6 MB for 10 angles x 128 bins at
-64^2, 187 MB at the CLI defaults (256^2, 100 angles x 362 bins).  On one core
-of a 2-vCPU host it builds in about 0.6 s at 128^2 with 60 angles and 3 s at
-the CLI defaults, adding about 1.2 times its bytes to peak memory; each
-product then takes about 5 ms at 128^2.  The gain rests on repeated geometry:
-a descent solve applies A or its transpose three times per step, while a
-one-shot projection or FBP pays the build for one product (3 s against 2.6 s
-for the per-angle loops this replaced, at the CLI defaults) and holds the
-matrix until the process ends.
+A is built once per grid and geometry, and stored once per symmetry orbit
+of the view angles.  Every uniform angle set is closed under the square
+grid's symmetries (the group D4 of flips and transposes): theta, pi - theta
+and theta +- pi/2 see the same image up to a flip or a transpose of the
+array, which is exact because the nodes are symmetric about 0.  So for each
+angle b the build finds a representative a and a symmetry g with
+g w(a) = +w(b), and stores only the representatives' rows, A_rep; row block
+b is row block a applied to the image pulled back through g, with the bins
+reversed when g reverses the detector axis.  g must map w onto +w, never
+-w: the ray samples t are not symmetric about 0 (at 64^2 they run from
+-22.50 to +22.75), and a reversal in t changes the projection of a random
+64^2 image by up to 4e-2 relative (1e-4 for the head phantom), while with
++w the derived rows agree with a direct build to about 3e-14.  Partners are found by comparing unit vectors within 16 machine
+epsilons, because in uniform geometries they differ by at most 3 ulp and
+non-partners by at least 6.2e-3.  Forward projection is then one product
+A_rep @ X with one column of X per symmetry in use and a gather, and the
+backprojection scatters into those columns, multiplies by A_rep's transpose
+(a view built once per operator) and pushes each column back through its g.
+A geometry whose angles have no partners, such as random gate angles,
+stores every angle and keeps the plain products A @ f and A.T @ g.
+
+Each Geometry keeps the operators it has used, so a caller holding its
+geometries (a gated solve, whatever its number of gates) never rebuilds
+one; an LRU cache of 32 entries keyed by value, (GridSpec, n_det,
+det_extent, angle bytes), lets separately built but equal geometries share
+one.  A takes 12 bytes per nonzero, about 215 nonzeros per ray at 128^2.
+Stored, that is 10.1 MiB instead of 38.0 MiB at 128^2 with 60 angles x 256
+bins (16 representatives), 1.25 MiB instead of 4.7 MiB at 64^2 with 30 x 128
+(8 representatives), and 46.4 MiB instead of 178.8 MiB at the CLI defaults
+(256^2, 100 angles x 362 bins, 26 representatives); 10 random angles x 128
+bins at 64^2 keep all 1.6 MiB.  On one core of a 2-vCPU host the CLI
+defaults build in about 0.5 s instead of 2 s, and a fresh process that
+builds them peaks at 113 MB instead of 245 MB.  At 128^2 with 60 angles a
+forward projection takes about 2.9 ms and a backprojection 2.2 ms (3.9 ms
+and 5.3 ms storing every angle); at 64^2 with 30 angles both take about
+0.3 ms.  The build pays off on repeated geometry: a descent solve applies A
+or its transpose three times per step, while a one-shot projection or FBP
+pays the build for one product and holds the matrix until the process
+ends.
 """
 
 from __future__ import annotations
@@ -188,12 +213,12 @@ def _band_sums(spec: GridSpec, px: np.ndarray, py: np.ndarray, steep: bool,
     return sums
 
 
-def _ray_operator(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
-    """The matrix of forward_project on this grid and geometry.
+def _ray_operator(spec: GridSpec, geo: Geometry) -> "_RayOperator":
+    """The operator of forward_project on this grid and geometry.
 
-    The geometry keeps every matrix it has used, so a caller that holds its
+    The geometry keeps every operator it has used, so a caller that holds its
     geometries (a gated solve holds its gates) never rebuilds one, however
-    many it holds.  Separately built but equal geometries share one matrix
+    many it holds.  Separately built but equal geometries share one operator
     through the value-keyed cache.
     """
     op = geo._operators.get(spec)
@@ -203,9 +228,125 @@ def _ray_operator(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
     return op
 
 
+# The symmetries of the square grid, D4, as signed permutation matrices g,
+# which act on the image by f -> f o g, in the order the orbit search tries
+# them: a uniform geometry needs only the first four.
+_SYMMETRIES = np.array([
+    [[1, 0], [0, 1]],    # identity
+    [[0, 1], [1, 0]],    # transpose: theta -> pi/2 - theta
+    [[0, -1], [1, 0]],   # quarter turn: theta -> theta + pi/2
+    [[-1, 0], [0, 1]],   # x flip: theta -> pi - theta
+    [[1, 0], [0, -1]],
+    [[-1, 0], [0, -1]],
+    [[0, 1], [-1, 0]],
+    [[0, -1], [-1, 0]],
+])
+# Two ray directions are partners when g maps one onto the other within this
+# many units in each component.  In Geometry.uniform(n), n in {7, 12, 30, 60,
+# 100, 180, 360}, partners differ by at most 3 ulp (6.3e-16) in each component
+# and every non-partner by at least 6.2e-3 in one, so a few ulp separate the
+# two.
+_PARTNER_TOL = 16 * np.finfo(np.float64).eps
+
+
+def _orbits(angles: np.ndarray) -> tuple[list[int], list[tuple[int, int]]]:
+    """Representative angles, and for each angle (representative, symmetry).
+
+    Each angle becomes a representative unless a symmetry g maps an earlier
+    representative's ray direction w = (cos, sin) onto +w of this angle; -w
+    would reverse the ray samples, which are not symmetric in t.
+    """
+    w = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    reps: list[int] = []
+    source: list[tuple[int, int]] = []
+    for wb in w:
+        images = _SYMMETRIES @ w[reps].T  # (symmetry, component, representative)
+        hits = np.argwhere(np.abs(images - wb[:, None]).max(axis=1) <= _PARTNER_TOL)
+        if hits.size:
+            g, r = hits[0]
+            source.append((int(r), int(g)))
+        else:
+            source.append((len(reps), 0))
+            reps.append(len(source) - 1)
+    return reps, source
+
+
+def _pull(values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The image f o g as a view: flips and a transpose, since the nodes are
+    symmetric about 0.  Its transpose is _pull through g.T, the inverse."""
+    if g[0, 1] == 0:
+        return values[::g[0, 0], ::g[1, 1]]
+    return values[::g[0, 1], ::g[1, 0]].T
+
+
+class _RayOperator:
+    """A's rows for one representative angle per orbit, and how each angle
+    reads them.
+
+    Row block b of A is row block a (its representative) applied to f o g,
+    with the bins reversed when g reverses the detector axis (det g = -1).
+    So forward_project is one product A_rep @ X, with one column of X per
+    symmetry in use, and a gather; back_project scatters into the columns,
+    multiplies by A_rep's transpose and pushes each column back through its
+    g.  A geometry whose angles have no partners stores every angle, and its
+    products are the plain sparse matrix-vector products (gather is None).
+    """
+
+    def __init__(self, spec: GridSpec, matrix: scipy.sparse.csr_matrix,
+                 symmetries: np.ndarray, gather: np.ndarray | None):
+        self.spec = spec
+        self.matrix = matrix
+        # one csc view, sharing the arrays, for every back projection
+        self.matrix_t = matrix.T
+        self.symmetries = symmetries
+        self.gather = gather
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        if self.gather is None:
+            return self.matrix @ values.ravel()
+        X = np.empty(values.shape + (len(self.symmetries),))
+        for c, g in enumerate(self.symmetries):
+            X[:, :, c] = _pull(values, g)
+        return (self.matrix @ X.reshape(-1, X.shape[-1])).ravel().take(self.gather)
+
+    def back(self, values: np.ndarray) -> np.ndarray:
+        if self.gather is None:
+            return self.matrix_t @ values.ravel()
+        n_cols = len(self.symmetries)
+        Y = np.bincount(self.gather.ravel(), values.ravel(), self.matrix.shape[0] * n_cols)
+        Z = (self.matrix_t @ Y.reshape(-1, n_cols)).reshape(self.spec.shape + (n_cols,))
+        out = _pull(Z[:, :, 0], self.symmetries[0].T).copy()
+        for c in range(1, n_cols):
+            out += _pull(Z[:, :, c], self.symmetries[c].T)
+        return out
+
+
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
-                    angles: bytes) -> scipy.sparse.csr_matrix:
+                    angles: bytes) -> _RayOperator:
+    """The rows of the representative angles, and each angle's gather.
+
+    Stored row r * n_det + d holds ray (representative r, bin d).  Angle b
+    with representative r and symmetry column c reads entry
+    (r * n_det + d') * n_cols + c of A_rep @ X, d' = d or n_det - 1 - d.
+    """
+    geo = Geometry(np.frombuffer(angles), n_det, det_extent)
+    reps, source = _orbits(geo.angles)
+    matrix = _operator_rows(spec, Geometry(geo.angles[reps], n_det, det_extent))
+    if len(reps) == geo.n_angles:
+        return _RayOperator(spec, matrix, _SYMMETRIES[:1], None)
+    used = sorted({g for _, g in source})
+    column = {g: c for c, g in enumerate(used)}
+    bins = np.arange(n_det)
+    gather = np.empty((geo.n_angles, n_det), dtype=np.intp)
+    for b, (r, g) in enumerate(source):
+        (g00, g01), (g10, g11) = _SYMMETRIES[g]
+        reverse = g00 * g11 - g01 * g10 < 0
+        gather[b] = (r * n_det + (bins[::-1] if reverse else bins)) * len(used) + column[g]
+    return _RayOperator(spec, matrix, _SYMMETRIES[used], gather)
+
+
+def _operator_rows(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
     """Row a * n_det + d holds ray (angle a, bin d): step * bilinear weights.
 
     A ray's nonzeros lie in a band: along the axis it runs closer to (the
@@ -218,7 +359,7 @@ def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
     closer to the x axis; the products do not need them sorted.  The arrays
     are read-only because every caller with an equal key shares them.
     """
-    geo = Geometry(np.frombuffer(angles), n_det, det_extent)
+    n_det = geo.n_det
     t, step = _ray_params(spec)
     nx, ny = spec.nx, spec.ny
     L, h = spec.half_width, spec.h
@@ -277,7 +418,7 @@ def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
 
 def forward_project(img: Image, geo: Geometry) -> Sinogram:
     """Line integrals of the image over the geometry's rays."""
-    values = _ray_operator(img.spec, geo) @ img.values.ravel()
+    values = _ray_operator(img.spec, geo).forward(img.values)
     return Sinogram(geo, values.reshape(geo.n_angles, geo.n_det))
 
 
@@ -289,7 +430,7 @@ def back_project(sino: Sinogram, spec: GridSpec) -> Image:
     """
     geo = sino.geometry
     scale = geo.delta_angle * geo.delta_det / spec.h ** 2
-    values = _ray_operator(spec, geo).T @ sino.values.ravel()
+    values = _ray_operator(spec, geo).back(sino.values)
     return Image(spec, (scale * values).reshape(spec.shape))
 
 

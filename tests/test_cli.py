@@ -586,3 +586,62 @@ out_dir = {out}
         f"error: config: 1 problem(s): [phantom] {key}: {accepted} values, "
         f"got {len(value.split())}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, closest", [
+    ("grid", "half_widht", "half_width"),
+    ("geometry", "n_angels", "n_angles"),
+    ("time", "stpes", "steps"),
+    ("kernel", "truncation_radus", "truncation_radius"),
+    ("reg", "gama", "gamma"),
+    ("solver", "max_iter", "max_iters"),
+    ("phantom", "backround", "background"),
+    ("phantom", "dsic1", "disc0"),
+    ("noise", "psnr", "psnr_db"),
+    ("gated", "n_gate", "n_gates"),
+    ("io", "out_dri", "out_dir"),
+    ("metrics", "refrence", "reference"),
+    ("sweep", "sigma_value", "sigma_values"),
+    # a [DEFAULT] key reaches every section: it must be known in one of them
+    ("DEFAULT", "sed", "seed"),
+])
+def test_misspelt_key_is_a_config_problem(tmp_path, capsys, section, key, closest):
+    # a key no command reads is a misspelling, reported with the known key
+    # nearest to it, even in a section this command does not read
+    out = tmp_path / "out"
+    text = BASE + f"""
+[phantom]
+kind = discs
+disc0 = 0, 0, 5.0, 1.0
+
+[io]
+out_dir = {out}
+"""
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    else:
+        text += f"\n[{section}]\n{key} = 1\n"
+    cfg = write_config(tmp_path / "k.ini", text)
+    assert main(["phantom", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [{section}] {key}: unknown key; did you mean {closest!r}?")
+    assert not out.exists()
+
+
+def test_unknown_section_is_a_config_problem(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "s.ini", BASE + f"""
+[phantom]
+kind = discs
+disc0 = 0, 0, 5.0, 1.0
+
+[phantm]
+background = 0.5
+
+[io]
+out_dir = {out}
+""")
+    assert main(["phantom", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [phantm]: unknown section; did you mean [phantom]?")
+    assert not out.exists()

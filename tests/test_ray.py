@@ -10,6 +10,7 @@ from metamorph.ray import (
     Geometry,
     Sinogram,
     _build_operator,
+    _operator_rows,
     _ray_operator,
     back_project,
     fbp,
@@ -123,6 +124,64 @@ def test_equal_geometries_share_one_operator():
     after = _build_operator.cache_info()
     assert after.hits == before.hits + 1 and after.misses == before.misses
     assert _ray_operator(spec, first) is _ray_operator(spec, second)
+
+
+SPECIAL = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, 0.7])
+
+
+@pytest.mark.parametrize("n, geo", [
+    (64, Geometry.uniform(30, 96, EXTENT)),
+    (128, Geometry.uniform(60, 256, EXTENT)),
+    (32, Geometry.uniform(7, 48, EXTENT)),
+    (16, Geometry(SPECIAL, 24, 16.0)),
+    (16, Geometry(SPECIAL, 24, EXTENT)),
+    # a repeated angle reads the same stored rows as its first occurrence
+    (16, Geometry(np.array([2.0, np.pi - 2.0, 0.5, 0.5]), 24, EXTENT)),
+], ids=["uniform30", "uniform60", "uniform7", "special_extent_L", "special_extent_diag",
+        "repeated"])
+def test_derived_rows_match_direct_build(n, geo):
+    # every angle's rows, stored or derived through a symmetry of the grid,
+    # against the rows built directly for that angle
+    spec = GridSpec(16.0, n, n)
+    direct = _operator_rows(spec, geo)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        f = rng.normal(size=spec.shape)
+        g = rng.normal(size=(geo.n_angles, geo.n_det))
+        expected = direct @ f.ravel()
+        got = forward_project(Image(spec, f), geo).values.ravel()
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        scale = geo.delta_angle * geo.delta_det / spec.h ** 2
+        expected = scale * (direct.T @ g.ravel())
+        got = back_project(Sinogram(geo, g), spec).values.ravel()
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_angles, stored", [(60, 16), (7, 4), (100, 26)])
+def test_uniform_geometry_stores_one_angle_per_orbit(n_angles, stored):
+    spec = GridSpec(16.0, 16, 16)
+    geo = Geometry.uniform(n_angles, 24, EXTENT)
+    assert _ray_operator(spec, geo).matrix.shape == (stored * 24, spec.nx * spec.ny)
+
+
+def test_gate_geometry_keeps_the_plain_products():
+    # random gate angles have no partners: every angle's rows are stored as
+    # the direct build makes them, and the products are its plain ones
+    spec = GridSpec(16.0, 64, 64)
+    geo = Geometry(gate_angles(10, 10, seed=5)[2], 128, EXTENT)
+    op = _ray_operator(spec, geo)
+    direct = _operator_rows(spec, geo)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(op.matrix, name), getattr(direct, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=spec.shape)
+    g = rng.normal(size=(10, 128))
+    assert np.array_equal(forward_project(Image(spec, f), geo).values.ravel(),
+                          direct @ f.ravel())
+    scale = geo.delta_angle * geo.delta_det / spec.h ** 2
+    assert np.array_equal(back_project(Sinogram(geo, g), spec).values.ravel(),
+                          scale * (direct.T @ g.ravel()))
 
 
 def test_adjoint_identity_gate_geometry():
