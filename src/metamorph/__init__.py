@@ -8,6 +8,7 @@ intensity control that creates or removes material along the flow.
 from .flow import (
     DeformationMap,
     TimeGrid,
+    TimeVaryingScalarField,
     TimeVaryingVectorField,
     maps_from_zero,
 )
@@ -21,14 +22,12 @@ from .grid import (
 from .harness import Disc, Ellipse, PhantomSpec, Triangle, add_noise, make_phantom, psnr, ssim
 from .kernel import KernelSpec, kernel_apply
 from .metamorphosis import (
-    TimeVaryingScalarField,
     Trajectories,
     evolve_template,
     group_action,
     trajectories,
 )
 from .objective import (
-    GradientPair,
     RegParams,
     data_discrepancy,
     discrepancy_gradient,

@@ -1,9 +1,10 @@
-"""Euler discretisation of velocity flows on [0, 1].
+"""Euler discretisation of velocity flows on [0, 1], and the two controls.
 
-A time-varying velocity field holds one control v_k per time step: v_k
-drives the step t_k -> t_{k+1}, k = 0..N-1, and all N of them are one
-(N, 2, nx, ny) array.  Its flow maps phi_{s,t} (transporting points from
-time s to time t) are approximated by chaining one-step small deformations
+Each control holds one entry per time step, entry k driving the step
+t_k -> t_{k+1}, k = 0..N-1: the velocity v as one (N, 2, nx, ny) array, the
+intensity control zeta as one (N, nx, ny) array, through one base class.
+The velocity's flow maps phi_{s,t} (transporting points from time s to
+time t) are approximated by chaining one-step small deformations
 Id -+ (1/N) v_k.  Maps are stored as node-wise point arrays and composed by
 bilinearly resampling the outer map at the inner map's points, through
 grid's bilinear stencils (the library's one interpolant).  The image
@@ -37,6 +38,7 @@ from .grid import (
     Image,
     Stencil,
     VectorImage,
+    _checked,
     bilinear_stencil,
     divergence,
     sample_points_xy,
@@ -66,36 +68,43 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) / self.n_steps
 
 
-def _control_array(values, shape: tuple[int, ...], kind: str) -> np.ndarray:
-    """values as a float64 array of the given shape with finite entries."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != shape:
-        raise ValueError(f"{kind} needs shape {shape}, one control per time step, "
-                         f"got {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{kind} values must be finite")
-    return values
-
-
 @dataclass
-class TimeVaryingVectorField:
-    """Velocity controls v_k, k = 0..N-1, as one (N, 2, nx, ny) array;
-    control k drives the step t_k -> t_{k+1}."""
+class _Control:
+    """Controls k = 0..N-1 as one (N, *component, nx, ny) array; a subclass
+    sets component, the shape of one node's value, and what, its name."""
 
     tgrid: TimeGrid
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _control_array(
-            self.values, (self.tgrid.n_steps, 2, *self.spec.shape), "velocity")
+        shape = (self.tgrid.n_steps, *self.component, *self.spec.shape)
+        self.values = _checked(self.values, shape, self.what)
 
     @classmethod
-    def zeros(cls, tgrid: TimeGrid, spec: GridSpec) -> "TimeVaryingVectorField":
-        return cls(tgrid, spec, np.zeros((tgrid.n_steps, 2, *spec.shape)))
+    def zeros(cls, tgrid: TimeGrid, spec: GridSpec):
+        return cls(tgrid, spec, np.zeros((tgrid.n_steps, *cls.component, *spec.shape)))
 
-    def add_scaled(self, other: "TimeVaryingVectorField", alpha: float) -> "TimeVaryingVectorField":
-        return TimeVaryingVectorField(self.tgrid, self.spec, self.values + alpha * other.values)
+    def add_scaled(self, other: "_Control", alpha: float):
+        """self + alpha * other, for controls on the same time grid and grid."""
+        if other.tgrid != self.tgrid or other.spec != self.spec:
+            raise ValueError(f"cannot add a {other.what} on {other.tgrid}, {other.spec} "
+                             f"to a {self.what} on {self.tgrid}, {self.spec}")
+        return type(self)(self.tgrid, self.spec, self.values + alpha * other.values)
+
+
+class TimeVaryingVectorField(_Control):
+    """Velocity controls v_k as one (N, 2, nx, ny) array."""
+
+    component = (2,)
+    what = "velocity"
+
+
+class TimeVaryingScalarField(_Control):
+    """Intensity controls zeta_k as one (N, nx, ny) array."""
+
+    component = ()
+    what = "intensity control"
 
 
 @dataclass
@@ -106,11 +115,7 @@ class DeformationMap:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.shape != (self.spec.nx, self.spec.ny, 2):
-            raise ValueError("deformation map points must have shape (nx, ny, 2)")
-        if not np.isfinite(self.points).all():
-            raise ValueError("deformation map points must be finite")
+        self.points = _checked(self.points, (*self.spec.shape, 2), "deformation map")
 
     @classmethod
     def identity(cls, spec: GridSpec) -> "DeformationMap":

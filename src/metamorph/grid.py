@@ -72,6 +72,17 @@ class GridSpec:
         return pts
 
 
+def _checked(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """values as a float64 array of exactly this shape with finite entries:
+    every container's one check, naming the container (what) when it fails."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ValueError(f"{what} needs shape {shape}, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} values must be finite")
+    return values
+
+
 @dataclass
 class Image:
     """Scalar field on a grid; values[i, j] is the sample at node (x_i, y_j)."""
@@ -80,13 +91,7 @@ class Image:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.spec.shape:
-            raise ValueError(
-                f"image shape {self.values.shape} does not match grid {self.spec.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("image values must be finite")
+        self.values = _checked(self.values, self.spec.shape, "image")
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "Image":
@@ -114,12 +119,8 @@ class VectorImage:
     vy: np.ndarray
 
     def __post_init__(self):
-        self.vx = np.asarray(self.vx, dtype=np.float64)
-        self.vy = np.asarray(self.vy, dtype=np.float64)
-        if self.vx.shape != self.spec.shape or self.vy.shape != self.spec.shape:
-            raise ValueError("vector field components must match the grid shape")
-        if not (np.isfinite(self.vx).all() and np.isfinite(self.vy).all()):
-            raise ValueError("vector field components must be finite")
+        self.vx = _checked(self.vx, self.spec.shape, "vector field")
+        self.vy = _checked(self.vy, self.spec.shape, "vector field")
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "VectorImage":

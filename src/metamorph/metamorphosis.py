@@ -29,8 +29,8 @@ with the levels, so S_k is built once per accepted iterate and read again by
 the gradient and by trajectories.  The optimizer calls trajectories once,
 when the solve is done, with the last accepted evaluation's levels and
 stencils; it builds only the steps after the last gate, and the template
-part.  evolve_template and group_action are standalone forms the solver
-does not call.
+part, through evolve_template.  group_action is a standalone form the solver
+does not call.  The intensity control is defined in flow.py, with v.
 """
 
 from __future__ import annotations
@@ -38,38 +38,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .flow import (
     DeformationMap,
-    TimeGrid,
+    TimeVaryingScalarField,
     TimeVaryingVectorField,
-    _control_array,
     _one_step_queries,
     forward_levels,
 )
-from .grid import GridSpec, Image, Stencil, bilinear_stencil, sample_values_xy
-
-
-@dataclass
-class TimeVaryingScalarField:
-    """Intensity controls zeta_k, k = 0..N-1, as one (N, nx, ny) array;
-    control k drives the step t_k -> t_{k+1}."""
-
-    tgrid: TimeGrid
-    spec: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _control_array(
-            self.values, (self.tgrid.n_steps, *self.spec.shape), "intensity control")
-
-    @classmethod
-    def zeros(cls, tgrid: TimeGrid, spec: GridSpec) -> "TimeVaryingScalarField":
-        return cls(tgrid, spec, np.zeros((tgrid.n_steps, *spec.shape)))
-
-    def add_scaled(self, other: "TimeVaryingScalarField", alpha: float) -> "TimeVaryingScalarField":
-        return TimeVaryingScalarField(self.tgrid, self.spec, self.values + alpha * other.values)
+from .grid import Image, Stencil, bilinear_stencil, sample_values_xy
 
 
 @dataclass
@@ -94,23 +70,18 @@ def _check_consistent(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I
         raise ValueError("velocity, intensity control and template must be consistent")
 
 
-def _template_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                     I0: Image, end: int):
-    """Yield the template values I(t_i) for i = 0..end."""
-    dt = v.tgrid.dt
-    acc = I0.values
-    yield I0.copy()
-    # level j's stencil carries zeta_j to I(t_{j+1})
-    for j, (_, stencil) in enumerate(forward_levels(v, end - 1)):
-        acc = acc + dt * stencil.apply(zeta.values[j])
-        yield Image(v.spec, acc)
-
-
 def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                     I0: Image) -> list[Image]:
     """Template values I(t_i) in the co-moving frame, i = 0..N."""
     _check_consistent(v, zeta, I0)
-    return list(_template_levels(v, zeta, I0, v.tgrid.n_steps))
+    dt = v.tgrid.dt
+    acc = I0.values
+    out = [I0.copy()]
+    # level j's stencil carries zeta_j to I(t_{j+1})
+    for j, (_, stencil) in enumerate(forward_levels(v, v.tgrid.n_steps - 1)):
+        acc = acc + dt * stencil.apply(zeta.values[j])
+        out.append(Image(v.spec, acc))
+    return out
 
 
 def transport_stencil(v: TimeVaryingVectorField, k: int) -> Stencil:
@@ -141,11 +112,9 @@ def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Im
     for these (v, zeta, I0), are read instead of being built again; the
     steps after M are built here.
     """
-    _check_consistent(v, zeta, I0)
     dt = v.tgrid.dt
     stencils = list(stencils)
-    out = Trajectories([I0.copy(), *images[1:]], [I0.copy()],
-                       list(_template_levels(v, zeta, I0, v.tgrid.n_steps)))
+    out = Trajectories([I0.copy(), *images[1:]], [I0.copy()], evolve_template(v, zeta, I0))
     f = out.image_traj[-1].values
     for k in range(len(stencils), v.tgrid.n_steps):
         stencils.append(transport_stencil(v, k))

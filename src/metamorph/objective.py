@@ -65,10 +65,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import TimeVaryingVectorField
+from .flow import TimeVaryingScalarField, TimeVaryingVectorField
 from .grid import GridSpec, Image, Stencil, _central_difference
 from .kernel import KernelSpec, _kernel_product
-from .metamorphosis import TimeVaryingScalarField, image_levels
+from .metamorphosis import image_levels
 from .ray import Sinogram, back_project, forward_project
 
 
@@ -85,15 +85,9 @@ class RegParams:
             raise ValueError("regularisation weights gamma and tau must be finite and nonnegative")
 
 
-@dataclass
-class GradientPair:
-    grad_v: TimeVaryingVectorField
-    grad_zeta: TimeVaryingScalarField
-
-
 def data_discrepancy(a: Sinogram, b: Sinogram) -> float:
     """Squared sinogram distance with (delta_angle * delta_det) quadrature."""
-    if not a.geometry.same_sampling(b.geometry):
+    if a.geometry != b.geometry:
         raise ValueError("sinograms must share one geometry")
     d = a.values - b.values
     return float(np.sum(d * d)) * a.geometry.delta_angle * a.geometry.delta_det
@@ -101,7 +95,7 @@ def data_discrepancy(a: Sinogram, b: Sinogram) -> float:
 
 def discrepancy_gradient(a: Sinogram, b: Sinogram, spec: GridSpec) -> Image:
     """Image-space gradient of f -> D(T f, g) at T f = a, g = b."""
-    if not a.geometry.same_sampling(b.geometry):
+    if a.geometry != b.geometry:
         raise ValueError("sinograms must share one geometry")
     return back_project(Sinogram(a.geometry, 2.0 * (a.values - b.values)), spec)
 
@@ -161,7 +155,8 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
 
 def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                   state: ForwardState, gates: list[tuple[int, Sinogram]],
-                  params: RegParams, kernel: KernelSpec) -> GradientPair:
+                  params: RegParams, kernel: KernelSpec
+                  ) -> tuple[TimeVaryingVectorField, TimeVaryingScalarField]:
     """Full gradient for (end index, sinogram) gates from evaluate_parts' state.
 
     One backward sweep from the last gate, which builds no stencil: the
@@ -199,5 +194,5 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
         carried = stencil.transpose(L, weights)
         grad_z[k] += carried
         L = carried + residuals.get(k, 0.0)
-    return GradientPair(TimeVaryingVectorField(v.tgrid, spec, grad_v),
-                        TimeVaryingScalarField(zeta.tgrid, spec, grad_z))
+    return (TimeVaryingVectorField(v.tgrid, spec, grad_v),
+            TimeVaryingScalarField(zeta.tgrid, spec, grad_z))

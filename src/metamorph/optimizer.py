@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import TimeGrid, TimeVaryingVectorField
+from .flow import TimeGrid, TimeVaryingScalarField, TimeVaryingVectorField
 from .grid import Image
 from .kernel import KernelSpec
-from .metamorphosis import TimeVaryingScalarField, Trajectories, trajectories
+from .metamorphosis import Trajectories, trajectories
 from .objective import RegParams, evaluate_parts, gradient_core
 from .ray import Sinogram
 
@@ -88,16 +88,16 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     stop_reason = "max_iters"
 
     for it in range(1, cfg.max_iters + 1):
-        grad = gradient_core(v, zeta, state, gates, params, kernel)
-        if not (grad.grad_v.values.any() or (not lddmm and grad.grad_zeta.values.any())):
+        grad_v, grad_zeta = gradient_core(v, zeta, state, gates, params, kernel)
+        if not (grad_v.values.any() or (not lddmm and grad_zeta.values.any())):
             stop_reason = "zero_gradient"
             break
         state = cand = None  # the line search holds one trajectory at a time
 
         sv, sz = cfg.step_v, cfg.step_zeta
         for evals in range(1, MAX_HALVINGS + 2):
-            v_new = v.add_scaled(grad.grad_v, -sv)
-            zeta_new = zeta if lddmm else zeta.add_scaled(grad.grad_zeta, -sz)
+            v_new = v.add_scaled(grad_v, -sv)
+            zeta_new = zeta if lddmm else zeta.add_scaled(grad_zeta, -sz)
             # None: rejected; also None after the loop if no step was accepted
             cand = evaluate_parts(v_new, zeta_new, I0, gates, params, bound=total)
             if cand is not None:
@@ -110,7 +110,7 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             break
 
         v, zeta = v_new, zeta_new
-        grad = None  # freed before the next one, making room for the stored stencils
+        grad_v = grad_zeta = None  # freed, making room for the stored stencils
         previous = total
         *terms, state = cand
         total = terms[0]

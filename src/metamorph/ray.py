@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .grid import GridSpec, Image, bilinear_stencil
+from .grid import GridSpec, Image, _checked, bilinear_stencil
 
 # operators kept for geometries built again with equal values, such as the
 # ones every preset set-up builds anew
@@ -79,8 +79,8 @@ class Geometry:
     Detector offsets are bin midpoints in [-det_extent, det_extent].  The
     angle quadrature weight is fixed to pi / n_angles.  The angles are kept
     as a read-only copy, since the ray operators kept per geometry depend on
-    them.  Two geometries are equal when they sample the same rays
-    (same_sampling).
+    them.  Two geometries are equal when they sample the same rays: the
+    same bin count, extent and angle values.
     """
 
     angles: np.ndarray
@@ -123,15 +123,12 @@ class Geometry:
     def det_offsets(self) -> np.ndarray:
         return -self.det_extent + (np.arange(self.n_det) + 0.5) * self.delta_det
 
-    def same_sampling(self, other: "Geometry") -> bool:
-        return (self.n_det == other.n_det
-                and self.det_extent == other.det_extent
-                and np.array_equal(self.angles, other.angles))
-
     def __eq__(self, other):
         if not isinstance(other, Geometry):
             return NotImplemented
-        return self.same_sampling(other)
+        return (self.n_det == other.n_det
+                and self.det_extent == other.det_extent
+                and np.array_equal(self.angles, other.angles))
 
     def __hash__(self):
         # the angle count, not their bytes: array_equal holds -0.0 == 0.0
@@ -146,14 +143,8 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.geometry.n_angles, self.geometry.n_det):
-            raise ValueError(
-                f"sinogram shape {self.values.shape} does not match geometry "
-                f"({self.geometry.n_angles}, {self.geometry.n_det})"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("sinogram values must be finite")
+        self.values = _checked(self.values, (self.geometry.n_angles, self.geometry.n_det),
+                               "sinogram")
 
     @classmethod
     def zeros(cls, geometry: Geometry) -> "Sinogram":

@@ -113,9 +113,10 @@ def pair_gradient(grad, rs, etas, n_steps):
     the smoothed metric pairing into the plain grid pairing with the raw r,
     so no kernel inverse is needed.
     """
+    grad_v, grad_zeta = grad
     return (1.0 / n_steps) * sum(
-        vfield_l2_inner(VectorImage(FD_SPEC, *grad.grad_v.values[i]), rs[i])
-        + image_l2_inner(Image(FD_SPEC, grad.grad_zeta.values[i]), etas[i])
+        vfield_l2_inner(VectorImage(FD_SPEC, *grad_v.values[i]), rs[i])
+        + image_l2_inner(Image(FD_SPEC, grad_zeta.values[i]), etas[i])
         for i in range(n_steps))
 
 

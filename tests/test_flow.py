@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import vfield
-from metamorph.grid import GridSpec, VectorImage
+from metamorph.grid import GridSpec, Image, VectorImage
 from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.flow import (
+    DeformationMap,
     TimeGrid,
     TimeVaryingVectorField,
     forward_maps,
@@ -14,6 +16,7 @@ from metamorph.flow import (
     maps_from_zero,
     maps_to_index,
 )
+from metamorph.ray import Geometry, Sinogram
 
 
 SPEC = GridSpec(16.0, 64, 64)
@@ -149,8 +152,8 @@ def test_jacobian_chain_positive_under_compression():
 
 
 def test_field_shape_validation():
-    # each control holds exactly N entries on its grid, all finite, and a
-    # bad one is named
+    # every container holds exactly its shape, all finite, through one check
+    # that names it; each control holds exactly N entries on its grid
     tg = TimeGrid(3)
     for field, kind, entry in ((TimeVaryingVectorField, "velocity", (2, *SPEC.shape)),
                                (TimeVaryingScalarField, "intensity control", SPEC.shape)):
@@ -158,10 +161,39 @@ def test_field_shape_validation():
         for n in (2, 4):  # 4 = N + 1, a sample at t = 1
             with pytest.raises(ValueError, match=rf"^{kind} needs shape \(3, .*got \({n}, "):
                 field(tg, SPEC, np.zeros((n, *entry)))
-        with pytest.raises(ValueError, match=rf"^{kind} needs shape .*got \(3, .*, 32\)"):
-            field(tg, SPEC, np.zeros((3, *entry[:-2], 64, 32)))
+    geo = Geometry.uniform(4, 8, 20.0)
+    zeros = np.zeros(SPEC.shape)
+    for kind, make, shape in (
+            ("velocity", lambda a: TimeVaryingVectorField(tg, SPEC, a), (3, 2, *SPEC.shape)),
+            ("intensity control", lambda a: TimeVaryingScalarField(tg, SPEC, a), (3, *SPEC.shape)),
+            ("image", lambda a: Image(SPEC, a), SPEC.shape),
+            ("vector field", lambda a: VectorImage(SPEC, a, zeros), SPEC.shape),
+            ("vector field", lambda a: VectorImage(SPEC, zeros, a), SPEC.shape),
+            ("deformation map", lambda a: DeformationMap(SPEC, a), (*SPEC.shape, 2)),
+            ("sinogram", lambda a: Sinogram(geo, a), (4, 8))):
+        make(np.zeros(shape))
+        wrong = (*shape[:-1], shape[-1] // 2)
+        with pytest.raises(ValueError, match=rf"^{kind} needs shape {re.escape(str(shape))}, "
+                                             rf"got {re.escape(str(wrong))}$"):
+            make(np.zeros(wrong))
         for bad in (math.nan, math.inf):
-            values = np.zeros((3, *entry))
+            values = np.zeros(shape)
             values[1].flat[7] = bad
             with pytest.raises(ValueError, match=rf"^{kind} values must be finite"):
-                field(tg, SPEC, values)
+                make(values)
+
+
+def test_add_scaled_needs_one_time_grid_and_one_grid():
+    # another time grid's controls would broadcast over this one's steps,
+    # and another grid's would be added as if they were on this one
+    spec = GridSpec(16.0, 8, 8)
+    for field in (TimeVaryingVectorField, TimeVaryingScalarField):
+        base = field.zeros(TimeGrid(3), spec)
+        ones = np.ones_like(base.values)
+        assert np.all(base.add_scaled(field(TimeGrid(3), spec, ones), 0.5).values == 0.5)
+        one_step = field(TimeGrid(1), spec, ones[:1])
+        with pytest.raises(ValueError, match=r"n_steps=1\).* to a .* on TimeGrid\(n_steps=3\)"):
+            base.add_scaled(one_step, 0.5)
+        wider = field(TimeGrid(3), GridSpec(20.0, 8, 8), ones)
+        with pytest.raises(ValueError, match=r"half_width=20\.0.* to a .*half_width=16\.0"):
+            base.add_scaled(wider, 0.5)

@@ -37,11 +37,6 @@ def test_gridspec_validation():
         GridSpec(16.0, 32, 64)
 
 
-def test_image_shape_checked(spec):
-    with pytest.raises(ValueError):
-        Image(spec, np.zeros((4, 4)))
-
-
 def test_sample_constant_everywhere(spec):
     img = Image.full(spec, 3.7)
     px, py = np.array([0.0, 5.3, -12.7]), np.array([0.0, -2.1, 9.9])

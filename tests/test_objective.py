@@ -144,9 +144,9 @@ def test_gradient_zero_at_consistent_data():
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     g = forward_project(I0, geo)
-    grad = gradient_at(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.0, 0.0))
-    assert not grad.grad_v.values.any()
-    assert not grad.grad_zeta.values.any()
+    grad_v, grad_zeta = gradient_at(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.0, 0.0))
+    assert not grad_v.values.any()
+    assert not grad_zeta.values.any()
 
 
 def test_single_step_closed_form_reduction():
@@ -159,11 +159,11 @@ def test_single_step_closed_form_reduction():
     v = TimeVaryingVectorField.zeros(tg, spec)
     rng = np.random.default_rng(5)
     zeta = sfield(tg, [smooth_img(rng, 0.4, spec=spec)])
-    grad = gradient_at(v, zeta, I0, [(1, g)], RegParams(0.0, 0.0))
+    _, grad_zeta = gradient_at(v, zeta, I0, [(1, g)], RegParams(0.0, 0.0))
     f1 = Image(spec, I0.values + zeta.values[0])
     direct = discrepancy_gradient(forward_project(f1, geo), g, spec)
     scale = np.abs(direct.values).max()
-    assert np.abs(grad.grad_zeta.values[0] - direct.values).max() <= 1e-10 * scale
+    assert np.abs(grad_zeta.values[0] - direct.values).max() <= 1e-10 * scale
 
 
 def test_gradient_matches_finite_differences():
@@ -186,9 +186,9 @@ def test_zero_residual_fixed_point():
     v, zeta = random_state(4, seed=8, amp_v=0.3, amp_z=0.4)
     traj = trajectories(v, zeta, I0)
     g = forward_project(traj.image_traj[-1], geo)
-    grad = gradient_at(v, zeta, I0, [(4, g)], RegParams(0.0, 0.0))
-    assert not grad.grad_v.values.any()
-    assert not grad.grad_zeta.values.any()
+    grad_v, grad_zeta = gradient_at(v, zeta, I0, [(4, g)], RegParams(0.0, 0.0))
+    assert not grad_v.values.any()
+    assert not grad_zeta.values.any()
 
 
 def test_descent_direction_decreases_objective():
@@ -196,12 +196,12 @@ def test_descent_direction_decreases_objective():
     params = RegParams(1e-5, 1e-5)
     gates = [(4, g)]
     v, zeta = random_state(4, seed=9, amp_v=0.2, amp_z=0.3)
-    grad = gradient_at(v, zeta, I0, gates, params)
+    grad_v, grad_zeta = gradient_at(v, zeta, I0, gates, params)
     J0 = evaluate_parts(v, zeta, I0, gates, params)[0]
     step = 1e-4
     for _ in range(20):
-        J_new = evaluate_parts(v.add_scaled(grad.grad_v, -step),
-                               zeta.add_scaled(grad.grad_zeta, -step), I0, gates, params)[0]
+        J_new = evaluate_parts(v.add_scaled(grad_v, -step),
+                               zeta.add_scaled(grad_zeta, -step), I0, gates, params)[0]
         if J_new < J0:
             break
         step *= 0.5
@@ -216,12 +216,11 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     v, zeta = random_state(4, seed=11, amp_v=0.1, amp_z=0.3)
     gates = [(4, g)]
     state = evaluate_parts(v, zeta, I0, gates, params)[4]
-    grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
+    grad_v, grad_zeta = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
     # the whole gradient at gamma = tau = 0 is the data gradient
-    data = gradient_core(v, zeta, state, gates, RegParams(0.0, 0.0), FD_KERNEL)
-    assert np.array_equal(grad.grad_v.values, params.gamma * v.values + data.grad_v.values)
-    assert np.array_equal(grad.grad_zeta.values,
-                          params.tau * zeta.values + data.grad_zeta.values)
+    data_v, data_zeta = gradient_core(v, zeta, state, gates, RegParams(0.0, 0.0), FD_KERNEL)
+    assert np.array_equal(grad_v.values, params.gamma * v.values + data_v.values)
+    assert np.array_equal(grad_zeta.values, params.tau * zeta.values + data_zeta.values)
     # at the last step the velocity data gradient is the kernel-smoothed r G_3,
     # with G_3 the gradient of f_3 + dt zeta_3 sampled through that step's
     # stencil S_3, and the intensity one is r carried back by S_3^T, unsmoothed
@@ -231,6 +230,6 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     G = gradient_central(Image(FD_SPEC, state.images[3].values + dt * zeta.values[3]))
     Gx, Gy = S3.apply(G.vx), S3.apply(G.vy)
     smoothed = kernel_apply(VectorImage(FD_SPEC, r * Gx, r * Gy), FD_KERNEL)
-    assert np.array_equal(data.grad_v.values[3, 0], -smoothed.vx)
-    assert np.array_equal(data.grad_v.values[3, 1], -smoothed.vy)
-    assert np.array_equal(data.grad_zeta.values[3], S3.transpose(r))
+    assert np.array_equal(data_v.values[3, 0], -smoothed.vx)
+    assert np.array_equal(data_v.values[3, 1], -smoothed.vy)
+    assert np.array_equal(data_zeta.values[3], S3.transpose(r))

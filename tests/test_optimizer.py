@@ -206,8 +206,8 @@ def test_gradient_core_reads_the_state_without_changing_it():
     params = RegParams(1e-3, 1e-3)
     first = objective.gradient_core(v, zeta, state, gates, params, KernelSpec(2.0))
     second = objective.gradient_core(v, zeta, state, gates, params, KernelSpec(2.0))
-    assert first.grad_v.values.tobytes() == second.grad_v.values.tobytes()
-    assert first.grad_zeta.values.tobytes() == second.grad_zeta.values.tobytes()
+    for a, b in zip(first, second):  # (v, zeta)
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("ends", [(6,), (2, 4), (1, 3)])

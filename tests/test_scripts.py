@@ -1,6 +1,8 @@
-"""The example scripts run end to end at tiny sizes and write what they promise."""
+"""The example scripts run end to end at tiny sizes and write what they promise,
+and the README's library quick start runs as printed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,15 @@ def test_script_writes_its_outputs(tmp_path, script):
     assert done.returncode == 0, done.stderr
     for name in files:
         assert (out / name).stat().st_size > 0, name
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the first example a user copies; warnings fail it, as they fail the suite
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    score, _stop_reason = done.stdout.split()
+    assert 0.0 < float(score) <= 1.0

@@ -172,8 +172,8 @@ def test_data_gradient_adds_up_over_gates():
 
     def arrays(gates):
         state = evaluate_parts(v, zeta, I0, gates, params)[4]
-        grad = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
-        return grad.grad_v.values[:, 0], grad.grad_v.values[:, 1], grad.grad_zeta.values
+        grad_v, grad_zeta = gradient_core(v, zeta, state, gates, params, FD_KERNEL)
+        return grad_v.values[:, 0], grad_v.values[:, 1], grad_zeta.values
 
     together = arrays(gated.gates)
     alone = [arrays([gate]) for gate in gated.gates]
@@ -192,12 +192,12 @@ def test_gate_locality_of_data_gradient():
     geo = Geometry.uniform(15, 40, EXTENT)
     gated = GatedData([(1, forward_project(target, geo))])
     v, zeta = random_state(n, seed=23, amp_v=0.2, amp_z=0.3)
-    grad = gradient_at(v, zeta, I0, gated.gates, RegParams(0.0, 0.0))
+    grad_v, grad_zeta = gradient_at(v, zeta, I0, gated.gates, RegParams(0.0, 0.0))
     # data contributions exist only for the controls driving the first step
-    assert np.any(grad.grad_v.values[0, 0])
-    assert np.any(grad.grad_zeta.values[0])
-    assert not grad.grad_v.values[1:].any()
-    assert not grad.grad_zeta.values[1:].any()
+    assert np.any(grad_v.values[0, 0])
+    assert np.any(grad_zeta.values[0])
+    assert not grad_v.values[1:].any()
+    assert not grad_zeta.values[1:].any()
 
 
 def test_gated_gradient_matches_finite_differences():
