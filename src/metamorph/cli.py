@@ -92,15 +92,15 @@ class ConfigReader:
         if not read:
             self.problems.append(f"config file {path} not found or unreadable")
 
-    def _raw(self, section, key, default, required):
+    def _raw(self, section, key, default, required=False):
         if self.parser.has_option(section, key):
             return self.parser.get(section, key)
         if required:
             self.problems.append(f"[{section}] {key}: missing required key")
         return default
 
-    def _number(self, section, key, default, required, kind, what):
-        raw = self._raw(section, key, default, required)
+    def _number(self, section, key, default, kind, what):
+        raw = self._raw(section, key, default)
         if raw is None or isinstance(raw, kind):
             return raw
         try:
@@ -109,11 +109,11 @@ class ConfigReader:
             self.problems.append(f"[{section}] {key}: not {what} ({raw!r})")
             return default
 
-    def get_float(self, section, key, default=None, required=False):
-        return self._number(section, key, default, required, float, "a number")
+    def get_float(self, section, key, default=None):
+        return self._number(section, key, default, float, "a number")
 
-    def get_int(self, section, key, default=None, required=False):
-        return self._number(section, key, default, required, int, "an integer")
+    def get_int(self, section, key, default=None):
+        return self._number(section, key, default, int, "an integer")
 
     def get_str(self, section, key, default=None, required=False, choices=None):
         raw = self._raw(section, key, default, required)
@@ -122,8 +122,8 @@ class ConfigReader:
             return default
         return raw
 
-    def get_floats(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
+    def get_floats(self, section, key, default=None):
+        raw = self._raw(section, key, None)
         if raw is None:
             return default
         try:
@@ -132,8 +132,8 @@ class ConfigReader:
             self.problems.append(f"[{section}] {key}: not a number list ({raw!r})")
             return default
 
-    def get_input_path(self, section, key, required=True):
-        raw = self._raw(section, key, None, required)
+    def get_input_path(self, section, key):
+        raw = self._raw(section, key, None, required=True)
         if raw is None:
             return None
         p = Path(raw)

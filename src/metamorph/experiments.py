@@ -111,17 +111,16 @@ def solve_case(case: Case, sigma: float = 2.0, gamma: float = 1e-5,
 
 
 def kernel_size_sweep(case: Case, sigmas, gamma: float = 1e-5, tau: float = 1e-5,
-                      step_v: float = 5e-4, ref_sigma: float = 2.0,
-                      **solve_kw) -> list[tuple[float, float]]:
+                      step_v: float = 5e-4, **solve_kw) -> list[tuple[float, float]]:
     """(sigma, SSIM) rows for a sweep over kernel sizes.
 
-    The velocity step is scaled by (ref_sigma/sigma)^2 because the smoothing
-    gain grows with the kernel mass; without this the comparison confounds
-    kernel size with effective step length.
+    step_v is the velocity step at sigma = 2, and it is scaled by (2/sigma)^2
+    because the smoothing gain grows with the kernel mass; without this the
+    comparison confounds kernel size with effective step length.
     """
     rows = []
     for s in sigmas:
-        sv = step_v * (ref_sigma / s) ** 2
+        sv = step_v * (2.0 / s) ** 2
         rows.append((s, solve_case(case, sigma=s, gamma=gamma, tau=tau,
                                    step_v=sv, **solve_kw)[1]))
     return rows

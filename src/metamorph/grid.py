@@ -133,9 +133,6 @@ class VectorImage:
         return cls(spec, np.broadcast_to(vx, spec.shape).copy(),
                    np.broadcast_to(vy, spec.shape).copy())
 
-    def copy(self) -> "VectorImage":
-        return VectorImage(self.spec, self.vx.copy(), self.vy.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class Stencil:

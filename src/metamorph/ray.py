@@ -24,14 +24,20 @@ reversed when g reverses the detector axis.  g must map w onto +w, never
 -w: the ray samples t are not symmetric about 0 (at 64^2 they run from
 -22.50 to +22.75), and a reversal in t changes the projection of a random
 64^2 image by up to 4e-2 relative (1e-4 for the head phantom), while with
-+w the derived rows agree with a direct build to about 3e-14.  Partners are found by comparing unit vectors within 16 machine
-epsilons, because in uniform geometries they differ by at most 3 ulp and
-non-partners by at least 6.2e-3.  Forward projection is then one product
-A_rep @ X with one column of X per symmetry in use and a gather, and the
-backprojection scatters into those columns, multiplies by A_rep's transpose
-(a view built once per operator) and pushes each column back through its g.
-A geometry whose angles have no partners, such as random gate angles,
-stores every angle and keeps the plain products A @ f and A.T @ g.
++w the derived rows agree with a direct build to about 3e-14.  Partners are
+found by comparing unit vectors within 16 machine epsilons, because in
+uniform geometries they differ by at most 3 ulp and non-partners by at least
+6.2e-3.  Forward projection is then one product A_rep @ X with one column of
+X per symmetry in use and a gather, and the backprojection scatters into
+those columns, multiplies by A_rep's transpose (a view built once per
+operator) and pushes each column back through its g.  That product computes
+reps x columns row blocks to read n_angles, so the orbits are kept only if
+reps x columns <= n_angles + columns; otherwise every angle is its own
+representative under the identity column (gather = arange), whose products
+equal A @ f and A.T @ g bit for bit.  Every Geometry.uniform(n), n <= 400,
+keeps its orbits (60 angles to 16, 30 to 8, 100 to 26, 7 to 4); 11 gate
+angles where one has a partner are stored in full (at 64^2 x 128 bins, 10
+representatives x 2 columns took 424 us per forward, against 115 us).
 
 Each Geometry keeps the operators it has used, so a caller holding its
 geometries (a gated solve, whatever its number of gates) never rebuilds
@@ -271,20 +277,19 @@ def _pull(values: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class _RayOperator:
-    """A's rows for one representative angle per orbit, and how each angle
-    reads them.
+    """A's stored rows, and where each angle reads them.
 
     Row block b of A is row block a (its representative) applied to f o g,
     with the bins reversed when g reverses the detector axis (det g = -1).
     So forward_project is one product A_rep @ X, with one column of X per
     symmetry in use, and a gather; back_project scatters into the columns,
     multiplies by A_rep's transpose and pushes each column back through its
-    g.  A geometry whose angles have no partners stores every angle, and its
-    products are the plain sparse matrix-vector products (gather is None).
+    g.  A geometry stored in full is the case of one identity column and
+    gather = arange.
     """
 
     def __init__(self, spec: GridSpec, matrix: scipy.sparse.csr_matrix,
-                 symmetries: np.ndarray, gather: np.ndarray | None):
+                 symmetries: np.ndarray, gather: np.ndarray):
         self.spec = spec
         self.matrix = matrix
         # one csc view, sharing the arrays, for every back projection
@@ -293,16 +298,12 @@ class _RayOperator:
         self.gather = gather
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        if self.gather is None:
-            return self.matrix @ values.ravel()
         X = np.empty(values.shape + (len(self.symmetries),))
         for c, g in enumerate(self.symmetries):
             X[:, :, c] = _pull(values, g)
         return (self.matrix @ X.reshape(-1, X.shape[-1])).ravel().take(self.gather)
 
     def back(self, values: np.ndarray) -> np.ndarray:
-        if self.gather is None:
-            return self.matrix_t @ values.ravel()
         n_cols = len(self.symmetries)
         Y = np.bincount(self.gather.ravel(), values.ravel(), self.matrix.shape[0] * n_cols)
         Z = (self.matrix_t @ Y.reshape(-1, n_cols)).reshape(self.spec.shape + (n_cols,))
@@ -323,16 +324,16 @@ def _build_operator(spec: GridSpec, n_det: int, det_extent: float,
     """
     geo = Geometry(np.frombuffer(angles), n_det, det_extent)
     reps, source = _orbits(geo.angles)
-    matrix = _operator_rows(spec, Geometry(geo.angles[reps], n_det, det_extent))
-    if len(reps) == geo.n_angles:
-        return _RayOperator(spec, matrix, _SYMMETRIES[:1], None)
     used = sorted({g for _, g in source})
+    # more than one unread row block per column: store every angle
+    if len(reps) * len(used) > geo.n_angles + len(used):
+        reps, source, used = range(geo.n_angles), [(b, 0) for b in range(geo.n_angles)], [0]
+    matrix = _operator_rows(spec, Geometry(geo.angles[reps], n_det, det_extent))
     column = {g: c for c, g in enumerate(used)}
     bins = np.arange(n_det)
     gather = np.empty((geo.n_angles, n_det), dtype=np.intp)
     for b, (r, g) in enumerate(source):
-        (g00, g01), (g10, g11) = _SYMMETRIES[g]
-        reverse = g00 * g11 - g01 * g10 < 0
+        reverse = np.linalg.det(_SYMMETRIES[g]) < 0
         gather[b] = (r * n_det + (bins[::-1] if reverse else bins)) * len(used) + column[g]
     return _RayOperator(spec, matrix, _SYMMETRIES[used], gather)
 

@@ -137,8 +137,11 @@ SPECIAL = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, 0.7])
     (16, Geometry(SPECIAL, 24, EXTENT)),
     # a repeated angle reads the same stored rows as its first occurrence
     (16, Geometry(np.array([2.0, np.pi - 2.0, 0.5, 0.5]), 24, EXTENT)),
+    # 2 representatives read through the identity, transpose and quarter-turn
+    # columns; pi/4 is the transpose's fixed point
+    (16, Geometry.uniform(4, 24, 16.0)),
 ], ids=["uniform30", "uniform60", "uniform7", "special_extent_L", "special_extent_diag",
-        "repeated"])
+        "repeated", "uniform4"])
 def test_derived_rows_match_direct_build(n, geo):
     # every angle's rows, stored or derived through a symmetry of the grid,
     # against the rows built directly for that angle
@@ -157,18 +160,16 @@ def test_derived_rows_match_direct_build(n, geo):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("n_angles, stored", [(60, 16), (7, 4), (100, 26)])
+@pytest.mark.parametrize("n_angles, stored", [(60, 16), (7, 4), (100, 26), (4, 2), (12, 4)])
 def test_uniform_geometry_stores_one_angle_per_orbit(n_angles, stored):
     spec = GridSpec(16.0, 16, 16)
     geo = Geometry.uniform(n_angles, 24, EXTENT)
     assert _ray_operator(spec, geo).matrix.shape == (stored * 24, spec.nx * spec.ny)
 
 
-def test_gate_geometry_keeps_the_plain_products():
-    # random gate angles have no partners: every angle's rows are stored as
-    # the direct build makes them, and the products are its plain ones
-    spec = GridSpec(16.0, 64, 64)
-    geo = Geometry(gate_angles(10, 10, seed=5)[2], 128, EXTENT)
+def _assert_plain_products(spec, geo):
+    # every angle's rows are stored as the direct build makes them, and the
+    # products equal its plain ones bit for bit
     op = _ray_operator(spec, geo)
     direct = _operator_rows(spec, geo)
     for name in ("data", "indices", "indptr"):
@@ -176,12 +177,28 @@ def test_gate_geometry_keeps_the_plain_products():
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     rng = np.random.default_rng(7)
     f = rng.normal(size=spec.shape)
-    g = rng.normal(size=(10, 128))
+    g = rng.normal(size=(geo.n_angles, geo.n_det))
     assert np.array_equal(forward_project(Image(spec, f), geo).values.ravel(),
                           direct @ f.ravel())
     scale = geo.delta_angle * geo.delta_det / spec.h ** 2
     assert np.array_equal(back_project(Sinogram(geo, g), spec).values.ravel(),
                           scale * (direct.T @ g.ravel()))
+
+
+def test_gate_geometry_keeps_the_plain_products():
+    # random gate angles have no partners
+    _assert_plain_products(GridSpec(16.0, 64, 64),
+                           Geometry(gate_angles(10, 10, seed=5)[2], 128, EXTENT))
+
+
+def test_gate_with_one_partner_stores_every_angle():
+    # one partner among 11 angles would leave 10 representatives read through
+    # 2 symmetry columns: 20 row blocks computed to read 11
+    angles = gate_angles(10, 10, seed=5)[2]
+    geo = Geometry(np.sort(np.append(angles, np.pi - angles[0])), 128, EXTENT)
+    spec = GridSpec(16.0, 64, 64)
+    assert _ray_operator(spec, geo).matrix.shape == (11 * 128, spec.nx * spec.ny)
+    _assert_plain_products(spec, geo)
 
 
 def test_adjoint_identity_gate_geometry():
