@@ -57,6 +57,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"the number of time steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one time step, got {self.n_steps}")
 
@@ -149,6 +151,19 @@ def _advect(points: np.ndarray, stencil: Stencil, v_k: np.ndarray,
     return _clamp_points(out, stencil.spec)
 
 
+def _composed_maps(v: TimeVaryingVectorField, steps, shift: float) -> list[DeformationMap]:
+    """The identity, then for k in steps the last map composed with
+    Id + shift * v_k."""
+    spec = v.spec
+    pts = spec.identity_points()
+    out = [DeformationMap(spec, pts)]
+    for k in steps:
+        qx, qy = _one_step_queries(v, k, shift)
+        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
+        out.append(DeformationMap(spec, pts))
+    return out
+
+
 # the tests read this list, and the benchmark's tracer wraps it by name
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity).
@@ -157,15 +172,7 @@ def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[De
     """
     if end is None:
         end = v.tgrid.n_steps
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    out = [DeformationMap(spec, pts)]
-    for k in range(end):
-        qx, qy = _one_step_queries(v, k, -dt)
-        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
-        out.append(DeformationMap(spec, pts))
-    return out
+    return _composed_maps(v, range(end), -v.tgrid.dt)
 
 
 # kept only because the benchmark's tracer wraps it by name
@@ -173,16 +180,7 @@ def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
     """Maps phi_{t_i, t_end} for i = 0..end, filled backward from the identity."""
     if not 0 <= end <= v.tgrid.n_steps:
         raise IndexError(f"end index {end} outside 0..{v.tgrid.n_steps}")
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    out = [DeformationMap(spec, pts)]
-    for i in range(end - 1, -1, -1):
-        qx, qy = _one_step_queries(v, i, dt)
-        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
-        out.append(DeformationMap(spec, pts))
-    out.reverse()
-    return out
+    return _composed_maps(v, range(end - 1, -1, -1), v.tgrid.dt)[::-1]
 
 
 def forward_levels(v: TimeVaryingVectorField, end: int):

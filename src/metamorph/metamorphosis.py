@@ -11,9 +11,9 @@ x - (1/N) v_k(x) of the nodes, built once per step by transport_stencil.
 The controls v_k and zeta_k, k = 0..N-1, drive step k and nothing else.
 Three trajectories are exposed:
 
-* the image f_{t_i}: the step above (image_levels streams it step by step,
-  each level with the stencil that reached it, so the objective can stop as
-  soon as the levels it has seen decide the evaluation);
+* the image f_{t_i}: the step above, applied only by image_levels, which
+  streams the levels as arrays, each with the stencil that reached it, so
+  the objective can stop as soon as the levels it has seen decide it;
 * the deformation part: the same step with zeta = 0, one more apply of each
   level's S_k, so geometry alone moves the template;
 * the template part I(t_i): intensity alone, the running sum in the frame
@@ -24,13 +24,14 @@ Three trajectories are exposed:
   with zeta_j sampled through the stencil that also advects the points
   phi_{0,t_j} a step further (flow.forward_levels).
 
-The objective reads image_levels only, and keeps each step's stencil S_k
+The objective runs image_levels from f_0 and keeps each step's stencil S_k
 with the levels, so S_k is built once per accepted iterate and read again by
 the gradient and by trajectories.  The optimizer calls trajectories once,
 when the solve is done, with the last accepted evaluation's levels and
-stencils; it builds only the steps after the last gate, and the template
-part, through evolve_template.  group_action is a standalone form the solver
-does not call.  The intensity control is defined in flow.py, with v.
+stencils; it resumes image_levels after the last gate, builds the template
+part through evolve_template and wraps the levels it returns as Images.
+group_action is a standalone form the solver does not call.  The intensity
+control is defined in flow.py, with v.
 """
 
 from __future__ import annotations
@@ -91,35 +92,32 @@ def transport_stencil(v: TimeVaryingVectorField, k: int) -> Stencil:
 
 
 def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
-                 I0: Image, end: int):
-    """Yield each step's stencil S_k and the level f_{t_{k+1}} it reaches,
-    k = 0..end-1, one step per request (f_0 is I0)."""
-    _check_consistent(v, zeta, I0)
+                 f, start: int, end: int):
+    """Yield each step's stencil S_k and the array f_{t_{k+1}} it reaches, for
+    k = start..end-1, from f = f_{t_start}: the library's one image step."""
     dt = v.tgrid.dt
-    f = I0.values
-    for k in range(end):
+    for k in range(start, end):
         stencil = transport_stencil(v, k)
         f = stencil.apply(f + dt * zeta.values[k])
-        yield stencil, Image(v.spec, f)
+        yield stencil, f
 
 
 def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Image,
-                 images: Sequence[Image] = (), stencils: Sequence[Stencil] = ()
+                 images: Sequence = (), stencils: Sequence[Stencil] = ()
                  ) -> Trajectories:
-    """All three output trajectories; entry 0 of each equals the template.
+    """All three output trajectories; entry 0 of each is a copy of the template.
 
-    images f_0..f_M and stencils S_0..S_{M-1}, as an evaluation built them
-    for these (v, zeta, I0), are read instead of being built again; the
-    steps after M are built here.
+    Levels f_0..f_M and stencils S_0..S_{M-1}, as an evaluation built them
+    for these (v, zeta, I0), are read instead of being built again;
+    image_levels resumes from f_M for the steps after M.
     """
-    dt = v.tgrid.dt
+    out = Trajectories([I0.copy()], [I0.copy()], evolve_template(v, zeta, I0))
     stencils = list(stencils)
-    out = Trajectories([I0.copy(), *images[1:]], [I0.copy()], evolve_template(v, zeta, I0))
-    f = out.image_traj[-1].values
-    for k in range(len(stencils), v.tgrid.n_steps):
-        stencils.append(transport_stencil(v, k))
-        f = stencils[k].apply(f + dt * zeta.values[k])
-        out.image_traj.append(Image(v.spec, f))
+    levels = [I0.values, *images[1:]]
+    for stencil, f in image_levels(v, zeta, levels[-1], len(stencils), v.tgrid.n_steps):
+        stencils.append(stencil)
+        levels.append(f)
+    out.image_traj += [Image(v.spec, f) for f in levels[1:]]
     d = I0.values
     for stencil in stencils:
         d = stencil.apply(d)

@@ -39,24 +39,25 @@ Gate indices must be strictly increasing in 1..N; nothing here checks
 that.  spatiotemporal.GatedData does, where a gate list enters the library,
 and optimizer.reconstruct builds its one gate at N.
 
-The forward model (image trajectory, step stencils and gate projections) is
-built in one place, evaluate_parts.  It returns them as a ForwardState, and
-the gradient at the same (v, zeta) reads them instead of building the model
-again: S_k is built once per accepted iterate, by the evaluation, and the
-backward sweep reads it, as the optimizer's final trajectories do.  Each
-stencil is stored compactly (grid.Stencil, 24 bytes per node), so the state
-holds 32 bytes per node per level with its image.
+The forward model is built in one place, evaluate_parts, and returned as a
+ForwardState: the levels f_0..f_M as plain arrays (f_0 is the template's
+own), the step stencils S_0..S_{M-1} and T f_e per gate; only the levels
+forward_project reads are wrapped as Images.  The gradient at the same
+(v, zeta) reads the state, as the optimizer's final trajectories do, so S_k
+is built once per accepted iterate.  Each stencil is stored compactly
+(grid.Stencil, 24 bytes per node), so a level and its stencil hold 32 bytes
+per node.
 
 evaluate_parts builds the model one time level at a time (image_levels) and
 projects each gate as soon as its level exists, adding the discrepancies in
-gate order from 0.  Given a bound (the line search passes the current
-objective), it returns None as soon as not (v_term + z_term + data <= bound)
-for the data gathered so far.  That early answer is exact: every
-discrepancy is >= 0 and rounded addition is monotone, so the running total
-never falls as gates are added, and a candidate cut after gate k would fail
-the same test with all gates in.  A NaN anywhere makes the test fail too,
-so it still rejects.  An evaluation that is not cut computes the same
-values, in the same order, as one without a bound.
+gate order from 0.  It returns None as soon as not (v_term + z_term + data
+<= bound) for the data gathered so far; the line search passes the current
+objective, and the default bound, inf, rejects only a NaN.  That early
+answer is exact: every discrepancy is >= 0 and rounded addition is
+monotone, so the running total never falls as gates are added, and a
+candidate cut after gate k would fail the same test with all gates in.  An
+evaluation that is not cut computes the same values, in the same order,
+whatever the bound.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 from .flow import TimeVaryingScalarField, TimeVaryingVectorField
 from .grid import GridSpec, Image, Stencil, _central_difference
 from .kernel import KernelSpec, _kernel_product
-from .metamorphosis import image_levels
+from .metamorphosis import _check_consistent, image_levels
 from .ray import Sinogram, back_project, forward_project
 
 
@@ -114,40 +115,41 @@ def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
 
 @dataclass
 class ForwardState:
-    """Image trajectory f_0..f_M (M the last gate index), the step stencils
+    """Levels f_0..f_M as arrays (M the last gate index), the step stencils
     S_0..S_{M-1} and T f_e per gate, as one evaluation built them for the
     gradient and the trajectories at the same (v, zeta)."""
 
-    images: list[Image]
+    images: list[np.ndarray]
     stencils: list[Stencil]
     projections: list[Sinogram]
 
 
 def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
                    I0: Image, gates: list[tuple[int, Sinogram]], params: RegParams,
-                   bound: float | None = None
+                   bound: float = np.inf
                    ) -> tuple[float, float, float, float, ForwardState] | None:
     """(total, data, velocity and intensity terms, forward state) for gated data.
 
-    With a bound, returns None as soon as the running total exceeds it (or
-    is NaN); see the module docstring for why that decides the full total.
+    None as soon as the running total exceeds the bound or is NaN (a NaN
+    total is rejected with or without a bound); see the module docstring.
     """
+    _check_consistent(v, zeta, I0)
     v_term = 0.5 * params.gamma * velocity_norm_sq(v)
     z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
-    levels = image_levels(v, zeta, I0, gates[-1][0])
-    images = [I0.copy()]
+    levels = image_levels(v, zeta, I0.values, 0, gates[-1][0])
+    images = [I0.values]
     stencils = []
     projections = []
     data = 0
     for end, g in gates:
         while len(images) <= end:
-            stencil, image = next(levels)
+            stencil, f = next(levels)
             stencils.append(stencil)
-            images.append(image)
-        proj = forward_project(images[end], g.geometry)
+            images.append(f)
+        proj = forward_project(Image(v.spec, images[end]), g.geometry)
         projections.append(proj)
         data = data + data_discrepancy(proj, g)
-        if bound is not None and not (v_term + z_term + data <= bound):
+        if not (v_term + z_term + data <= bound):
             return None
     state = ForwardState(images, stencils, projections)
     return v_term + z_term + data, data, v_term, z_term, state
@@ -183,7 +185,7 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     for k in range(last - 1, -1, -1):
         stencil = state.stencils[k]
         weights = stencil.weights()
-        f = state.images[k].values + dt * zeta.values[k]
+        f = state.images[k] + dt * zeta.values[k]
         # one apply per component: a stacked (2, nx, ny) gather measured
         # about twice the time of two applies at 128^2
         Gx = stencil.apply(_central_difference(f, h, 0), weights)

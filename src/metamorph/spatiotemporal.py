@@ -33,17 +33,19 @@ class GatedData:
     gates: list[tuple[int, Sinogram]]
 
     def __post_init__(self):
-        self.gates = [(int(k), s) for k, s in self.gates]
         if not self.gates:
             raise ValueError("need at least one gate on the time grid 1..N")
         last = 0
         for k, _ in self.gates:
+            if not isinstance(k, (int, np.integer)):
+                raise ValueError(f"a gate index must be an integer, got {k!r}")
             if k < 1:
                 raise ValueError(f"gate index {k} outside the time grid 1..N")
             if k <= last:
                 raise ValueError(f"gate index {k} follows gate index {last}; "
                                  f"indices on the time grid 1..N must increase strictly")
             last = k
+        self.gates = [(int(k), s) for k, s in self.gates]
 
     def check_against(self, tgrid: TimeGrid):
         n = tgrid.n_steps

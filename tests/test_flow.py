@@ -11,6 +11,7 @@ from metamorph.flow import (
     DeformationMap,
     TimeGrid,
     TimeVaryingVectorField,
+    backward_advected_points,
     forward_maps,
     jacobian_chain_to_index,
     maps_from_zero,
@@ -45,6 +46,13 @@ def test_timegrid_validation():
     assert np.allclose(TimeGrid(4).times(), [0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_timegrid_rejects_a_non_integer_step_count():
+    # a fractional count would put the last time node past 1
+    with pytest.raises(ValueError, match=r"time steps must be an integer, got 2\.5"):
+        TimeGrid(2.5)
+    assert TimeGrid(np.int64(4)).dt == 0.25
+
+
 def test_zero_field_gives_identity_maps():
     tg = TimeGrid(6)
     v = TimeVaryingVectorField.zeros(tg, SPEC)
@@ -68,6 +76,30 @@ def test_translation_flow_closed_form():
         assert np.abs(start - (ident + [c, 0.0])).max() <= 1e-10
         fwd, ident = interior(forward_maps(v)[-1].points)
         assert np.abs(fwd - (ident + [c, 0.0])).max() <= 1e-10
+
+
+def test_backward_advected_points_steps_from_i_minus_1_down_to_0():
+    v = constant_field(TimeGrid(5), 0.3, 0.0)
+    for i in range(6):
+        assert [j for j, _ in backward_advected_points(v, i)] == list(range(i - 1, -1, -1))
+
+
+def test_backward_advected_points_zero_field_is_identity():
+    v = TimeVaryingVectorField.zeros(TimeGrid(4), SPEC)
+    ident = SPEC.identity_points()
+    for _, pts in backward_advected_points(v, 4):
+        assert np.array_equal(pts, ident)
+
+
+def test_backward_advected_points_constant_field_closed_form():
+    # phi_{t_i,t_j} = Id - (i - j) dt c
+    c = np.array([1.5, -2.0])
+    tg = TimeGrid(4)
+    v = constant_field(tg, *c)
+    i = 4
+    for j, pts in backward_advected_points(v, i):
+        got, ident = interior(pts)
+        assert np.abs(got - (ident - (i - j) * tg.dt * c)).max() <= 1e-10
 
 
 def test_rotation_flow_first_order_convergence():

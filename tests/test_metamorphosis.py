@@ -99,9 +99,10 @@ def test_transport_step_one_pixel_shift_oracle():
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     rng = np.random.default_rng(8)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
-    for k, f in enumerate([I0, *(f for _, f in image_levels(v, zeta, I0, n))]):
-        assert np.array_equal(f.values[k:], I0.values[:SPEC.nx - k])
-        assert np.all(f.values[:k] == 0.0)
+    levels = [f for _, f in image_levels(v, zeta, I0.values, 0, n)]
+    for k, f in enumerate([I0.values, *levels]):
+        assert np.array_equal(f[k:], I0.values[:SPEC.nx - k])
+        assert np.all(f[:k] == 0.0)
     b = rng.normal(size=SPEC.shape)
     back = transport_stencil(v, 0).transpose(b)
     assert np.array_equal(back[:-1], b[1:])

@@ -139,6 +139,21 @@ def test_evaluate_intensity_term_quadratic():
     assert z_term_doubled == pytest.approx(4 * z_term, rel=1e-12)
 
 
+def test_evaluation_wraps_only_the_projected_level_as_an_image(monkeypatch):
+    # the levels stay arrays; the one Image is the level forward_project reads
+    tg, _, I0, g = make_problem(n_steps=6)
+    v, zeta = random_state(6, seed=3, amp_v=0.1, amp_z=0.3)
+    built = []
+    check = Image.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+    monkeypatch.setattr(Image, "__post_init__", counted)
+    evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.3, 0.7))
+    assert len(built) == 1
+
+
 def test_gradient_zero_at_consistent_data():
     tg, geo, I0, _ = make_problem()
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
@@ -227,7 +242,7 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     r = discrepancy_gradient(state.projections[0], g, FD_SPEC).values
     dt = tg.dt
     S3 = transport_stencil(v, 3)
-    G = gradient_central(Image(FD_SPEC, state.images[3].values + dt * zeta.values[3]))
+    G = gradient_central(Image(FD_SPEC, state.images[3] + dt * zeta.values[3]))
     Gx, Gy = S3.apply(G.vx), S3.apply(G.vy)
     smoothed = kernel_apply(VectorImage(FD_SPEC, r * Gx, r * Gy), FD_KERNEL)
     assert np.array_equal(data_v.values[3, 0], -smoothed.vx)

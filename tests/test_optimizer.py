@@ -242,7 +242,7 @@ def test_forward_state_holds_one_image_and_one_compact_stencil_per_level():
     ends = (2, 5)
     _, _, I0, state = random_forward_state(gates_on(ends))
     levels = ends[-1] + 1
-    arrays = [img.values for img in state.images]
+    arrays = list(state.images)
     arrays += [a for st in state.stencils for a in (st.index, st.fu, st.fw)]
     assert all(a.base is None for a in arrays)  # no view hides a larger array
     held = sum(a.nbytes for a in arrays)

@@ -35,7 +35,8 @@ SCRIPTS = {
 def test_script_writes_its_outputs(tmp_path, script):
     argv, files = SCRIPTS[script]
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # warnings fail a script, as they fail the suite
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--out", str(out),
                            *argv], env=env, cwd=tmp_path, capture_output=True, text=True,
                           timeout=300)

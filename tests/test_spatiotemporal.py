@@ -107,6 +107,14 @@ def test_gated_data_rejects_decreasing_gate_indices():
         GatedData(gates)
 
 
+def test_gated_data_rejects_a_non_integer_gate_index():
+    # rounding 2.7 would move the gate to another time level
+    s = Sinogram.zeros(Geometry.uniform(4, 16, EXTENT))
+    with pytest.raises(ValueError, match=r"gate index must be an integer, got 2\.7"):
+        GatedData([(2.7, s)])
+    assert GatedData([(np.int64(2), s)]).gates[0][0] == 2
+
+
 def test_unbounded_evaluation_equals_infinite_bound():
     tg, I0, gated = make_gated_problem()
     v, zeta = random_state(tg.n_steps, seed=9, amp_v=0.3, amp_z=0.4)
@@ -115,7 +123,7 @@ def test_unbounded_evaluation_equals_infinite_bound():
     bounded = evaluate_parts(v, zeta, I0, gated.gates, params, bound=math.inf)
     assert bounded[:4] == free[:4]
     for a, b in zip(bounded[4].images, free[4].images, strict=True):
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
     for a, b in zip(bounded[4].projections, free[4].projections, strict=True):
         assert a.values.tobytes() == b.values.tobytes()
 
