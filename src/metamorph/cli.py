@@ -39,7 +39,7 @@ _KNOWN_KEYS = {
     "grid": ("half_width", "nx", "ny"),
     "geometry": ("n_angles", "n_det", "det_extent"),
     "time": ("steps",),
-    "kernel": ("sigma", "truncation_radius"),
+    "kernel": ("sigma",),
     "reg": ("gamma", "tau"),
     "solver": ("mode", "max_iters", "step_v", "step_zeta", "rel_tol", "fbp_cutoff"),
     "phantom": ("kind", "background", "drift", "growth", "appear_time", "appear_ramp",
@@ -53,6 +53,7 @@ _KNOWN_KEYS = {
 # keys that were settings once, with what to say instead of a near match
 _RETIRED_KEYS = {
     ("solver", "backtracking"): "not a setting; the line search always backtracks",
+    ("kernel", "truncation_radius"): "not a setting; the kernel is the untruncated Gaussian",
 }
 # how many values each shape key takes: disc cx cy r [intensity], ellipse
 # cx cy a b [angle_deg [intensity]], triangle x0 y0 x1 y1 x2 y2 [intensity]
@@ -357,11 +358,10 @@ def _load_common(cfg: ConfigReader):
     spec = _grid(cfg)
     steps = cfg.get_int("time", "steps", 10)
     sigma = cfg.get_float("kernel", "sigma", 2.0)
-    trunc = cfg.get_float("kernel", "truncation_radius", 4.0)
     gamma = cfg.get_float("reg", "gamma", 1e-5)
     tau = cfg.get_float("reg", "tau", 1e-5)
     return (spec, _build(cfg, "time", TimeGrid, steps),
-            _build(cfg, "kernel", KernelSpec, sigma, trunc),
+            _build(cfg, "kernel", KernelSpec, sigma),
             _build(cfg, "reg", RegParams, gamma, tau))
 
 

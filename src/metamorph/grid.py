@@ -45,6 +45,8 @@ class GridSpec:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise ValueError(f"grid sizes must be integers, got nx={self.nx!r}, ny={self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2x2 pixels, got {self.nx}x{self.ny}")
         if self.nx != self.ny:

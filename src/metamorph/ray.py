@@ -105,6 +105,8 @@ class Geometry:
             raise ValueError("angles must be finite")
         if np.any(angles < 0.0) or np.any(angles >= np.pi):
             raise ValueError("angles must lie in [0, pi)")
+        if not isinstance(self.n_det, (int, np.integer)):
+            raise ValueError(f"the number of detector bins must be an integer, got {self.n_det!r}")
         if self.n_det < 1:
             raise ValueError(f"need at least one detector bin, got {self.n_det}")
         if not (np.isfinite(self.det_extent) and self.det_extent > 0):

@@ -307,28 +307,24 @@ out_dir = {out}
     assert (out / "gates.toml").read_bytes() == (tmp_path / "case" / "gates.toml").read_bytes()
 
 
-def test_sweep_uses_the_configured_truncation_radius(tmp_path):
+def test_retired_truncation_radius_is_a_config_problem(tmp_path, capsys):
+    # the kernel is the untruncated Gaussian: the old radius is reported, not ignored
     spec = GridSpec(16.0, 32, 32)
-    target = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
-    template = make_phantom(PhantomSpec("discs", discs=(Disc(1.0, 0, 5.0, 1.0),)), spec)
-    write_image_raw(target, tmp_path / "target.mimg")
-    write_image_raw(template, tmp_path / "template.mimg")
-    sweeps = []
-    for radius in (3, 8):
-        out = tmp_path / f"r{radius}"
-        cfg = write_config(tmp_path / f"r{radius}.ini", BASE.replace(
-            "sigma = 2.0", f"sigma = 2.0\ntruncation_radius = {radius}") + f"""
-[sweep]
-sigma_values = 2.0
-
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
+    write_image_raw(disc, tmp_path / "disc.mimg")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.ini", BASE.replace(
+        "sigma = 2.0", "sigma = 2.0\ntruncation_radius = 4") + f"""
 [io]
-template = {tmp_path / 'template.mimg'}
-target = {tmp_path / 'target.mimg'}
+template = {tmp_path / 'disc.mimg'}
+target = {tmp_path / 'disc.mimg'}
 out_dir = {out}
 """)
-        assert main(["sweep", "--config", cfg]) == 0
-        sweeps.append((out / "sweep.csv").read_bytes())
-    assert sweeps[0] != sweeps[1]
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [kernel] truncation_radius: "
+        "not a setting; the kernel is the untruncated Gaussian")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, fragment", [
@@ -381,7 +377,7 @@ out_dir = {out}
 @pytest.mark.parametrize("section, key, value", [
     ("reg", "gamma", "nan"), ("reg", "tau", "inf"),
     ("solver", "step_v", "nan"), ("solver", "step_zeta", "inf"), ("solver", "rel_tol", "nan"),
-    ("kernel", "truncation_radius", "nan"), ("kernel", "truncation_radius", "inf"),
+    ("kernel", "sigma", "nan"), ("kernel", "sigma", "inf"),
 ])
 def test_non_finite_setting_is_a_config_problem(tmp_path, capsys, section, key, value):
     spec = GridSpec(16.0, 32, 32)
@@ -592,7 +588,7 @@ out_dir = {out}
     ("grid", "half_widht", "half_width"),
     ("geometry", "n_angels", "n_angles"),
     ("time", "stpes", "steps"),
-    ("kernel", "truncation_radus", "truncation_radius"),
+    ("kernel", "sigam", "sigma"),
     ("reg", "gama", "gamma"),
     ("solver", "max_iter", "max_iters"),
     ("phantom", "backround", "background"),

@@ -37,6 +37,15 @@ def test_gridspec_validation():
         GridSpec(16.0, 32, 64)
 
 
+def test_gridspec_rejects_non_integer_sizes():
+    # a float size would construct and then fail in numpy's array allocation
+    with pytest.raises(ValueError, match=r"nx=16\.0, ny=16\.0"):
+        GridSpec(16.0, 16.0, 16.0)
+    with pytest.raises(ValueError, match=r"ny=32\.0"):
+        GridSpec(16.0, 32, 32.0)
+    assert GridSpec(16.0, np.int64(32), np.int64(32)).shape == (32, 32)
+
+
 def test_sample_constant_everywhere(spec):
     img = Image.full(spec, 3.7)
     px, py = np.array([0.0, 5.3, -12.7]), np.array([0.0, -2.1, 9.9])

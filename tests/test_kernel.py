@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import vfield_l2_inner
 from metamorph.grid import GridSpec, VectorImage
-from metamorph.kernel import KernelSpec, kernel_apply, kernel_taps_1d
+from metamorph.kernel import KernelSpec, _tap_matrix, kernel_apply
 
 
 @pytest.fixture
@@ -18,8 +18,6 @@ def test_kernelspec_validation():
         KernelSpec(0.0)
     with pytest.raises(ValueError):
         KernelSpec(-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(2.0, truncation_radius=2.0)
 
 
 def test_zero_field_maps_to_zero(spec16):
@@ -37,14 +35,11 @@ def test_impulse_response_against_double_loop(spec16):
 
     xs, ys = spec16.xs(), spec16.ys()
     hsq = spec16.h ** 2
-    radius = (len(kernel_taps_1d(k, spec16)) - 1) // 2
     expected = np.zeros(spec16.shape)
     for i in range(16):
         for j in range(16):
-            di, dj = i - 8, j - 8
-            if abs(di) <= radius and abs(dj) <= radius:
-                d2 = (xs[i] - xs[8]) ** 2 + (ys[j] - ys[8]) ** 2
-                expected[i, j] = np.exp(-d2 / (2 * k.sigma ** 2)) * hsq
+            d2 = (xs[i] - xs[8]) ** 2 + (ys[j] - ys[8]) ** 2
+            expected[i, j] = np.exp(-d2 / (2 * k.sigma ** 2)) * hsq
     assert np.allclose(out.vx, expected, rtol=0, atol=1e-14)
     assert np.all(out.vy == 0.0)
 
@@ -66,21 +61,45 @@ def test_linearity(alpha, beta, seed):
 
 
 def test_matches_numpy_fft_convolution():
-    # independent oracle: zero-padded FFT convolution with the same truncated
-    # 2D kernel, cropped to the grid
+    # independent oracle: zero-padded FFT convolution with the whole 2D
+    # Gaussian over every node offset, cropped to the grid
     spec = GridSpec(16.0, 128, 128)
     rng = np.random.default_rng(7)
     u = VectorImage(spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
+    radius = spec.nx - 1
+    d = np.arange(-radius, radius + 1) * spec.h
+    size = 128 + 2 * radius
     for sigma in (0.8, 2.0, 5.0):
-        taps = kernel_taps_1d(KernelSpec(sigma), spec)
-        radius = (len(taps) - 1) // 2
-        size = 128 + 2 * radius
+        taps = np.exp(-(d * d) / (2.0 * sigma ** 2))
         kernel_ft = np.fft.rfft2(np.outer(taps, taps), s=(size, size))
         out = kernel_apply(u, KernelSpec(sigma))
         for got, field in ((out.vx, u.vx), (out.vy, u.vy)):
             full = np.fft.irfft2(np.fft.rfft2(field, s=(size, size)) * kernel_ft, s=(size, size))
             expected = full[radius:radius + 128, radius:radius + 128] * spec.h ** 2
             assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("sigma", [0.3, 0.8, 2.0, 5.0, 10.0])
+def test_tap_matrix_positive_semidefinite(n, sigma):
+    # a Gaussian is a positive-definite kernel: only rounding may go below 0
+    B = _tap_matrix(KernelSpec(sigma), GridSpec(16.0, n, n))
+    eig = np.linalg.eigvalsh(B)
+    assert eig[0] >= -n * np.finfo(np.float64).eps * eig[-1]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("sigma", [0.3, 0.6, 0.8])
+def test_tap_matrix_holds_no_subnormal(n, sigma):
+    B = _tap_matrix(KernelSpec(sigma), GridSpec(16.0, n, n))
+    assert not np.any((B != 0.0) & (np.abs(B) < np.finfo(np.float64).tiny))
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e300])
+def test_tap_matrix_finite_at_extreme_sigma(sigma):
+    B = _tap_matrix(KernelSpec(sigma), GridSpec(16.0, 16, 16))
+    # sigma far below the spacing leaves the identity, far above it all ones
+    assert np.array_equal(B, np.eye(16) if sigma < 1 else np.ones((16, 16)))
 
 
 def test_operator_symmetric_positive(spec16):
@@ -106,7 +125,7 @@ def test_translation_equivariance_interior():
     shifted = VectorImage(spec, np.roll(u.vx, 1, axis=0), np.roll(u.vy, 1, axis=0))
     a = kernel_apply(shifted, k)
     b = kernel_apply(u, k)
-    m = 12  # margin clear of the truncation radius plus the shift
+    m = 12  # margin where the zero padding weighs below exp(-11^2 / 2), plus the shift
     scale = np.abs(b.vx).max()
     assert np.abs(a.vx[m:-m, m:-m] - np.roll(b.vx, 1, axis=0)[m:-m, m:-m]).max() <= 1e-8 * scale
 

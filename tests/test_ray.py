@@ -42,6 +42,12 @@ def test_geometry_validation():
     assert geo.delta_angle == pytest.approx(np.pi / 10)
 
 
+def test_geometry_rejects_a_non_integer_bin_count():
+    with pytest.raises(ValueError, match=r"detector bins must be an integer, got 10\.0"):
+        Geometry(np.array([0.5]), 10.0, EXTENT)
+    assert Geometry(np.array([0.5]), np.int64(10), EXTENT).n_det == 10
+
+
 def test_geometry_equality_is_same_sampling():
     angles = np.linspace(0.0, np.pi, 8, endpoint=False)
     geo = Geometry(angles, 8, 4.0)
