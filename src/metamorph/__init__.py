@@ -33,7 +33,7 @@ from .objective import (
     discrepancy_gradient,
 )
 from .optimizer import SolveConfig, SolveReport, reconstruct
-from .ray import Geometry, Sinogram, back_project, fbp, forward_project
+from .ray import Geometry, Sinogram, back_project, fbp, forward_project, lumped_fbp
 from .spatiotemporal import (
     GatedData,
     gate_angles,

@@ -16,6 +16,7 @@ import difflib
 import io
 import math
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -539,7 +540,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {len(exc.problems)} problem(s): {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:
+        traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from .harness import Disc, Ellipse, PhantomSpec, add_noise, make_phantom, ssim
 from .kernel import KernelSpec
 from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, reconstruct
-from .ray import Geometry, Sinogram, fbp, forward_project
+from .ray import Geometry, Sinogram, forward_project, lumped_fbp
 from .spatiotemporal import GatedData, gate_angles, reconstruct_gated
 
 DEFAULT_HALF_WIDTH = 16.0
@@ -185,13 +185,12 @@ def evolving_gated_case(nx: int = 64, n_gates: int = 10, per_gate: int = 10,
 
 
 def concatenated_fbp(case: GatedCase, cutoff: float = 0.8) -> Image:
-    """Static FBP from all gate angles lumped into one acquisition."""
-    angles = np.concatenate([s.geometry.angles for _, s in case.gated.gates])
-    order = np.argsort(angles)
-    values = np.concatenate([s.values for _, s in case.gated.gates])[order]
-    geo = Geometry(angles[order], case.gated.gates[0][1].geometry.n_det,
-                   case.gated.gates[0][1].geometry.det_extent)
-    return fbp(Sinogram(geo, values), case.spec, cutoff)
+    """Static FBP from all gate angles lumped into one acquisition.
+
+    Each gate's rows go through its own detector and the operator its
+    geometry already holds, so the call builds no ray operator.
+    """
+    return lumped_fbp([sino for _, sino in case.gated.gates], case.spec, cutoff)
 
 
 def solve_gated(case: GatedCase, sigma: float = 2.0, gamma: float = 1e-5,

@@ -56,7 +56,15 @@ and 5.3 ms storing every angle); at 64^2 with 30 angles both take about
 0.3 ms.  The build pays off on repeated geometry: a descent solve applies A
 or its transpose three times per step, while a one-shot projection or FBP
 pays the build for one product and holds the matrix until the process
-ends.
+ends.  An acquisition lumped from parts that have their own operators, such
+as the gates of a gated solve, builds none: filtering is row by row and the
+backprojection is a sum over angles, so lumped_fbp filters each part's rows
+on its own detector and backprojects them through its own operator, with
+the lumped weight pi / (total angle count).  For 10 gates x 10 angles on one
+core of a 2-vCPU host that takes 5-8 ms at 64^2 and 13-19 ms at 128^2,
+where building one 100-angle operator took 0.3-0.6 s and 0.8-1.3 s, and a
+fresh process that builds the gates and the lumped FBP peaks at 70.5 MB
+instead of 88.6 MB at 64^2, and 125 MB instead of 190 MB at 128^2.
 """
 
 from __future__ import annotations
@@ -452,6 +460,25 @@ def _filter_rows(values: np.ndarray, delta: float, cutoff: float) -> np.ndarray:
     return filtered[:, :n_det] * delta
 
 
+def _fbp_sum(sinos, spec: GridSpec, cutoff: float) -> Image:
+    """The FBP of the parts of one acquisition: each part's rows filtered on
+    its own detector and backprojected through its own operator, with the
+    angle weight pi / (angles of all parts).  Called by fbp and lumped_fbp
+    only: its warning points at their caller."""
+    n_angles = sum(sino.geometry.n_angles for sino in sinos)
+    if n_angles < 2:
+        warnings.warn("fbp with fewer than 2 angles is badly underdetermined", stacklevel=3)
+    if not 0 < cutoff <= 1:
+        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
+    out = np.zeros(spec.shape)
+    for sino in sinos:
+        geo = sino.geometry
+        filtered = _filter_rows(sino.values, geo.delta_det, cutoff)
+        # back_project weighs by pi / (this part's angles)
+        out += geo.n_angles / n_angles * back_project(Sinogram(geo, filtered), spec).values
+    return Image(spec, out)
+
+
 def fbp(sino: Sinogram, spec: GridSpec, cutoff: float = 0.8) -> Image:
     """Filtered backprojection with cosine-windowed Ram-Lak filter.
 
@@ -459,10 +486,18 @@ def fbp(sino: Sinogram, spec: GridSpec, cutoff: float = 0.8) -> Image:
     frequency.  The pi / n_angles backprojection weight is carried by the
     geometry's angle quadrature.
     """
-    geo = sino.geometry
-    if geo.n_angles < 2:
-        warnings.warn("fbp with fewer than 2 angles is badly underdetermined", stacklevel=2)
-    if not 0 < cutoff <= 1:
-        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
-    filtered = _filter_rows(sino.values, geo.delta_det, cutoff)
-    return back_project(Sinogram(geo, filtered), spec)
+    return _fbp_sum([sino], spec, cutoff)
+
+
+def lumped_fbp(sinos, spec: GridSpec, cutoff: float = 0.8) -> Image:
+    """fbp of the sinograms' rows lumped into one acquisition.
+
+    Each sinogram keeps its own geometry, so parts may differ in angles,
+    bin count and extent.  The sum reads the operators the parts' geometries
+    already hold and builds one only for a part that has none.  It warns
+    once if all parts together have fewer than 2 angles.
+    """
+    sinos = list(sinos)
+    if not sinos:
+        raise ValueError("need at least one sinogram")
+    return _fbp_sum(sinos, spec, cutoff)

@@ -641,3 +641,22 @@ out_dir = {out}
     assert capsys.readouterr().err.strip() == (
         "error: config: 1 problem(s): [phantm]: unknown section; did you mean [phantom]?")
     assert not out.exists()
+
+
+def test_failure_prints_its_traceback(tmp_path, capsys):
+    garbage = tmp_path / "garbage.mimg"
+    garbage.write_bytes(b"not an image")
+    cfg = write_config(tmp_path / "m.ini", f"""
+[metrics]
+reference = {garbage}
+test = {garbage}
+""")
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1].startswith("error: ValueError: ")
+    # a config problem exits with 2 and no traceback
+    bad = write_config(tmp_path / "bad.ini", "[metrics]\nreference = /does/not/exist\n")
+    assert main(["metrics", "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err

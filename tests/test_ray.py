@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import image_l2_inner, midpoint_ray_sums
+from metamorph.experiments import concatenated_fbp, evolving_gated_case
 from metamorph.grid import GridSpec, Image
 from metamorph.harness import Disc, PhantomSpec, make_phantom, ssim
 from metamorph.ray import (
@@ -15,6 +17,7 @@ from metamorph.ray import (
     back_project,
     fbp,
     forward_project,
+    lumped_fbp,
 )
 from metamorph.spatiotemporal import gate_angles
 
@@ -298,3 +301,79 @@ def test_fbp_single_angle_warns():
     geo = Geometry(np.array([0.3]), 32, EXTENT)
     with pytest.warns(UserWarning):
         fbp(Sinogram.zeros(geo), spec)
+
+
+def test_lumped_fbp_of_consecutive_gates_is_the_full_fbp():
+    # the full geometry stores 16 of its 60 angles under 4 symmetries; 8 parts
+    # store all 6 under the identity, the two around pi/4 and 3pi/4 store 4
+    # under 2
+    spec = GridSpec(16.0, 64, 64)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(3.0, -2.0, 6.0, 1.0),)), spec)
+    full = forward_project(disc, Geometry.uniform(60, 128, EXTENT))
+    gates = [Sinogram(Geometry(full.geometry.angles[i:i + 6], 128, EXTENT), full.values[i:i + 6])
+             for i in range(0, 60, 6)]
+    for gate in gates:
+        _ray_operator(spec, gate.geometry)
+    before = _build_operator.cache_info().misses
+    lumped = lumped_fbp(gates, spec)
+    assert _build_operator.cache_info().misses == before
+    expected = fbp(full, spec).values
+    assert np.abs(lumped.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_lumped_fbp_warns_once_below_two_angles_in_all():
+    spec = GridSpec(16.0, 32, 32)
+    singles = [Sinogram.zeros(Geometry(np.array([a]), 32, EXTENT))
+               for a in np.linspace(0.0, np.pi, 10, endpoint=False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lumped_fbp(singles, spec)
+    with pytest.warns(UserWarning, match="fewer than 2 angles") as record:
+        lumped_fbp(singles[:1], spec)
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("reconstruct",
+                         [fbp, lambda sino, spec, cutoff: lumped_fbp([sino], spec, cutoff)],
+                         ids=["fbp", "lumped_fbp"])
+@pytest.mark.parametrize("cutoff", [0.0, 1.5, math.nan])
+def test_fbp_rejects_a_cutoff_outside_0_1(reconstruct, cutoff):
+    geo = Geometry.uniform(4, 32, EXTENT)
+    with pytest.raises(ValueError, match=r"cutoff must be in \(0, 1\], got"):
+        reconstruct(Sinogram.zeros(geo), GridSpec(16.0, 32, 32), cutoff)
+
+
+def test_lumped_fbp_needs_a_sinogram():
+    with pytest.raises(ValueError, match="at least one sinogram"):
+        lumped_fbp([], GridSpec(16.0, 32, 32))
+
+
+def _two_gate_disc_fbp(detectors):
+    """lumped_fbp of a disc seen through the even and the odd angles of a
+    uniform 60-angle set, each gate through its own (n_det, det_extent)."""
+    spec = GridSpec(16.0, 64, 64)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(3.0, -2.0, 6.0, 1.0),)), spec)
+    angles = np.linspace(0.0, np.pi, 60, endpoint=False)
+    gates = [forward_project(disc, Geometry(angles[i::2], n_det, extent))
+             for i, (n_det, extent) in enumerate(detectors)]
+    return lumped_fbp(gates, spec).values
+
+
+@pytest.mark.parametrize("other", [(128, 1.5 * EXTENT), (192, EXTENT)],
+                         ids=["det_extent", "n_det"])
+def test_lumped_fbp_reads_each_gates_own_detector(other):
+    # applying the first gate's extent to every row is 0.37 away; unequal bin
+    # counts cannot be stacked into one sinogram
+    expected = _two_gate_disc_fbp([(128, EXTENT), (128, EXTENT)])
+    lumped = _two_gate_disc_fbp([(128, EXTENT), other])
+    assert np.linalg.norm(lumped - expected) <= 0.05 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("nx", [64, 128])
+def test_concatenated_fbp_builds_no_operator(nx):
+    # projecting the gates built their operators; the lumped FBP reads them
+    case = evolving_gated_case(nx=nx)
+    before = _build_operator.cache_info().misses
+    concatenated_fbp(case)
+    assert _build_operator.cache_info().misses == before
