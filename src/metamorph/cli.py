@@ -20,7 +20,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import gated_projections, project_with_noise
+from .experiments import SWEEP_FIELDS, Case, gated_projections, project_with_noise, sweep
 from .fileio import (atomic_write_bytes, read_gated_bundle, read_image_raw, read_sinogram,
                      write_gated_bundle, write_image_raw, write_pgm, write_sinogram)
 from .flow import TimeGrid
@@ -495,20 +495,15 @@ def cmd_sweep(args) -> int:
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
     out = _out_dir(cfg, args)
-    template = read_image_raw(template_path)
     target = read_image_raw(target_path)
-    data = project_with_noise(target, geo, psnr_db, seed)
+    case = Case(spec, read_image_raw(template_path), target, geo,
+                project_with_noise(target, geo, psnr_db, seed))
     rows = []
-    for k in kernels:
-        for reg in regs:
-            report = reconstruct(template, data, k, reg, tgrid, solver)
-            recon = report.trajectories.image_traj[-1]
-            rows.append({"id": f"s{k.sigma}_g{reg.gamma}_t{reg.tau}", "sigma": k.sigma,
-                         "gamma": reg.gamma, "tau": reg.tau,
-                         "ssim": ssim(target, recon), "psnr": psnr(target, recon)})
-            print(f"sigma={k.sigma} gamma={reg.gamma} tau={reg.tau} ssim={rows[-1]['ssim']:.4f}")
-    _write_rows_csv(out / "sweep.csv",
-                    ["id", "sigma", "gamma", "tau", "ssim", "psnr"], rows)
+    # [solver] step_v is the step at [kernel] sigma; sweep scales it per kernel
+    for row in sweep(case, kernels, regs, tgrid, solver, sigma_ref=kernel.sigma):
+        rows.append({"id": "s{sigma}_g{gamma}_t{tau}".format(**row), **row})
+        print("sigma={sigma} gamma={gamma} tau={tau} ssim={ssim:.4f}".format(**row))
+    _write_rows_csv(out / "sweep.csv", ["id", *SWEEP_FIELDS], rows)
     return 0
 
 

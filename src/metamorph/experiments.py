@@ -3,20 +3,23 @@ scripts and the test suite.
 
 Each case builds a (template, target, data) triple from the phantom
 generator, runs the solver, and reports structural similarity against the
-known target.  Sizes default to 64x64 so a full case runs in seconds to
-minutes; parameters scale up to the 256x256 setting via the CLI config.
+known target; `sweep` is the one loop over a (sigma, gamma, tau) grid, run
+by the sweep presets and the CLI.  Sizes default to 64x64 so a full case runs
+in seconds to minutes; parameters scale up to the 256x256 setting via the CLI
+config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flow import TimeGrid
 from .grid import GridSpec, Image
-from .harness import Disc, Ellipse, PhantomSpec, add_noise, make_phantom, ssim
+from .harness import Disc, Ellipse, PhantomSpec, add_noise, make_phantom, psnr, ssim
 from .kernel import KernelSpec
 from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, reconstruct
@@ -24,6 +27,8 @@ from .ray import Geometry, Sinogram, forward_project, lumped_fbp
 from .spatiotemporal import GatedData, gate_angles, reconstruct_gated
 
 DEFAULT_HALF_WIDTH = 16.0
+# columns of a sweep row, in sweep.csv order after the CLI's id
+SWEEP_FIELDS = ("sigma", "gamma", "tau", "ssim", "psnr")
 
 
 def default_geometry(spec: GridSpec, n_angles: int = 60) -> Geometry:
@@ -96,45 +101,61 @@ def head_phantom_case(nx: int = 64, n_angles: int = 60,
                 project_with_noise(target, geo, psnr_db, seed))
 
 
+def _solve_settings(n_steps: int = 10, mode: str = "metamorphosis", max_iters: int = 120,
+                    step_v: float = 2e-5, step_zeta: float = 2e-3):
+    """(TimeGrid, SolveConfig) of solve_case's solver keywords, with its defaults."""
+    return TimeGrid(n_steps), SolveConfig(max_iters=max_iters, step_v=step_v,
+                                          step_zeta=step_zeta, mode=mode)
+
+
 def solve_case(case: Case, sigma: float = 2.0, gamma: float = 1e-5,
                tau: float = 1e-5, n_steps: int = 10, mode: str = "metamorphosis",
                max_iters: int = 120, step_v: float = 2e-5,
                step_zeta: float = 2e-3) -> tuple[SolveReport, float]:
     """Run one reconstruction; returns the report and the final-image SSIM."""
-    report = reconstruct(
-        case.template, case.data,
-        KernelSpec(sigma), RegParams(gamma, tau), TimeGrid(n_steps),
-        SolveConfig(max_iters=max_iters, step_v=step_v, step_zeta=step_zeta, mode=mode),
-    )
+    report = reconstruct(case.template, case.data, KernelSpec(sigma), RegParams(gamma, tau),
+                         *_solve_settings(n_steps, mode, max_iters, step_v, step_zeta))
     recon = report.trajectories.image_traj[-1]
     return report, ssim(case.target, recon)
 
 
+def sweep(case: Case, kernels, regs, tgrid: TimeGrid, cfg: SolveConfig,
+          sigma_ref: float) -> Iterator[dict]:
+    """Solve the case at every (kernel, regularisation) pair, kernels outermost,
+    yielding each row of SWEEP_FIELDS as its solve finishes: the final image's
+    SSIM and PSNR against the target.
+
+    cfg.step_v is the velocity step at kernel width sigma_ref; width sigma
+    steps by step_v * (sigma_ref / sigma)^2, since the smoothing gain grows with
+    the kernel mass and an unscaled step would confound kernel size with step
+    length.  At sigma = sigma_ref the factor is exactly 1: the plain solve.
+    """
+    for kernel in kernels:
+        solver = replace(cfg, step_v=cfg.step_v * (sigma_ref / kernel.sigma) ** 2)
+        for reg in regs:
+            report = reconstruct(case.template, case.data, kernel, reg, tgrid, solver)
+            recon = report.trajectories.image_traj[-1]
+            yield dict(zip(SWEEP_FIELDS, (kernel.sigma, reg.gamma, reg.tau,
+                                          ssim(case.target, recon), psnr(case.target, recon))))
+
+
 def kernel_size_sweep(case: Case, sigmas, gamma: float = 1e-5, tau: float = 1e-5,
                       step_v: float = 5e-4, **solve_kw) -> list[tuple[float, float]]:
-    """(sigma, SSIM) rows for a sweep over kernel sizes.
-
-    step_v is the velocity step at sigma = 2, and it is scaled by (2/sigma)^2
-    because the smoothing gain grows with the kernel mass; without this the
-    comparison confounds kernel size with effective step length.
-    """
-    rows = []
-    for s in sigmas:
-        sv = step_v * (2.0 / s) ** 2
-        rows.append((s, solve_case(case, sigma=s, gamma=gamma, tau=tau,
-                                   step_v=sv, **solve_kw)[1]))
-    return rows
+    """(sigma, SSIM) rows of `sweep` over kernel sizes at one (gamma, tau);
+    step_v is the velocity step at sigma = 2, and solve_kw takes solve_case's
+    other solver keywords."""
+    rows = sweep(case, [KernelSpec(s) for s in sigmas], [RegParams(gamma, tau)],
+                 *_solve_settings(step_v=step_v, **solve_kw), sigma_ref=2.0)
+    return [(row["sigma"], row["ssim"]) for row in rows]
 
 
 def regularizer_sweep(case: Case, gammas, taus, sigma: float = 3.0,
                       **solve_kw) -> list[tuple[float, float, float]]:
-    """(gamma, tau, SSIM) rows over the regularisation grid."""
-    rows = []
-    for gamma in gammas:
-        for tau in taus:
-            rows.append((gamma, tau,
-                         solve_case(case, sigma=sigma, gamma=gamma, tau=tau, **solve_kw)[1]))
-    return rows
+    """(gamma, tau, SSIM) rows of `sweep` over the regularisation grid at one
+    kernel size, which takes solve_kw's step_v unscaled."""
+    rows = sweep(case, [KernelSpec(sigma)], [RegParams(g, t) for g in gammas for t in taus],
+                 *_solve_settings(**solve_kw), sigma_ref=sigma)
+    return [(row["gamma"], row["tau"], row["ssim"]) for row in rows]
 
 
 def gated_projections(frames: list[Image], n_gates: int, per_gate: int, n_det: int,

@@ -51,6 +51,8 @@ class SolveConfig:
     mode: str = "metamorphosis"
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         # NaN and inf fail these comparisons

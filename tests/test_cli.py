@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from metamorph.cli import main
-from metamorph.experiments import evolving_gated_case
+from metamorph.experiments import evolving_gated_case, head_phantom_case, kernel_size_sweep
 from metamorph.fileio import (read_gated_bundle, read_image_raw, read_sinogram,
                               write_gated_bundle, write_image_raw, write_sinogram)
 from metamorph.grid import GridSpec
-from metamorph.harness import Disc, PhantomSpec, make_phantom
+from metamorph.harness import Disc, PhantomSpec, make_phantom, psnr, ssim
 from metamorph.ray import forward_project, Geometry
 
 
@@ -236,6 +237,82 @@ out_dir = {out}
     lines = first.decode().splitlines()
     assert lines[0] == "id,sigma,gamma,tau,ssim,psnr"
     assert len(lines) == 3
+
+
+# a small head case: the data is the case's own (2 * nx bins, seed 23, 15 dB)
+HEAD_SWEEP = """
+[grid]
+half_width = 16.0
+nx = 32
+
+[time]
+steps = 10
+
+[kernel]
+sigma = 2.0
+
+[reg]
+gamma = 1e-5
+tau = 1e-5
+
+[geometry]
+n_angles = 20
+n_det = 64
+
+[noise]
+psnr_db = 15.0
+seed = 23
+
+[solver]
+max_iters = 20
+step_v = 5e-4
+step_zeta = 2e-3
+
+[sweep]
+sigma_values = 1, 2, 4
+"""
+
+
+@pytest.fixture(scope="module")
+def head_sweep(tmp_path_factory):
+    """(case, config path, output directory, sweep.csv rows) of one CLI kernel sweep."""
+    root = tmp_path_factory.mktemp("head_sweep")
+    case = head_phantom_case(nx=32, n_angles=20, psnr_db=15.0, seed=23)
+    write_image_raw(case.template, root / "template.mimg")
+    write_image_raw(case.target, root / "target.mimg")
+    cfg = write_config(root / "sweep.ini", HEAD_SWEEP + f"""
+[io]
+image = {root / 'target.mimg'}
+template = {root / 'template.mimg'}
+target = {root / 'target.mimg'}
+data = {root / 'data.sino'}
+out_dir = {root}
+""")
+    assert main(["sweep", "--config", cfg]) == 0
+    with open(root / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    return case, cfg, root, rows
+
+
+def test_cli_kernel_sweep_equals_the_experiments_sweep(head_sweep):
+    # [solver] step_v is the step at [kernel] sigma = 2, scaled by (2 / sigma)^2
+    # per row as in kernel_size_sweep; with the step unscaled the CLI read
+    # 0.8717 / 0.8792 / 0.8877 where the experiments read 0.8872 / 0.8792 / 0.8721
+    case, _, _, rows = head_sweep
+    expected = kernel_size_sweep(case, [1.0, 2.0, 4.0], step_v=5e-4, max_iters=20,
+                                 step_zeta=2e-3)
+    assert [(float(row["sigma"]), float(row["ssim"])) for row in rows] == expected
+
+
+def test_sweep_row_at_the_kernel_sigma_equals_reconstruct(head_sweep):
+    # at [kernel] sigma the step factor is exactly 1: the row is the plain solve
+    case, cfg, root, rows = head_sweep
+    assert main(["project", "--config", cfg]) == 0
+    assert main(["reconstruct", "--config", cfg]) == 0
+    recon = read_image_raw(root / "image_10.mimg")
+    (row,) = [row for row in rows if float(row["sigma"]) == 2.0]
+    assert float(row["ssim"]) == ssim(case.target, recon)
+    assert float(row["psnr"]) == psnr(case.target, recon)
 
 
 def test_unknown_command_rejected():

@@ -32,6 +32,17 @@ def test_solveconfig_validation():
         SolveConfig(mode="bogus")
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3"])
+def test_solveconfig_rejects_a_non_integer_max_iters(max_iters):
+    # before this check, 2.5 constructed and descend failed with a bare TypeError
+    with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters!r}"):
+        SolveConfig(max_iters=max_iters)
+
+
+def test_solveconfig_accepts_a_numpy_integer_max_iters():
+    assert SolveConfig(max_iters=np.int64(3)).max_iters == 3
+
+
 def consistent_problem(nx=64):
     spec = GridSpec(16.0, nx, nx)
     I0 = make_phantom(PhantomSpec("discs", discs=(Disc(0.0, 0.0, 5.0, 1.0),)), spec)
