@@ -10,7 +10,7 @@ from .grid import GridSpec, Image
 from .harness import Disc, Ellipse, PhantomSpec, Triangle, add_noise, make_phantom, psnr, ssim
 from .kernel import KernelSpec
 from .metamorphosis import Trajectories, evolve_template, trajectories
-from .objective import RegParams, data_discrepancy, discrepancy_gradient
+from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, reconstruct
 from .ray import Geometry, Sinogram, back_project, fbp, forward_project, lumped_fbp
 from .spatiotemporal import GatedData, gate_angles, reconstruct_gated

@@ -20,7 +20,8 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import SWEEP_FIELDS, Case, gated_projections, project_with_noise, sweep
+from .experiments import (SWEEP_FIELDS, Case, gated_projections, project_with_noise,
+                          scaled_solver, sweep)
 from .fileio import (atomic_write_bytes, read_gated_bundle, read_image_raw, read_sinogram,
                      write_gated_bundle, write_image_raw, write_pgm, write_sinogram)
 from .flow import TimeGrid
@@ -490,6 +491,9 @@ def cmd_sweep(args) -> int:
     # every row's settings pass the library's checks before any output exists
     kernels = [_build(cfg, "sweep", replace, kernel, sigma=s)
                for s in sigmas or [kernel.sigma]] if kernel else []
+    if kernel and solver:
+        for k in filter(None, kernels):
+            _build(cfg, "sweep", scaled_solver, solver, k.sigma, kernel.sigma)
     regs = [_build(cfg, "sweep", RegParams, g, t)
             for g in gammas or [params.gamma] for t in taus or [params.tau]] if params else []
     psnr_db, seed = _noise(cfg, args)

@@ -101,22 +101,41 @@ def head_phantom_case(nx: int = 64, n_angles: int = 60,
                 project_with_noise(target, geo, psnr_db, seed))
 
 
-def _solve_settings(n_steps: int = 10, mode: str = "metamorphosis", max_iters: int = 120,
+def _solve_settings(*, n_steps: int = 10, mode: str = "metamorphosis", max_iters: int = 120,
                     step_v: float = 2e-5, step_zeta: float = 2e-3):
-    """(TimeGrid, SolveConfig) of solve_case's solver keywords, with its defaults."""
+    """(TimeGrid, SolveConfig) of the presets' solver keywords, with their defaults."""
     return TimeGrid(n_steps), SolveConfig(max_iters=max_iters, step_v=step_v,
                                           step_zeta=step_zeta, mode=mode)
 
 
 def solve_case(case: Case, sigma: float = 2.0, gamma: float = 1e-5,
-               tau: float = 1e-5, n_steps: int = 10, mode: str = "metamorphosis",
-               max_iters: int = 120, step_v: float = 2e-5,
-               step_zeta: float = 2e-3) -> tuple[SolveReport, float]:
-    """Run one reconstruction; returns the report and the final-image SSIM."""
+               tau: float = 1e-5, **solve_kw) -> tuple[SolveReport, float]:
+    """Run one reconstruction; returns the report and the final-image SSIM.
+
+    solve_kw are the solver keywords of _solve_settings: n_steps, mode,
+    max_iters, step_v and step_zeta.
+    """
     report = reconstruct(case.template, case.data, KernelSpec(sigma), RegParams(gamma, tau),
-                         *_solve_settings(n_steps, mode, max_iters, step_v, step_zeta))
+                         *_solve_settings(**solve_kw))
     recon = report.trajectories.image_traj[-1]
     return report, ssim(case.target, recon)
+
+
+def scaled_solver(cfg: SolveConfig, sigma: float, sigma_ref: float) -> SolveConfig:
+    """cfg with its velocity step, the step at kernel width sigma_ref, scaled to
+    width sigma: step_v * (sigma_ref / sigma)^2 (see `sweep`).
+
+    A scaled step that overflows or rounds to zero is a ValueError naming
+    sigma, so a caller can reject it before any solve.
+    """
+    try:
+        step_v = cfg.step_v * (sigma_ref / sigma) ** 2
+    except OverflowError:
+        step_v = math.inf
+    if not 0 < step_v < math.inf:
+        raise ValueError(f"kernel sigma {sigma!r}: the scaled velocity step {cfg.step_v!r} * "
+                         f"({sigma_ref!r} / {sigma!r})^2 is not a finite positive number")
+    return replace(cfg, step_v=step_v)
 
 
 def sweep(case: Case, kernels, regs, tgrid: TimeGrid, cfg: SolveConfig,
@@ -131,7 +150,7 @@ def sweep(case: Case, kernels, regs, tgrid: TimeGrid, cfg: SolveConfig,
     length.  At sigma = sigma_ref the factor is exactly 1: the plain solve.
     """
     for kernel in kernels:
-        solver = replace(cfg, step_v=cfg.step_v * (sigma_ref / kernel.sigma) ** 2)
+        solver = scaled_solver(cfg, kernel.sigma, sigma_ref)
         for reg in regs:
             report = reconstruct(case.template, case.data, kernel, reg, tgrid, solver)
             recon = report.trajectories.image_traj[-1]

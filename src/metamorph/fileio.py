@@ -7,8 +7,9 @@ values in x-major order.  Version-1 files (magic ``MIMG``, f32 half-width,
 ``SINO``, u32 n_angles, u32 n_det, the angle list and the row-major values,
 all little-endian float64; the detector extent is not part of the format and
 must be supplied on read.  A gated bundle's ``gates.toml`` manifest gives each
-gate's time index, sinogram file and detector extent; the gate's angles live
-only in that file.  PGM output is 16-bit, min-max normalised, for viewing
+gate's time index, sinogram file and detector extent in its own section
+``[gate_k]``, k = 1..n_gates, with no other section and no key set twice; the
+gate's angles live only in that file.  PGM output is 16-bit, min-max normalised, for viewing
 only.  All writers go through a temp-file-plus-rename so partially written
 files never appear.
 """
@@ -128,21 +129,29 @@ def write_gated_bundle(directory, gates: list[tuple[int, Sinogram]], seed: int |
     atomic_write_bytes(directory / "gates.toml", ("\n".join(lines) + "\n").encode())
 
 
-def _parse_manifest(text: str) -> dict[str, dict[str, str]]:
+def _parse_manifest(path: Path) -> tuple[dict[str, dict[str, str]], list[tuple[str, str]]]:
+    """The sections as {name: {key: value}}, "" the top level, and the
+    (section, key) pairs set more than once, in file order."""
     sections: dict[str, dict[str, str]] = {"": {}}
-    current = sections[""]
-    for raw in text.splitlines():
+    repeats = []
+    name = ""
+    current = sections[name]
+    for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1], {})
+            name = line[1:-1]
+            current = sections.setdefault(name, {})
             continue
         if "=" not in line:
-            raise ValueError(f"manifest line without '=': {raw!r}")
+            raise ValueError(f"{path}: manifest line without '=': {raw!r}")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
-    return sections
+        key = key.strip()
+        if key in current:
+            repeats.append((name, key))
+        current[key] = value.strip()
+    return sections, repeats
 
 
 def _where(section: str) -> str:
@@ -169,17 +178,27 @@ def _manifest_number(manifest: dict[str, dict[str, str]], path: Path,
 
 
 def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
+    """The (t_index, sinogram) gates of a bundle; the manifest must hold
+    sections gate_1..gate_n for its n_gates and no other, each key once."""
     directory = Path(directory)
     path = directory / "gates.toml"
-    manifest = _parse_manifest(path.read_text())
+    manifest, repeats = _parse_manifest(path)
     n_gates = _manifest_number(manifest, path, "", "n_gates", int)
     if n_gates < 1:
         raise ValueError(f"{path}: top level key 'n_gates' must be at least 1, got {n_gates}")
-    gates = []
-    for num in range(1, n_gates + 1):
-        section = f"gate_{num}"
-        t_index = _manifest_number(manifest, path, section, "t_index", int)
-        fname = _manifest_value(manifest, path, section, "file")
-        det_extent = _manifest_number(manifest, path, section, "det_extent", float)
-        gates.append((t_index, read_sinogram(directory / fname, det_extent)))
-    return gates
+    sections = [f"gate_{num}" for num in range(1, n_gates + 1)]
+    extra = [section for section in manifest if section and section not in sections]
+    if extra:
+        raise ValueError(f"{path}: section [{extra[0]}] is not one of the "
+                         f"n_gates = {n_gates} gate sections")
+    entries = [(_manifest_number(manifest, path, section, "t_index", int),
+                _manifest_value(manifest, path, section, "file"),
+                _manifest_number(manifest, path, section, "det_extent", float))
+               for section in sections]
+    # checked after the sections: a lost [gate_k] line moves gate k's keys
+    # into the section before it, where the missing section is the news
+    if repeats:
+        section, key = repeats[0]
+        raise ValueError(f"{path}: {_where(section)} sets key {key!r} more than once")
+    return [(t_index, read_sinogram(directory / fname, det_extent))
+            for t_index, fname, det_extent in entries]

@@ -37,10 +37,9 @@ from .grid import (
     GridSpec,
     Image,
     Stencil,
-    VectorImage,
+    _central_difference,
     _checked,
     bilinear_stencil,
-    divergence,
     sample_points_xy,
     sample_values_xy,
 )
@@ -225,7 +224,7 @@ def backward_advected_points(v: TimeVaryingVectorField, i: int):
 
 # kept only because the benchmark's tracer wraps it by name
 def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> list[Image]:
-    """|det d phi_{t_i, t_end}| for i = 0..end via the divergence recursion."""
+    """|det d phi_{t_i, t_end}| for i = 0..end by the recursion in div v_i."""
     if not 0 <= end <= v.tgrid.n_steps:
         raise IndexError(f"end index {end} outside 0..{v.tgrid.n_steps}")
     spec = v.spec
@@ -235,7 +234,9 @@ def jacobian_chain_to_index(v: TimeVaryingVectorField, end: int) -> list[Image]:
     for i in range(end - 1, -1, -1):
         qx, qy = _one_step_queries(v, i, dt)
         carried = sample_values_xy(det, spec, qx, qy)
-        det = (1.0 + dt * divergence(VectorImage(spec, *v.values[i])).values) * carried
+        vx, vy = v.values[i]
+        div = _central_difference(vx, spec.h, 0) + _central_difference(vy, spec.h, 1)
+        det = (1.0 + dt * div) * carried
         det = np.maximum(det, DET_FLOOR)
         out.append(Image(spec, det))
     out.reverse()

@@ -287,10 +287,3 @@ def gradient_central(img: Image) -> VectorImage:
     h = img.spec.h
     return VectorImage(img.spec, _central_difference(img.values, h, 0),
                        _central_difference(img.values, h, 1))
-
-
-def divergence(v: VectorImage) -> Image:
-    """Central-difference divergence, one-sided at the boundary."""
-    h = v.spec.h
-    return Image(v.spec, _central_difference(v.vx, h, 0) + _central_difference(v.vy, h, 1))
-

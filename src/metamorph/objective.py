@@ -5,7 +5,8 @@ The objective is
     J(v, zeta) = gamma/2 |v|_2^2 + tau/2 |zeta|_2^2 + D(T(f_1), g)
 
 with f_1 the end of the image trajectory and D the quadrature-weighted
-squared sinogram distance.  Each control holds N entries, one per time
+squared sinogram distance, D(T f, g) = dtheta ds sum (T f - g)^2 over the
+angle and detector bins of g's geometry.  Each control holds N entries, one per time
 step, and time integrals use the left rectangle rule with weight 1/N over
 them.  The velocity norm is monitored through its plain L2 surrogate; the
 descent direction is unaffected since the kernel smoothing is applied to the
@@ -41,8 +42,10 @@ and optimizer.reconstruct builds its one gate at N.
 
 The forward model is built in one place, evaluate_parts, and returned as a
 ForwardState: the levels f_0..f_M as plain arrays (f_0 is the template's
-own), the step stencils S_0..S_{M-1} and T f_e per gate; only the levels
-forward_project reads are wrapped as Images.  The gradient at the same
+own), the step stencils S_0..S_{M-1} and the residual T f_e - g_e per
+gate, as a plain array in g_e's geometry; only the levels forward_project
+reads are wrapped as Images.  The residual is all the data term needs: the
+evaluation sums its squares, and the gradient back-projects twice it.  The gradient at the same
 (v, zeta) reads the state, as the optimizer's final trajectories do, so S_k
 is built once per accepted iterate.  Each stencil is stored compactly
 (grid.Stencil, 24 bytes per node), so a level and its stencil hold 32 bytes
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeVaryingScalarField, TimeVaryingVectorField
-from .grid import GridSpec, Image, Stencil, _central_difference
+from .grid import Image, Stencil, _central_difference
 from .kernel import KernelSpec, _kernel_product
 from .metamorphosis import _check_consistent, image_levels
 from .ray import Sinogram, back_project, forward_project
@@ -86,21 +89,6 @@ class RegParams:
             raise ValueError("regularisation weights gamma and tau must be finite and nonnegative")
 
 
-def data_discrepancy(a: Sinogram, b: Sinogram) -> float:
-    """Squared sinogram distance with (delta_angle * delta_det) quadrature."""
-    if a.geometry != b.geometry:
-        raise ValueError("sinograms must share one geometry")
-    d = a.values - b.values
-    return float(np.sum(d * d)) * a.geometry.delta_angle * a.geometry.delta_det
-
-
-def discrepancy_gradient(a: Sinogram, b: Sinogram, spec: GridSpec) -> Image:
-    """Image-space gradient of f -> D(T f, g) at T f = a, g = b."""
-    if a.geometry != b.geometry:
-        raise ValueError("sinograms must share one geometry")
-    return back_project(Sinogram(a.geometry, 2.0 * (a.values - b.values)), spec)
-
-
 def velocity_norm_sq(v: TimeVaryingVectorField) -> float:
     """Left-rectangle time quadrature of the L2 surrogate |v(t)|^2."""
     hsq = v.spec.h ** 2
@@ -116,12 +104,12 @@ def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
 @dataclass
 class ForwardState:
     """Levels f_0..f_M as arrays (M the last gate index), the step stencils
-    S_0..S_{M-1} and T f_e per gate, as one evaluation built them for the
-    gradient and the trajectories at the same (v, zeta)."""
+    S_0..S_{M-1} and the residual T f_e - g_e per gate, as one evaluation
+    built them for the gradient and the trajectories at the same (v, zeta)."""
 
     images: list[np.ndarray]
     stencils: list[Stencil]
-    projections: list[Sinogram]
+    residuals: list[np.ndarray]
 
 
 def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
@@ -139,19 +127,20 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     levels = image_levels(v, zeta, I0.values, 0, gates[-1][0])
     images = [I0.values]
     stencils = []
-    projections = []
+    residuals = []
     data = 0
     for end, g in gates:
         while len(images) <= end:
             stencil, f = next(levels)
             stencils.append(stencil)
             images.append(f)
-        proj = forward_project(Image(v.spec, images[end]), g.geometry)
-        projections.append(proj)
-        data = data + data_discrepancy(proj, g)
+        geo = g.geometry
+        r = forward_project(Image(v.spec, images[end]), geo).values - g.values
+        residuals.append(r)
+        data = data + float(np.sum(r * r)) * geo.delta_angle * geo.delta_det
         if not (v_term + z_term + data <= bound):
             return None
-    state = ForwardState(images, stencils, projections)
+    state = ForwardState(images, stencils, residuals)
     return v_term + z_term + data, data, v_term, z_term, state
 
 
@@ -163,16 +152,17 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
 
     One backward sweep from the last gate, which builds no stencil: the
     forward state supplies each step's stencil S_k, as the evaluation built
-    it, the image f_k, whose sampled gradient is G_k, and the gate
-    projections, whose residuals the sweep carries to every level through
+    it, the image f_k, whose sampled gradient is G_k, and each gate's
+    residual, whose back projection the sweep carries to every level through
     S_k^T.  Each level derives S_k's weights once, for G_k and for S_k^T.
     The state is only read, so one state serves any number of calls.
     """
     spec = v.spec
     h = spec.h
     dt = v.tgrid.dt
-    residuals = {end: discrepancy_gradient(proj, g, spec).values
-                 for proj, (end, g) in zip(state.projections, gates)}
+    # 2 T^*(T f_e - g_e), the image-space gradient of gate e's discrepancy
+    residuals = {end: back_project(Sinogram(g.geometry, 2.0 * r), spec).values
+                 for r, (end, g) in zip(state.residuals, gates)}
     last = gates[-1][0]
 
     # the penalty gradients; the data terms enter the controls before the

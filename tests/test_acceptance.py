@@ -31,7 +31,7 @@ from metamorph.experiments import (
     solve_case,
     solve_gated,
 )
-from metamorph.flow import TimeGrid, maps_from_zero
+from metamorph.flow import TimeGrid, forward_levels
 from metamorph.grid import GridSpec, Image, VectorImage
 from metamorph.harness import Disc, PhantomSpec, add_noise, make_phantom, psnr, ssim
 from metamorph.kernel import KernelSpec
@@ -123,15 +123,16 @@ def test_04_flow_convergence_order():
     t0 = time.time()
     spec = GridSpec(16.0, 64, 64)
     omega = 0.4
-    rot = np.array([[np.cos(-omega), -np.sin(-omega)],
-                    [np.sin(-omega), np.cos(-omega)]])
+    # the solver's builder: its end points phi_{0,1}(x) rotate x by +omega
+    rot = np.array([[np.cos(omega), -np.sin(omega)],
+                    [np.sin(omega), np.cos(omega)]])
     ident = spec.identity_points()
     mask = (np.abs(ident[..., 0]) <= 8.0) & (np.abs(ident[..., 1]) <= 8.0)
     errs = []
     for n in (8, 16, 32):
         v = vfield(TimeGrid(n), [
             VectorImage.from_function(spec, lambda x, y: (-omega * y, omega * x))] * n)
-        end = maps_from_zero(v)[-1].points
+        *_, (end, _) = forward_levels(v, n)
         errs.append(np.linalg.norm(end[mask] - (ident[mask] @ rot.T), axis=-1).max())
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     elapsed = time.time() - t0

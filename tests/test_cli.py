@@ -506,10 +506,18 @@ out_dir = {out}
      "[sweep]: regularisation weights gamma and tau must be finite and nonnegative"),
     ("sweep", "[sweep]\ntau_values = -1\n", [],
      "[sweep]: regularisation weights gamma and tau must be finite and nonnegative"),
+    # each row's velocity step, step_v * ([kernel] sigma / sigma)^2, overflows
+    # or rounds to zero
+    ("sweep", "[sweep]\nsigma_values = 1e-160\n", [],
+     "[sweep]: kernel sigma 1e-160: the scaled velocity step 0.0005 * (2.0 / 1e-160)^2 "
+     "is not a finite positive number"),
+    ("sweep", "[sweep]\nsigma_values = 1e300\n", [],
+     "[sweep]: kernel sigma 1e+300: the scaled velocity step 0.0005 * (2.0 / 1e+300)^2 "
+     "is not a finite positive number"),
 ], ids=["backtracking", "fbp_cutoff_2", "fbp_cutoff_nan", "project_seed_flag",
         "project_noise_seed", "sweep_noise_seed", "gated_seed", "gated_seed_flag",
         "sweep_negative_sigma", "sweep_nan_sigma", "sweep_nan_gamma_two_taus",
-        "sweep_negative_tau"])
+        "sweep_negative_tau", "sweep_step_overflow", "sweep_step_underflow"])
 def test_out_of_range_setting_is_a_config_problem(tmp_path, capsys, command, text, argv,
                                                   problem):
     spec = GridSpec(16.0, 32, 32)

@@ -137,16 +137,40 @@ def test_gated_manifest_with_angles_line_still_reads(tmp_path):
     assert np.array_equal(sino.geometry.angles, geo.angles)
 
 
+def _bundle(directory, t_indices):
+    geo = Geometry(np.array([0.2, 1.3]), 8, 12.0)
+    write_gated_bundle(directory, [(k, Sinogram(geo, np.full((2, 8), float(k))))
+                                   for k in t_indices])
+    return directory / "gates.toml"
+
+
+def test_gated_manifest_with_a_section_past_n_gates_is_rejected(tmp_path):
+    # with n_gates = 2, a [gate_3] would go unread
+    manifest = _bundle(tmp_path, (1, 2, 3))
+    manifest.write_text(manifest.read_text().replace("n_gates = 3", "n_gates = 2"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: section \[gate_3\] "
+                                         r"is not one of the n_gates = 2 gate sections"):
+        read_gated_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("[gate_2]\nt_index = 5\n", "t_index"),  # 5 would replace gate 2's index
+    ("det_extent = 13.0\n", "det_extent"),  # the same section, with no second header
+], ids=["second_header", "same_section"])
+def test_gated_manifest_with_a_repeated_key_is_rejected(tmp_path, extra, key):
+    manifest = _bundle(tmp_path, (1, 2))
+    manifest.write_text(manifest.read_text() + extra)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: section \[gate_2\] "
+                                         rf"sets key '{key}' more than once"):
+        read_gated_bundle(tmp_path)
+
+
 def _bundle_without(tmp_path, line_start):
     """A two-gate bundle whose manifest lacks every line starting with line_start."""
-    geo = Geometry(np.array([0.2, 1.3]), 8, 12.0)
-    gates = [(k, Sinogram(geo, np.full((2, 8), float(k)))) for k in (1, 3)]
-    out = tmp_path / "bundle"
-    write_gated_bundle(out, gates)
-    manifest = out / "gates.toml"
+    manifest = _bundle(tmp_path / "bundle", (1, 3))
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(x for x in lines if not x.startswith(line_start)) + "\n")
-    return out
+    return manifest.parent
 
 
 def test_gated_manifest_missing_n_gates(tmp_path):

@@ -8,8 +8,8 @@ from metamorph.grid import (
     GridSpec,
     Image,
     VectorImage,
+    _central_difference,
     bilinear_stencil,
-    divergence,
     gradient_central,
     sample_points_xy,
     sample_values_xy,
@@ -190,25 +190,10 @@ def test_gradient_and_divergence_equal_np_gradient_bit_for_bit(n):
     g = gradient_central(Image(spec, f))
     assert np.array_equal(g.vx, np.gradient(f, spec.h, axis=0, edge_order=1))
     assert np.array_equal(g.vy, np.gradient(f, spec.h, axis=1, edge_order=1))
-    d = divergence(VectorImage(spec, f, w))
-    assert np.array_equal(d.values, np.gradient(f, spec.h, axis=0, edge_order=1)
+    # the divergence of (f, w), as flow.jacobian_chain_to_index takes it
+    d = _central_difference(f, spec.h, 0) + _central_difference(w, spec.h, 1)
+    assert np.array_equal(d, np.gradient(f, spec.h, axis=0, edge_order=1)
                           + np.gradient(w, spec.h, axis=1, edge_order=1))
-
-
-def test_divergence_trivials(spec):
-    zero = divergence(VectorImage(spec, np.full(spec.shape, 1.0), np.full(spec.shape, -2.0)))
-    assert np.all(zero.values == 0.0)
-    lin = divergence(VectorImage.from_function(spec, lambda x, y: (x, y)))
-    assert np.allclose(lin.values, 2.0, atol=1e-12)
-
-
-def test_divergence_sin_analytic():
-    spec = GridSpec(16.0, 128, 128)
-    v = VectorImage.from_function(spec, lambda x, y: (np.sin(x), np.zeros_like(x)))
-    d = divergence(v)
-    expected = np.cos(spec.xs())[:, None] * np.ones(spec.shape)
-    err = np.abs(d.values[1:-1, :] - expected[1:-1, :]).max()
-    assert err <= spec.h ** 2 / 4
 
 
 def test_image_l2_inner(spec):

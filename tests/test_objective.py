@@ -21,12 +21,10 @@ from metamorph.kernel import kernel_apply
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories, transport_stencil
 from metamorph.objective import (
     RegParams,
-    data_discrepancy,
-    discrepancy_gradient,
     evaluate_parts,
     gradient_core,
 )
-from metamorph.ray import Geometry, Sinogram, forward_project
+from metamorph.ray import Geometry, Sinogram, back_project, forward_project
 
 EXTENT = 16.0 * math.sqrt(2.0)
 
@@ -38,68 +36,73 @@ def test_regparams_validation():
         RegParams(0.0, -1e-9)
 
 
+def at_rest(tg, spec=FD_SPEC):
+    return TimeVaryingVectorField.zeros(tg, spec), TimeVaryingScalarField.zeros(tg, spec)
+
+
 def test_discrepancy_trivials():
+    # at rest and gamma = tau = 0 the objective is its data term: zero at the
+    # template's own projection, else the quadrature sum over the residual
+    tg = TimeGrid(3)
     geo = Geometry.uniform(5, 16, EXTENT)
+    I0 = smooth_bump(1.5, -1.0, 5.5, 1.0)
     rng = np.random.default_rng(0)
     g = Sinogram(geo, rng.normal(size=(5, 16)))
-    assert data_discrepancy(g, g) == 0.0
-    zero = Sinogram.zeros(geo)
-    norm_sq = np.sum(g.values ** 2) * geo.delta_angle * geo.delta_det
-    assert data_discrepancy(g, zero) == pytest.approx(norm_sq)
+    params = RegParams(0.0, 0.0)
+    matched = evaluate_parts(*at_rest(tg), I0, [(3, forward_project(I0, geo))], params)
+    assert matched[:2] == (0.0, 0.0)
+    total, data = evaluate_parts(*at_rest(tg), I0, [(3, g)], params)[:2]
+    r = forward_project(I0, geo).values - g.values
+    assert total == data == pytest.approx(np.sum(r * r) * geo.delta_angle * geo.delta_det)
 
 
 def test_discrepancy_single_bin_hand_value():
+    # a zero template projects to zeros, so one data bin of 3 is the residual
+    tg = TimeGrid(2)
     geo = Geometry.uniform(5, 16, EXTENT)
-    a = Sinogram.zeros(geo)
-    b = Sinogram.zeros(geo)
-    a.values[2, 7] = 3.0
-    w = geo.delta_angle * geo.delta_det
-    assert data_discrepancy(a, b) == pytest.approx(9.0 * w)
-
-
-def test_discrepancy_geometry_mismatch():
-    a = Sinogram.zeros(Geometry.uniform(5, 16, EXTENT))
-    b = Sinogram.zeros(Geometry.uniform(6, 16, EXTENT))
-    with pytest.raises(ValueError):
-        data_discrepancy(a, b)
-
-
-def test_discrepancy_gradient_zero_at_match():
-    spec = GridSpec(16.0, 32, 32)
-    geo = Geometry.uniform(10, 48, EXTENT)
-    rng = np.random.default_rng(1)
-    g = Sinogram(geo, rng.normal(size=(10, 48)))
-    out = discrepancy_gradient(g, g, spec)
-    assert np.all(out.values == 0.0)
+    g = Sinogram.zeros(geo)
+    g.values[2, 7] = 3.0
+    data = evaluate_parts(*at_rest(tg), Image.full(FD_SPEC, 0.0), [(2, g)],
+                          RegParams(0.0, 0.0))[1]
+    assert data == pytest.approx(9.0 * geo.delta_angle * geo.delta_det)
 
 
 def test_discrepancy_gradient_matches_fd():
+    # at N = 1 and v = 0 the step is the identity, so grad_zeta is the
+    # image-space gradient 2 T^*(T f_1 - g) of the data term at f_1 = I0 + zeta_0
     spec = GridSpec(16.0, 32, 32)
     geo = Geometry.uniform(10, 48, EXTENT)
     rng = np.random.default_rng(2)
-    f = Image(spec, rng.normal(size=spec.shape))
+    tg = TimeGrid(1)
+    I0 = Image(spec, rng.normal(size=spec.shape))
     g = Sinogram(geo, rng.normal(size=(10, 48)))
-    grad = discrepancy_gradient(forward_project(f, geo), g, spec)
+    v, zeta = at_rest(tg, spec)
+    gates = [(1, g)]
+    params = RegParams(0.0, 0.0)
+    grad = gradient_at(v, zeta, I0, gates, params)[1]
     d = Image(spec, rng.normal(size=spec.shape))
 
     def D_of(eps):
-        fe = Image(spec, f.values + eps * d.values)
-        return data_discrepancy(forward_project(fe, geo), g)
+        return evaluate_parts(v, sfield(tg, [Image(spec, eps * d.values)]), I0, gates,
+                              params)[1]
 
     eps = 1e-6
     fd = (D_of(eps) - D_of(-eps)) / (2 * eps)
-    assert image_l2_inner(grad, d) == pytest.approx(fd, rel=1e-6)
+    assert image_l2_inner(Image(spec, grad.values[0]), d) == pytest.approx(fd, rel=1e-6)
 
 
 def test_discrepancy_gradient_linear_in_residual():
+    # a zero template leaves the residual -g, so doubling g doubles the gradient
     spec = GridSpec(16.0, 32, 32)
     geo = Geometry.uniform(10, 48, EXTENT)
     rng = np.random.default_rng(3)
     a = Sinogram(geo, rng.normal(size=(10, 48)))
-    zero = Sinogram.zeros(geo)
     doubled = Sinogram(geo, 2.0 * a.values)
-    g1 = discrepancy_gradient(a, zero, spec)
-    g2 = discrepancy_gradient(doubled, zero, spec)
+    tg = TimeGrid(1)
+    I0 = Image.full(spec, 0.0)
+    g1, g2 = (gradient_at(*at_rest(tg, spec), I0, [(1, s)], RegParams(0.0, 0.0))[1]
+              for s in (a, doubled))
+    assert g1.values.any()
     assert np.allclose(g2.values, 2.0 * g1.values, rtol=1e-12, atol=1e-12)
 
 
@@ -116,7 +119,8 @@ def test_evaluate_at_rest_is_template_discrepancy():
     v = TimeVaryingVectorField.zeros(tg, FD_SPEC)
     zeta = TimeVaryingScalarField.zeros(tg, FD_SPEC)
     val = evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.3, 0.7))[0]
-    assert val == pytest.approx(data_discrepancy(forward_project(I0, geo), g))
+    r = forward_project(I0, geo).values - g.values
+    assert val == pytest.approx(np.sum(r * r) * geo.delta_angle * geo.delta_det)
 
 
 def test_evaluate_zero_at_consistent_data():
@@ -176,7 +180,7 @@ def test_single_step_closed_form_reduction():
     zeta = sfield(tg, [smooth_img(rng, 0.4, spec=spec)])
     _, grad_zeta = gradient_at(v, zeta, I0, [(1, g)], RegParams(0.0, 0.0))
     f1 = Image(spec, I0.values + zeta.values[0])
-    direct = discrepancy_gradient(forward_project(f1, geo), g, spec)
+    direct = back_project(Sinogram(geo, 2.0 * (forward_project(f1, geo).values - g.values)), spec)
     scale = np.abs(direct.values).max()
     assert np.abs(grad_zeta.values[0] - direct.values).max() <= 1e-10 * scale
 
@@ -239,7 +243,7 @@ def test_gradient_structure_kernel_range_and_raw_intensity():
     # at the last step the velocity data gradient is the kernel-smoothed r G_3,
     # with G_3 the gradient of f_3 + dt zeta_3 sampled through that step's
     # stencil S_3, and the intensity one is r carried back by S_3^T, unsmoothed
-    r = discrepancy_gradient(state.projections[0], g, FD_SPEC).values
+    r = back_project(Sinogram(geo, 2.0 * state.residuals[0]), FD_SPEC).values
     dt = tg.dt
     S3 = transport_stencil(v, 3)
     G = gradient_central(Image(FD_SPEC, state.images[3] + dt * zeta.values[3]))

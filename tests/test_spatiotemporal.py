@@ -124,8 +124,8 @@ def test_unbounded_evaluation_equals_infinite_bound():
     assert bounded[:4] == free[:4]
     for a, b in zip(bounded[4].images, free[4].images, strict=True):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(bounded[4].projections, free[4].projections, strict=True):
-        assert a.values.tobytes() == b.values.tobytes()
+    for a, b in zip(bounded[4].residuals, free[4].residuals, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_nan_bound_rejects():
@@ -139,8 +139,8 @@ def test_bound_below_first_gate_stops_after_one_projection(monkeypatch):
     tg, I0, gated = make_gated_problem()
     v, zeta = random_state(tg.n_steps, seed=9, amp_v=0.3, amp_z=0.4)
     params = RegParams(1e-4, 1e-3)
-    _, _, v_term, z_term, state = evaluate_parts(v, zeta, I0, gated.gates, params)
-    first = objective.data_discrepancy(state.projections[0], gated.gates[0][1])
+    _, _, v_term, z_term, _ = evaluate_parts(v, zeta, I0, gated.gates, params)
+    first = evaluate_parts(v, zeta, I0, gated.gates[:1], params)[1]
     assert first > 0.0
     calls = []
     project = objective.forward_project
