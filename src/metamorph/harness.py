@@ -249,16 +249,20 @@ def make_phantom(spec: PhantomSpec, grid: GridSpec):
     return images if spec.kind == "evolving_sequence" else images[0]
 
 
-def _values_of(x) -> np.ndarray:
+def _values_of(x, name: str) -> np.ndarray:
+    """The values of an Image or Sinogram (checked when built) or a raw array."""
     if isinstance(x, (Image, Sinogram)):
         return x.values
-    return np.asarray(x, dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds non-finite values")
+    return values
 
 
 def psnr(reference, test) -> float:
     """Variance-ratio PSNR in dB: 10 log10(|ref - mean|^2 / |err - mean|^2)."""
-    ref = _values_of(reference)
-    tst = _values_of(test)
+    ref = _values_of(reference, "reference")
+    tst = _values_of(test, "test")
     if ref.shape != tst.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {tst.shape}")
     sig = ref - ref.mean()
@@ -325,10 +329,13 @@ def ssim(a, b, dynamic_range: float | None = None) -> float:
     """Mean local SSIM over sliding 8 x 8 windows (uniform weights).
 
     The stabilising constants use C1 = (0.01 R)^2, C2 = (0.03 R)^2 with R the
-    dynamic range of the first argument unless given explicitly.
+    dynamic range of the first argument (the reference) unless given
+    explicitly, as a finite positive number.
     """
-    av = np.ascontiguousarray(_values_of(a))
-    bv = np.ascontiguousarray(_values_of(b))
+    if dynamic_range is not None and not 0.0 < dynamic_range < math.inf:
+        raise ValueError(f"dynamic_range must be finite and positive, got {dynamic_range!r}")
+    av = np.ascontiguousarray(_values_of(a, "reference"))
+    bv = np.ascontiguousarray(_values_of(b, "test"))
     if av.shape != bv.shape:
         raise ValueError(f"shape mismatch {av.shape} vs {bv.shape}")
     if min(av.shape) < SSIM_WINDOW:

@@ -65,6 +65,12 @@ core of a 2-vCPU host that takes 5-8 ms at 64^2 and 13-19 ms at 128^2,
 where building one 100-angle operator took 0.3-0.6 s and 0.8-1.3 s, and a
 fresh process that builds the gates and the lumped FBP peaks at 70.5 MB
 instead of 88.6 MB at 64^2, and 125 MB instead of 190 MB at 128^2.
+
+scipy.sparse, which holds A, is imported by the build (_operator_rows), not
+at module level: it was about half of `import metamorph` (0.32 s against
+0.17 s without it on a 2-vCPU host), which every process paid, also one
+that only rasterises, reads files or scores images and never projects.  A
+process that projects pays the import once, at its first operator build.
 """
 
 from __future__ import annotations
@@ -73,11 +79,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .grid import GridSpec, Image, _checked, bilinear_stencil
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # operators kept for geometries built again with equal values, such as the
 # ones every preset set-up builds anew
@@ -361,6 +370,8 @@ def _operator_rows(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
     closer to the x axis; the products do not need them sorted.  The arrays
     are read-only because every caller with an equal key shares them.
     """
+    import scipy.sparse
+
     n_det = geo.n_det
     t, step = _ray_params(spec)
     nx, ny = spec.nx, spec.ny

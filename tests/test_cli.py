@@ -89,7 +89,9 @@ out_dir = {out}
     assert main(["reconstruct", "--config", cfg2]) == 0
     report = (out / "report.csv").read_text()
     # consistent data: stops immediately with zero objective
-    assert report.splitlines()[0] == "iter,objective,data_term,v_term,zeta_term,step_v,step_zeta,evals"
+    assert report.splitlines()[0] == (
+        "iter,objective,data_term,v_term,zeta_term,step_v,step_zeta,evals,"
+        "grad_v_norm,grad_zeta_norm")
     assert (out / "image_04.mimg").exists()
     recon = read_image_raw(out / "image_04.mimg")
     assert np.array_equal(recon.values, disc.values)

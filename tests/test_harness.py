@@ -366,3 +366,22 @@ def test_ssim_symmetric_with_fixed_range():
 def test_ssim_shape_mismatch():
     with pytest.raises(ValueError):
         ssim(np.zeros((16, 16)), np.zeros((16, 8)))
+
+
+@pytest.mark.parametrize("dynamic_range", [0.0, -1.0, math.nan, math.inf])
+def test_ssim_rejects_a_dynamic_range_that_is_not_finite_and_positive(dynamic_range):
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
+    with pytest.raises(ValueError, match=re.escape(f"got {dynamic_range!r}")):
+        ssim(a, b, dynamic_range=dynamic_range)
+
+
+@pytest.mark.parametrize("score", [ssim, psnr])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position, name", [(0, "reference"), (1, "test")])
+def test_scores_reject_a_non_finite_entry_by_argument(score, bad, position, name):
+    rng = np.random.default_rng(4)
+    arrays = [rng.normal(size=(16, 16)), rng.normal(size=(16, 16))]
+    arrays[position][5, 7] = bad
+    with pytest.raises(ValueError, match=f"^{name} holds non-finite values"):
+        score(*arrays)

@@ -102,10 +102,30 @@ def test_log_rows_schema():
     assert report.log_rows[0]["evals"] == 1
     for row in report.log_rows:
         assert set(row) == {"iter", "objective", "data_term", "v_term",
-                            "zeta_term", "step_v", "step_zeta", "evals"}
+                            "zeta_term", "step_v", "step_zeta", "evals",
+                            "grad_v_norm", "grad_zeta_norm"}
         assert row["objective"] == pytest.approx(
             row["data_term"] + row["v_term"] + row["zeta_term"])
         assert row["evals"] >= 1
+
+
+@pytest.mark.parametrize("mode", ["metamorphosis", "lddmm"])
+def test_log_rows_hold_the_norms_of_the_gradient_the_step_followed(mode):
+    # one iteration from rest: the final controls are -step * gradient, so
+    # their norms over the accepted steps are the gradient norms
+    case = shifted_disc_case(nx=32, n_angles=20)
+    report, _ = solve_case(case, max_iters=1, step_v=5e-4, step_zeta=1e-2, mode=mode)
+    first, row = report.log_rows
+    assert first["grad_v_norm"] == first["grad_zeta_norm"] == 0.0
+    assert row["grad_v_norm"] > 0.0
+    assert row["grad_v_norm"] == pytest.approx(
+        math.sqrt(objective.velocity_norm_sq(report.final_v)) / row["step_v"], rel=1e-12)
+    if mode == "lddmm":
+        assert row["grad_zeta_norm"] == 0.0
+    else:
+        assert row["grad_zeta_norm"] == pytest.approx(
+            math.sqrt(objective.intensity_norm_sq(report.final_zeta)) / row["step_zeta"],
+            rel=1e-12)
 
 
 def count_calls(monkeypatch, module, name, counts):
