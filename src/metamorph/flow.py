@@ -93,6 +93,12 @@ class _Control:
                              f"to a {self.what} on {self.tgrid}, {self.spec}")
         return type(self)(self.tgrid, self.spec, self.values + alpha * other.values)
 
+    def norm_sq(self) -> float:
+        """dt h^2 <x, x> over all the controls, the left-rectangle time
+        quadrature of the penalty terms.  One np.sum, not a BLAS dot, so the
+        value does not depend on the BLAS thread count."""
+        return self.tgrid.dt * self.spec.h ** 2 * float(np.sum(self.values * self.values))
+
 
 class TimeVaryingVectorField(_Control):
     """Velocity controls v_k as one (N, 2, nx, ny) array."""

@@ -1,9 +1,12 @@
 """Regular pixel grids on the square domain [-L, L]^2.
 
-Images are scalar fields sampled at pixel centres, vector fields carry one
-array per component.  Everything downstream (flows, ray transform, gradients)
-builds on the bilinear sampling and the central-difference operators defined
-here.  Fields are treated as zero outside the domain.
+Images are scalar fields sampled at pixel centres.  There is no vector-field
+container: a vector field is passed as its two component arrays, as
+gradient_central returns it and kernel.kernel_apply takes it, and the
+velocity controls hold all of theirs in one array (flow.py).  Everything
+downstream (flows, ray transform, gradients) builds on the bilinear sampling
+and the central-difference operators defined here.  Fields are treated as
+zero outside the domain.
 
 This is the one bilinear interpolant; ray.py builds its matrix from
 bilinear_stencil too.  A Stencil, built once from a grid and a point set,
@@ -110,30 +113,6 @@ class Image:
 
     def copy(self) -> "Image":
         return Image(self.spec, self.values.copy())
-
-
-@dataclass
-class VectorImage:
-    """2-vector field on a grid, stored as separate x/y component arrays."""
-
-    spec: GridSpec
-    vx: np.ndarray
-    vy: np.ndarray
-
-    def __post_init__(self):
-        self.vx = _checked(self.vx, self.spec.shape, "vector field")
-        self.vy = _checked(self.vy, self.spec.shape, "vector field")
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "VectorImage":
-        return cls(spec, np.zeros(spec.shape), np.zeros(spec.shape))
-
-    @classmethod
-    def from_function(cls, spec: GridSpec, fn) -> "VectorImage":
-        xx, yy = np.meshgrid(spec.xs(), spec.ys(), indexing="ij")
-        vx, vy = fn(xx, yy)
-        return cls(spec, np.broadcast_to(vx, spec.shape).copy(),
-                   np.broadcast_to(vy, spec.shape).copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +261,7 @@ def _central_difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def gradient_central(img: Image) -> VectorImage:
-    """Central-difference gradient, one-sided at the boundary, scaled by 1/h."""
-    h = img.spec.h
-    return VectorImage(img.spec, _central_difference(img.values, h, 0),
-                       _central_difference(img.values, h, 1))
+def gradient_central(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradient (d/dx, d/dy) of a nodal value array with
+    spacing h, one-sided at the boundary."""
+    return _central_difference(values, h, 0), _central_difference(values, h, 1)

@@ -1,5 +1,9 @@
 """Gaussian reproducing-kernel smoothing of vector fields.
 
+kernel_apply takes a vector field as its two component arrays and returns
+the two smoothed components; it checks their shapes against the grid and
+no values, because the solver calls it once per level of every gradient.
+
 The smoothing realises the change of metric that turns plain L2 gradients of
 the data term into descent directions for the velocity: each component is
 convolved with exp(-|x-y|^2 / (2 sigma^2)) and weighted by the pixel area.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, VectorImage
+from .grid import GridSpec
 
 
 @dataclass(frozen=True)
@@ -48,15 +52,12 @@ def _tap_matrix(k: KernelSpec, spec: GridSpec) -> np.ndarray:
     return B
 
 
-def _kernel_product(k: KernelSpec, spec: GridSpec, vx: np.ndarray,
-                    vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kernel_apply on raw component arrays, for callers that checked them."""
+def kernel_apply(k: KernelSpec, spec: GridSpec, vx: np.ndarray,
+                 vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the kernel: (K * v)(y) = sum_x K(x, y) v(x) h^2, componentwise."""
+    if np.shape(vx) != spec.shape or np.shape(vy) != spec.shape:
+        raise ValueError(f"kernel_apply on the {spec.nx}x{spec.ny} grid needs components "
+                         f"of shape {spec.shape}, got {np.shape(vx)} and {np.shape(vy)}")
     B = _tap_matrix(k, spec)
     hsq = spec.h ** 2
     return B @ vx @ B.T * hsq, B @ vy @ B.T * hsq
-
-
-def kernel_apply(v: VectorImage, k: KernelSpec) -> VectorImage:
-    """Apply the kernel: (K * v)(y) = sum_x K(x, y) v(x) h^2, componentwise."""
-    return VectorImage(v.spec, *_kernel_product(k, v.spec, v.vx, v.vy))
-

@@ -10,7 +10,8 @@ angle and detector bins of g's geometry.  Each control holds N entries, one per 
 step, and time integrals use the left rectangle rule with weight 1/N over
 them.  The velocity norm is monitored through its plain L2 surrogate; the
 descent direction is unaffected since the kernel smoothing is applied to the
-data term only.
+data term only.  Both penalty norms are the controls' norm_sq, one
+reduction over each whole control array, dt h^2 <x, x>.
 
 The forward model is the semi-Lagrangian step of metamorphosis.py,
 f_{k+1} = S_k (f_k + (1/N) zeta_k), with S_k the bilinear stencil of the
@@ -21,7 +22,9 @@ k+1:
     grad_v(t_k)    = gamma v_k - K * ( L_{k+1} G_k ),   G_k = S_k grad(f_k + (1/N) zeta_k)
     grad_zeta(t_k) = tau zeta_k + S_k^T L_{k+1}
 
-with grad the central-difference gradient.  L is the residual transported
+with grad the central-difference gradient, grid.gradient_central, and K *
+the kernel smoothing, kernel.kernel_apply; the sweep calls both once per
+level on plain component arrays.  L is the residual transported
 back by the exact transpose of the forward step, in one sweep over all
 gates at once:
 
@@ -70,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeVaryingScalarField, TimeVaryingVectorField
-from .grid import Image, Stencil, _central_difference
-from .kernel import KernelSpec, _kernel_product
+from .grid import Image, Stencil, gradient_central
+from .kernel import KernelSpec, kernel_apply
 from .metamorphosis import _check_consistent, image_levels
 from .ray import Sinogram, back_project, forward_project
 
@@ -87,18 +90,6 @@ class RegParams:
         # NaN and inf fail these comparisons
         if not (0 <= self.gamma < np.inf and 0 <= self.tau < np.inf):
             raise ValueError("regularisation weights gamma and tau must be finite and nonnegative")
-
-
-def velocity_norm_sq(v: TimeVaryingVectorField) -> float:
-    """Left-rectangle time quadrature of the L2 surrogate |v(t)|^2."""
-    hsq = v.spec.h ** 2
-    return v.tgrid.dt * sum(float(np.sum(vx * vx) + np.sum(vy * vy)) * hsq
-                            for vx, vy in v.values)
-
-
-def intensity_norm_sq(zeta: TimeVaryingScalarField) -> float:
-    hsq = zeta.spec.h ** 2
-    return zeta.tgrid.dt * sum(float(np.sum(z * z)) * hsq for z in zeta.values)
 
 
 @dataclass
@@ -122,8 +113,8 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     total is rejected with or without a bound); see the module docstring.
     """
     _check_consistent(v, zeta, I0)
-    v_term = 0.5 * params.gamma * velocity_norm_sq(v)
-    z_term = 0.5 * params.tau * intensity_norm_sq(zeta)
+    v_term = 0.5 * params.gamma * v.norm_sq()
+    z_term = 0.5 * params.tau * zeta.norm_sq()
     levels = image_levels(v, zeta, I0.values, 0, gates[-1][0])
     images = [I0.values]
     stencils = []
@@ -178,9 +169,10 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
         f = state.images[k] + dt * zeta.values[k]
         # one apply per component: a stacked (2, nx, ny) gather measured
         # about twice the time of two applies at 128^2
-        Gx = stencil.apply(_central_difference(f, h, 0), weights)
-        Gy = stencil.apply(_central_difference(f, h, 1), weights)
-        smoothed_x, smoothed_y = _kernel_product(kernel, spec, L * Gx, L * Gy)
+        fx, fy = gradient_central(f, h)
+        Gx = stencil.apply(fx, weights)
+        Gy = stencil.apply(fy, weights)
+        smoothed_x, smoothed_y = kernel_apply(kernel, spec, L * Gx, L * Gy)
         grad_v[k, 0] -= smoothed_x
         grad_v[k, 1] -= smoothed_y
         carried = stencil.transpose(L, weights)

@@ -77,14 +77,6 @@ class SolveReport:
     final_zeta: TimeVaryingScalarField | None = None
 
 
-def _norm(control) -> float:
-    """sqrt(dt h^2 sum of squares), the penalty terms' quadrature, as one dot
-    product: on a 2-vCPU host their per-level sums took 1 ms, 5% of an
-    iteration, at 64^2 and N = 30, and this takes 0.04 ms."""
-    values = control.values.ravel()
-    return math.sqrt(control.tgrid.dt * control.spec.h ** 2 * float(np.dot(values, values)))
-
-
 def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             params: RegParams, tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
     """Shared descent loop over a list of (end index, sinogram) gates."""
@@ -104,7 +96,8 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
         if not (grad_v.values.any() or (not lddmm and grad_zeta.values.any())):
             stop_reason = "zero_gradient"
             break
-        norms = (_norm(grad_v), 0.0 if lddmm else _norm(grad_zeta))
+        norms = (math.sqrt(grad_v.norm_sq()),
+                 0.0 if lddmm else math.sqrt(grad_zeta.norm_sq()))
         state = cand = None  # the line search holds one trajectory at a time
 
         sv, sz = cfg.step_v, cfg.step_zeta

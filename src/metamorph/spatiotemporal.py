@@ -55,6 +55,9 @@ class GatedData:
 
 def gate_angles(n_gates: int, per_gate: int, seed: int) -> list[np.ndarray]:
     """Random gate angles: gate i draws uniformly from [(i-1)pi/G, i pi/G)."""
+    for name, count in (("n_gates", n_gates), ("per_gate", per_gate)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(1, n_gates + 1):

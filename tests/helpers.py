@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from metamorph.grid import GridSpec, Image, VectorImage
+from metamorph.grid import GridSpec, Image
 from metamorph.harness import _SUPER, _disc_mask, _downsample, _ellipse_mask, _triangle_mask
 from metamorph.kernel import KernelSpec, kernel_apply
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
@@ -34,11 +34,20 @@ def image_l2_norm_sq(a: Image) -> float:
     return float(np.sum(a.values * a.values)) * a.spec.h ** 2
 
 
-def vfield_l2_inner(u: VectorImage, v: VectorImage) -> float:
-    """Grid L2 inner product of vector fields, sum(u . v) h^2."""
-    if u.spec != v.spec:
+def vector_from_function(spec, fn):
+    """The components (vx, vy) of fn(x, y) = (vx, vy) at the grid's nodes."""
+    xx, yy = np.meshgrid(spec.xs(), spec.ys(), indexing="ij")
+    vx, vy = fn(xx, yy)
+    return (np.broadcast_to(vx, spec.shape).copy(), np.broadcast_to(vy, spec.shape).copy())
+
+
+def vfield_l2_inner(u, v, h: float) -> float:
+    """Grid L2 inner product of vector fields (vx, vy) with spacing h,
+    sum(u . v) h^2."""
+    (ux, uy), (vx, vy) = u, v
+    if not ux.shape == uy.shape == vx.shape == vy.shape:
         raise ValueError("vector fields must share one grid")
-    return float(np.sum(u.vx * v.vx) + np.sum(u.vy * v.vy)) * u.spec.h ** 2
+    return float(np.sum(ux * vx) + np.sum(uy * vy)) * h ** 2
 
 
 def _taper(spec):
@@ -62,23 +71,16 @@ def smooth_bump(cx, cy, width, height, spec=FD_SPEC):
 def smooth_vec(rng, scale, spec=FD_SPEC, kernel=FD_KERNEL, taper=None):
     if taper is None:
         taper = TAPER if spec == FD_SPEC else _taper(spec)
-    raw = VectorImage(spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
-    sm = kernel_apply(raw, kernel)
-    m = max(np.abs(sm.vx).max(), np.abs(sm.vy).max())
-    return VectorImage(spec, sm.vx * taper * scale / m, sm.vy * taper * scale / m)
+    sx, sy = kernel_apply(kernel, spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
+    m = max(np.abs(sx).max(), np.abs(sy).max())
+    return sx * taper * scale / m, sy * taper * scale / m
 
 
 def smooth_img(rng, scale, spec=FD_SPEC, kernel=FD_KERNEL, taper=None):
     if taper is None:
         taper = TAPER if spec == FD_SPEC else _taper(spec)
-    raw = VectorImage(spec, rng.normal(size=spec.shape), np.zeros(spec.shape))
-    sm = kernel_apply(raw, kernel).vx
+    sm, _ = kernel_apply(kernel, spec, rng.normal(size=spec.shape), np.zeros(spec.shape))
     return Image(spec, sm * taper * scale / np.abs(sm).max())
-
-
-def vfield(tg, samples):
-    """A velocity field with one VectorImage per time step."""
-    return TimeVaryingVectorField(tg, samples[0].spec, [(s.vx, s.vy) for s in samples])
 
 
 def sfield(tg, samples):
@@ -89,7 +91,7 @@ def sfield(tg, samples):
 def random_state(n_steps, seed, amp_v=1e-4, amp_z=0.25):
     tg = TimeGrid(n_steps)
     rng = np.random.default_rng(seed)
-    v = vfield(tg, [smooth_vec(rng, amp_v) for _ in range(n_steps)])
+    v = TimeVaryingVectorField(tg, FD_SPEC, [smooth_vec(rng, amp_v) for _ in range(n_steps)])
     zeta = sfield(tg, [smooth_img(rng, amp_z) for _ in range(n_steps)])
     return v, zeta
 
@@ -98,10 +100,10 @@ def smoothed_direction(rng, n_steps):
     """Raw direction r and the kernel-smoothed perturbation K*r (for v),
     plus a smooth intensity direction, normalised to unit max displacement."""
     rs = [smooth_vec(rng, 1.0) for _ in range(n_steps)]
-    dirs = [kernel_apply(r, FD_KERNEL) for r in rs]
-    dmax = max(max(np.abs(d.vx).max(), np.abs(d.vy).max()) for d in dirs)
-    dirs = [VectorImage(FD_SPEC, d.vx / dmax, d.vy / dmax) for d in dirs]
-    rs = [VectorImage(FD_SPEC, r.vx / dmax, r.vy / dmax) for r in rs]
+    dirs = [kernel_apply(FD_KERNEL, FD_SPEC, *r) for r in rs]
+    dmax = max(max(np.abs(dx).max(), np.abs(dy).max()) for dx, dy in dirs)
+    dirs = [(dx / dmax, dy / dmax) for dx, dy in dirs]
+    rs = [(rx / dmax, ry / dmax) for rx, ry in rs]
     etas = [smooth_img(rng, 1.0) for _ in range(n_steps)]
     return rs, dirs, etas
 
@@ -115,7 +117,7 @@ def pair_gradient(grad, rs, etas, n_steps):
     """
     grad_v, grad_zeta = grad
     return (1.0 / n_steps) * sum(
-        vfield_l2_inner(VectorImage(FD_SPEC, *grad_v.values[i]), rs[i])
+        vfield_l2_inner(grad_v.values[i], rs[i], FD_SPEC.h)
         + image_l2_inner(Image(FD_SPEC, grad_zeta.values[i]), etas[i])
         for i in range(n_steps))
 
@@ -134,7 +136,7 @@ def fd_check(v, zeta, grad, objective, n_steps, eps):
     pairs, fds = [], []
     for _ in range(20):
         rs, dirs, etas = smoothed_direction(rng, n_steps)
-        wf, ef = vfield(tg, dirs), sfield(tg, etas)
+        wf, ef = TimeVaryingVectorField(tg, FD_SPEC, dirs), sfield(tg, etas)
         pairs.append(pair_gradient(grad, rs, etas, n_steps))
         fds.append(central_fd(lambda a: objective(v.add_scaled(wf, a), zeta.add_scaled(ef, a)),
                               eps))

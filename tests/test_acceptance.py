@@ -18,7 +18,7 @@ from helpers import (
     image_l2_inner,
     random_state,
     smooth_bump,
-    vfield,
+    vector_from_function,
 )
 from metamorph.experiments import (
     concatenated_fbp,
@@ -31,8 +31,8 @@ from metamorph.experiments import (
     solve_case,
     solve_gated,
 )
-from metamorph.flow import TimeGrid, forward_levels
-from metamorph.grid import GridSpec, Image, VectorImage
+from metamorph.flow import TimeGrid, TimeVaryingVectorField, forward_levels
+from metamorph.grid import GridSpec, Image
 from metamorph.harness import Disc, PhantomSpec, add_noise, make_phantom, psnr, ssim
 from metamorph.kernel import KernelSpec
 from metamorph.metamorphosis import TimeVaryingScalarField, trajectories
@@ -130,8 +130,8 @@ def test_04_flow_convergence_order():
     mask = (np.abs(ident[..., 0]) <= 8.0) & (np.abs(ident[..., 1]) <= 8.0)
     errs = []
     for n in (8, 16, 32):
-        v = vfield(TimeGrid(n), [
-            VectorImage.from_function(spec, lambda x, y: (-omega * y, omega * x))] * n)
+        v = TimeVaryingVectorField(TimeGrid(n), spec, [
+            vector_from_function(spec, lambda x, y: (-omega * y, omega * x))] * n)
         *_, (end, _) = forward_levels(v, n)
         errs.append(np.linalg.norm(end[mask] - (ident[mask] @ rot.T), axis=-1).max())
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
@@ -147,7 +147,7 @@ def test_05_degeneracies():
     from helpers import smooth_vec
 
     tg = TimeGrid(5)
-    v = vfield(tg, [smooth_vec(rng, 1.0, spec=spec) for _ in range(5)])
+    v = TimeVaryingVectorField(tg, spec, [smooth_vec(rng, 1.0, spec=spec) for _ in range(5)])
     zeta0 = TimeVaryingScalarField.zeros(tg, spec)
     I0 = smooth_bump(1.0, -1.0, 5.0, 1.0, spec=spec)
     traj = trajectories(v, zeta0, I0)

@@ -31,3 +31,19 @@ def test_traced_name_exists(module, name):
 def test_step_layer_is_a_generator_function(module, name):
     lib = importlib.import_module(f"{TRACER.PACKAGE}.{module}")
     assert inspect.isgeneratorfunction(getattr(lib, name))
+
+
+def test_traced_solve_times_the_kernel_smoothing_and_the_image_gradients():
+    # the gradient's backward sweep smooths and differentiates once per level,
+    # through the names the tracer wraps
+    from metamorph.experiments import shifted_disc_case, solve_case
+
+    case = shifted_disc_case(nx=16, n_angles=8)
+    tracer = TRACER.Tracer()
+    with tracer:
+        report, _ = solve_case(case, n_steps=3, max_iters=2, step_v=5e-4, step_zeta=1e-2)
+    summary = tracer.summary()
+    assert report.iterations_used == 2
+    assert summary["objective.gradient_core"]["calls"] == 2
+    for name in ("kernel.kernel_apply", "grid.gradient_central"):
+        assert summary.get(name, {"calls": 0})["calls"] == 2 * 3, name

@@ -1,11 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import vfield
-from metamorph.grid import GridSpec, Image, VectorImage
+from helpers import vector_from_function
+from metamorph.grid import GridSpec, Image
 from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.flow import (
     DeformationMap,
@@ -24,13 +28,13 @@ SPEC = GridSpec(16.0, 64, 64)
 
 
 def constant_field(tg, cx, cy):
-    return vfield(tg, [
-        VectorImage(SPEC, np.full(SPEC.shape, cx), np.full(SPEC.shape, cy))] * tg.n_steps)
+    return TimeVaryingVectorField(tg, SPEC, [
+        (np.full(SPEC.shape, cx), np.full(SPEC.shape, cy))] * tg.n_steps)
 
 
 def rotation_field(tg, omega):
-    return vfield(tg, [
-        VectorImage.from_function(SPEC, lambda x, y: (-omega * y, omega * x))] * tg.n_steps)
+    return TimeVaryingVectorField(tg, SPEC, [
+        vector_from_function(SPEC, lambda x, y: (-omega * y, omega * x))] * tg.n_steps)
 
 
 def interior(points):
@@ -133,8 +137,8 @@ def test_forward_backward_composition_near_identity():
 
 def test_maps_from_zero_end_is_prefix_bitwise():
     rng = np.random.default_rng(0)
-    v = vfield(TimeGrid(5), [
-        VectorImage(SPEC, rng.normal(0, 0.5, SPEC.shape), rng.normal(0, 0.5, SPEC.shape))
+    v = TimeVaryingVectorField(TimeGrid(5), SPEC, [
+        (rng.normal(0, 0.5, SPEC.shape), rng.normal(0, 0.5, SPEC.shape))
         for _ in range(5)
     ])
     full = maps_from_zero(v)
@@ -167,7 +171,8 @@ def test_jacobian_chain_scaling_closed_form():
     rels = []
     for n in (8, 16, 32):
         tg = TimeGrid(n)
-        v = vfield(tg, [VectorImage.from_function(SPEC, lambda x, y: (lam * x, lam * y))] * n)
+        v = TimeVaryingVectorField(
+            tg, SPEC, [vector_from_function(SPEC, lambda x, y: (lam * x, lam * y))] * n)
         vals = jacobian_chain_to_index(v, n)[0].values[mask]
         rels.append(np.abs(vals - np.exp(2 * lam)).max() / np.exp(2 * lam))
     assert rels[0] <= 0.03
@@ -178,7 +183,8 @@ def test_jacobian_chain_positive_under_compression():
     # strong compression would drive the first-order determinant negative
     n = 2
     tg = TimeGrid(n)
-    v = vfield(tg, [VectorImage.from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))] * n)
+    v = TimeVaryingVectorField(
+        tg, SPEC, [vector_from_function(SPEC, lambda x, y: (-3.0 * x, -3.0 * y))] * n)
     for entry in jacobian_chain_to_index(v, n):
         assert np.all(entry.values > 0.0)
 
@@ -194,13 +200,10 @@ def test_field_shape_validation():
             with pytest.raises(ValueError, match=rf"^{kind} needs shape \(3, .*got \({n}, "):
                 field(tg, SPEC, np.zeros((n, *entry)))
     geo = Geometry.uniform(4, 8, 20.0)
-    zeros = np.zeros(SPEC.shape)
     for kind, make, shape in (
             ("velocity", lambda a: TimeVaryingVectorField(tg, SPEC, a), (3, 2, *SPEC.shape)),
             ("intensity control", lambda a: TimeVaryingScalarField(tg, SPEC, a), (3, *SPEC.shape)),
             ("image", lambda a: Image(SPEC, a), SPEC.shape),
-            ("vector field", lambda a: VectorImage(SPEC, a, zeros), SPEC.shape),
-            ("vector field", lambda a: VectorImage(SPEC, zeros, a), SPEC.shape),
             ("deformation map", lambda a: DeformationMap(SPEC, a), (*SPEC.shape, 2)),
             ("sinogram", lambda a: Sinogram(geo, a), (4, 8))):
         make(np.zeros(shape))
@@ -229,3 +232,34 @@ def test_add_scaled_needs_one_time_grid_and_one_grid():
         wider = field(TimeGrid(3), GridSpec(20.0, 8, 8), ones)
         with pytest.raises(ValueError, match=r"half_width=20\.0.* to a .*half_width=16\.0"):
             base.add_scaled(wider, 0.5)
+
+
+@pytest.mark.parametrize("field", [TimeVaryingVectorField, TimeVaryingScalarField])
+def test_norm_sq_is_the_per_level_quadrature(field):
+    # one reduction over the whole array is the left-rectangle sum of the
+    # per-level sums of squares, dt sum_k |x_k|^2 h^2
+    tg = TimeGrid(30)
+    spec = GridSpec(16.0, 64, 64)
+    rng = np.random.default_rng(30)
+    control = field(tg, spec, rng.normal(size=(30, *field.component, *spec.shape)))
+    per_level = tg.dt * sum(float(np.sum(x * x)) * spec.h ** 2 for x in control.values)
+    assert abs(control.norm_sq() - per_level) <= 1e-14 * per_level
+
+
+def test_norm_sq_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot splits its sum by thread, so it rounds differently at 1 and 2
+    script = ("import numpy as np\n"
+              "from metamorph.flow import TimeGrid, TimeVaryingVectorField\n"
+              "from metamorph.grid import GridSpec\n"
+              "spec = GridSpec(16.0, 64, 64)\n"
+              "values = np.random.default_rng(30).normal(size=(30, 2, *spec.shape))\n"
+              "print(repr(TimeVaryingVectorField(TimeGrid(30), spec, values).norm_sq()))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import image_l2_norm_sq, sfield, vfield
-from metamorph.grid import GridSpec, Image, VectorImage, sample_values_xy
+from helpers import image_l2_norm_sq, sfield, vector_from_function
+from metamorph.grid import GridSpec, Image, sample_values_xy
 from metamorph.flow import DeformationMap, TimeGrid, TimeVaryingVectorField
 from metamorph.kernel import KernelSpec, kernel_apply
 from metamorph.metamorphosis import (
@@ -18,15 +18,15 @@ SPEC = GridSpec(16.0, 32, 32)
 
 
 def smooth_vec(rng, scale, spec=SPEC, sigma=3.0):
-    raw = VectorImage(spec, rng.normal(size=spec.shape), rng.normal(size=spec.shape))
-    sm = kernel_apply(raw, KernelSpec(sigma))
-    m = max(np.abs(sm.vx).max(), np.abs(sm.vy).max())
-    return VectorImage(spec, sm.vx * scale / m, sm.vy * scale / m)
+    sx, sy = kernel_apply(KernelSpec(sigma), spec, rng.normal(size=spec.shape),
+                          rng.normal(size=spec.shape))
+    m = max(np.abs(sx).max(), np.abs(sy).max())
+    return sx * scale / m, sy * scale / m
 
 
 def smooth_img(rng, scale, spec=SPEC, sigma=3.0):
-    raw = VectorImage(spec, rng.normal(size=spec.shape), np.zeros(spec.shape))
-    sm = kernel_apply(raw, KernelSpec(sigma)).vx
+    sm, _ = kernel_apply(KernelSpec(sigma), spec, rng.normal(size=spec.shape),
+                         np.zeros(spec.shape))
     return Image(spec, sm * scale / np.abs(sm).max())
 
 
@@ -68,10 +68,10 @@ def test_transport_step_transpose_is_exact():
     tg = TimeGrid(4)
     dt = tg.dt
     wobble = smooth_vec(rng, 2.0)
-    v = VectorImage(SPEC, 6.0 + wobble.vx, wobble.vy)
-    S = transport_stencil(vfield(tg, [v] * 4), 0)
-    px = SPEC.xs()[:, None] - dt * v.vx
-    py = SPEC.ys()[None, :] - dt * v.vy
+    vx, vy = 6.0 + wobble[0], wobble[1]
+    S = transport_stencil(TimeVaryingVectorField(tg, SPEC, [(vx, vy)] * 4), 0)
+    px = SPEC.xs()[:, None] - dt * vx
+    py = SPEC.ys()[None, :] - dt * vy
     L = SPEC.half_width
     outside = (np.abs(px) > L) | (np.abs(py) > L)
     assert outside[0].all() and not outside[-1].any()
@@ -95,7 +95,8 @@ def test_transport_step_one_pixel_shift_oracle():
     # in through the left edge; the transpose moves it back
     n = 4
     tg = TimeGrid(n)
-    v = vfield(tg, [VectorImage(SPEC, np.full(SPEC.shape, SPEC.h * n), np.zeros(SPEC.shape))] * n)
+    v = TimeVaryingVectorField(
+        tg, SPEC, [(np.full(SPEC.shape, SPEC.h * n), np.zeros(SPEC.shape))] * n)
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     rng = np.random.default_rng(8)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
@@ -112,7 +113,7 @@ def test_transport_step_one_pixel_shift_oracle():
 def test_evolve_zero_intensity_keeps_template():
     tg = TimeGrid(6)
     rng = np.random.default_rng(2)
-    v = vfield(tg, [smooth_vec(rng, 0.8) for _ in range(6)])
+    v = TimeVaryingVectorField(tg, SPEC, [smooth_vec(rng, 0.8) for _ in range(6)])
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     for entry in evolve_template(v, zeta, I0):
@@ -133,7 +134,7 @@ def test_evolve_constant_intensity_no_flow():
 def test_evolve_self_refinement_first_order():
     # analytic space-time fields sampled at N and at a fine reference N
     def v_of(t):
-        return VectorImage.from_function(
+        return vector_from_function(
             SPEC, lambda x, y: (0.8 * np.cos(np.pi * t) * np.exp(-(x ** 2 + y ** 2) / 50) * (-y / 8),
                                 0.8 * np.cos(np.pi * t) * np.exp(-(x ** 2 + y ** 2) / 50) * (x / 8)))
 
@@ -143,7 +144,7 @@ def test_evolve_self_refinement_first_order():
 
     def final_template(n):
         tg = TimeGrid(n)
-        v = vfield(tg, [v_of(i / n) for i in range(n)])
+        v = TimeVaryingVectorField(tg, SPEC, [v_of(i / n) for i in range(n)])
         zeta = sfield(tg, [z_of(i / n) for i in range(n)])
         I0 = Image.from_function(SPEC, lambda x, y: np.exp(-(x ** 2 + y ** 2) / 40))
         return evolve_template(v, zeta, I0)[-1].values
@@ -158,7 +159,7 @@ def test_evolve_self_refinement_first_order():
 def test_trajectories_start_at_template():
     tg = TimeGrid(4)
     rng = np.random.default_rng(3)
-    v = vfield(tg, [smooth_vec(rng, 0.5) for _ in range(4)])
+    v = TimeVaryingVectorField(tg, SPEC, [smooth_vec(rng, 0.5) for _ in range(4)])
     zeta = sfield(tg, [smooth_img(rng, 0.5) for _ in range(4)])
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     traj = trajectories(v, zeta, I0)
@@ -169,7 +170,7 @@ def test_trajectories_start_at_template():
 def test_zero_intensity_reduces_to_pure_transport():
     tg = TimeGrid(5)
     rng = np.random.default_rng(4)
-    v = vfield(tg, [smooth_vec(rng, 1.0) for _ in range(5)])
+    v = TimeVaryingVectorField(tg, SPEC, [smooth_vec(rng, 1.0) for _ in range(5)])
     zeta = TimeVaryingScalarField.zeros(tg, SPEC)
     I0 = Image(SPEC, rng.normal(size=SPEC.shape))
     traj = trajectories(v, zeta, I0)
@@ -193,7 +194,7 @@ def test_total_intensity_change_bounded_by_control_norm():
     tg = TimeGrid(6)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        v = vfield(tg, [smooth_vec(rng, 0.5) for _ in range(6)])
+        v = TimeVaryingVectorField(tg, SPEC, [smooth_vec(rng, 0.5) for _ in range(6)])
         zeta = sfield(tg, [smooth_img(rng, 0.8) for _ in range(6)])
         I0 = Image.zeros(SPEC)
         final = evolve_template(v, zeta, I0)[-1]

@@ -119,12 +119,12 @@ def test_log_rows_hold_the_norms_of_the_gradient_the_step_followed(mode):
     assert first["grad_v_norm"] == first["grad_zeta_norm"] == 0.0
     assert row["grad_v_norm"] > 0.0
     assert row["grad_v_norm"] == pytest.approx(
-        math.sqrt(objective.velocity_norm_sq(report.final_v)) / row["step_v"], rel=1e-12)
+        math.sqrt(report.final_v.norm_sq()) / row["step_v"], rel=1e-12)
     if mode == "lddmm":
         assert row["grad_zeta_norm"] == 0.0
     else:
         assert row["grad_zeta_norm"] == pytest.approx(
-            math.sqrt(objective.intensity_norm_sq(report.final_zeta)) / row["step_zeta"],
+            math.sqrt(report.final_zeta.norm_sq()) / row["step_zeta"],
             rel=1e-12)
 
 

@@ -62,6 +62,16 @@ def test_gate_angles_seeded_ranges():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_gates, per_gate, message", [
+    (0, 3, "n_gates must be at least 1, got 0"),
+    (2, 0, "per_gate must be at least 1, got 0"),
+    (2, -1, "per_gate must be at least 1, got -1"),
+])
+def test_gate_angles_rejects_fewer_than_one(n_gates, per_gate, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        gate_angles(n_gates, per_gate, 1)
+
+
 def test_consistent_static_gates_give_zero():
     n = 5
     tg = TimeGrid(n)
