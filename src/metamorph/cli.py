@@ -3,8 +3,10 @@
 Every subcommand is driven by a plain sectioned key-value config file (INI
 syntax).  Validation collects every problem before exiting, including every
 key that is not in the one table of known keys per section (_KNOWN_KEYS),
-which is reported with the closest known key; output files are written
-atomically, and identical config + seed reproduces byte-identical CSVs.
+which is reported with the closest known key, and then every key the config
+sets that an input file contradicts (_agrees), read before any output
+exists; output files are written atomically, and identical config + seed
+reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -264,31 +266,47 @@ def _phantom_spec(cfg: ConfigReader, spec):
                 shapes["ellipses"].append(Ellipse(*vals))
     if kind is None:
         return None
+    # the motion keys are read for every kind, so a static one reports them
     kw = dict(kind=kind, background=background or 0.0,
               discs=tuple(shapes["discs"]), triangles=tuple(shapes["triangles"]),
-              ellipses=tuple(shapes["ellipses"]))
+              ellipses=tuple(shapes["ellipses"]),
+              growth=cfg.get_float("phantom", "growth", 0.0),
+              appear_time=cfg.get_float("phantom", "appear_time", 0.5),
+              appear_ramp=cfg.get_float("phantom", "appear_ramp", 0.2))
+    drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
+    if len(drift) == 2:
+        kw["drift"] = tuple(drift)
+    else:
+        cfg.problems.append(f"[phantom] drift: need 2 values (dx, dy), got {len(drift)}")
+    appear = cfg.get_floats("phantom", "appear", None)
+    if appear and _shape_takes(cfg, "appear", "disc", appear):
+        kw["appear"] = Disc(*appear)
     if kind == "evolving_sequence":
         tgrid = _build(cfg, "time", TimeGrid, cfg.get_int("time", "steps", 10))
         if tgrid is None:
             return None
-        drift = cfg.get_floats("phantom", "drift", [0.0, 0.0])
-        if len(drift) == 2:
-            kw["drift"] = tuple(drift)
-        else:
-            cfg.problems.append(f"[phantom] drift: need 2 values (dx, dy), got {len(drift)}")
-        kw.update(
-            times=tuple(tgrid.times()),
-            growth=cfg.get_float("phantom", "growth", 0.0),
-            appear_time=cfg.get_float("phantom", "appear_time", 0.5),
-            appear_ramp=cfg.get_float("phantom", "appear_ramp", 0.2),
-        )
-        appear = cfg.get_floats("phantom", "appear", None)
-        if appear and _shape_takes(cfg, "appear", "disc", appear):
-            kw["appear"] = Disc(*appear)
+        kw["times"] = tuple(tgrid.times())
     phantom = _build(cfg, "phantom", PhantomSpec, **kw)
     if phantom is not None and spec is not None and len(cfg.problems) == problems:
         _build(cfg, "phantom", check_inside, phantom, spec)
     return phantom
+
+
+def _agrees(cfg: ConfigReader, section: str, key: str, configured, found, path):
+    """Record a problem if the config sets [section] key and the file at path
+    holds another value (to float32 precision, a version-1 image's)."""
+    if cfg.parser.has_option(section, key) and not math.isclose(configured, found, rel_tol=1e-6):
+        cfg.problems.append(f"[{section}] {key}: the config sets {configured!r}, "
+                            f"but {path} holds {found!r}")
+
+
+def _read_template(cfg: ConfigReader, spec, path):
+    """The template image; the solve runs on its grid, so every [grid] key
+    the config sets must agree with it."""
+    template = read_image_raw(path)
+    for key in ("half_width", "nx", "ny"):
+        _agrees(cfg, "grid", key, getattr(spec, key), getattr(template.spec, key), path)
+    return template
 
 
 def _out_dir(cfg: ConfigReader, args) -> Path:
@@ -394,15 +412,20 @@ def cmd_reconstruct(args) -> int:
         template_path = cfg.get_input_path("io", "template")
     data_path = cfg.get_input_path("io", "data")
     cfg.finish()
-    out = _out_dir(cfg, args)
+    # the inputs are read, and checked against the config, before any output
     data = read_sinogram(data_path, geo.det_extent)
+    _agrees(cfg, "geometry", "n_angles", geo.n_angles, data.geometry.n_angles, data_path)
+    _agrees(cfg, "geometry", "n_det", geo.n_det, data.geometry.n_det, data_path)
+    if mode != "fbp":
+        template = _read_template(cfg, spec, template_path)
+    cfg.finish()
+    out = _out_dir(cfg, args)
     if mode == "fbp":
         recon = fbp(data, spec, cutoff=fbp_cutoff)
         write_image_raw(recon, out / "fbp.mimg")
         write_pgm(recon, out / "fbp.pgm")
         print(f"fbp cutoff={fbp_cutoff} wrote {out / 'fbp.mimg'}")
         return 0
-    template = read_image_raw(template_path)
     report = reconstruct(template, data, kernel, params, tgrid, solver)
     _write_report(report, out)
     return 0
@@ -419,9 +442,15 @@ def cmd_gated(args) -> int:
     if bundle and not Path(bundle).is_dir():
         cfg.problems.append(f"[io] gated_dir: {bundle!r} is not a directory")
     cfg.finish()
-    out = _out_dir(cfg, args)
-    template = read_image_raw(template_path)
+    # the inputs are read, and checked against the config, before any output
+    template = _read_template(cfg, spec, template_path)
     gated = GatedData(read_gated_bundle(bundle))
+    try:
+        gated.check_against(tgrid)
+    except ValueError as exc:
+        cfg.problems.append(f"[time] steps: {exc}, in {bundle}")
+    cfg.finish()
+    out = _out_dir(cfg, args)
     report = reconstruct_gated(template, gated, kernel, params, tgrid, solver)
     _write_report(report, out)
     return 0
@@ -498,9 +527,11 @@ def cmd_sweep(args) -> int:
             for g in gammas or [params.gamma] for t in taus or [params.tau]] if params else []
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
+    template = _read_template(cfg, spec, template_path)
+    cfg.finish()
     out = _out_dir(cfg, args)
     target = read_image_raw(target_path)
-    case = Case(spec, read_image_raw(template_path), target, geo,
+    case = Case(spec, template, target, geo,
                 project_with_noise(target, geo, psnr_db, seed))
     rows = []
     # [solver] step_v is the step at [kernel] sigma; sweep scales it per kernel

@@ -48,11 +48,10 @@ class Case:
     data: Sinogram
 
 
-def shifted_disc_case(nx: int = 64, n_angles: int = 60,
-                      shift_pixels: float = 2.0) -> Case:
-    """Template and target are the same disc, offset by a couple of pixels."""
+def shifted_disc_case(nx: int = 64, n_angles: int = 60) -> Case:
+    """Template and target are the same disc, offset by two pixels."""
     spec = GridSpec(DEFAULT_HALF_WIDTH, nx, nx)
-    shift = shift_pixels * spec.h
+    shift = 2.0 * spec.h
     target = make_phantom(PhantomSpec("discs", discs=(Disc(0.0, 0.0, 5.0, 1.0),)), spec)
     template = make_phantom(PhantomSpec("discs", discs=(Disc(shift, 0.0, 5.0, 1.0),)), spec)
     geo = default_geometry(spec, n_angles)
@@ -200,12 +199,10 @@ class GatedCase:
 
 
 def evolving_gated_case(nx: int = 64, n_gates: int = 10, per_gate: int = 10,
-                        seed: int = 5, psnr_db: float = 25.0,
-                        n_det: int | None = None) -> GatedCase:
-    """Drifting disc plus an appearing disc, observed through gated data."""
+                        seed: int = 5, psnr_db: float = 25.0) -> GatedCase:
+    """Drifting disc plus an appearing disc, observed through gated data
+    with 2 nx detector bins per angle."""
     spec = GridSpec(DEFAULT_HALF_WIDTH, nx, nx)
-    if n_det is None:
-        n_det = 2 * spec.nx
     tgrid = TimeGrid(n_gates)
     times = tuple(tgrid.times())
     phantom = PhantomSpec(
@@ -219,7 +216,7 @@ def evolving_gated_case(nx: int = 64, n_gates: int = 10, per_gate: int = 10,
         times=times,
     )
     frames = make_phantom(phantom, spec)
-    gates = gated_projections(frames, n_gates, per_gate, n_det,
+    gates = gated_projections(frames, n_gates, per_gate, 2 * spec.nx,
                               spec.half_width * math.sqrt(2.0), psnr_db, seed)
     return GatedCase(spec, frames[0], frames, GatedData(gates), tgrid)
 

@@ -4,27 +4,26 @@ Each control holds one entry per time step, entry k driving the step
 t_k -> t_{k+1}, k = 0..N-1: the velocity v as one (N, 2, nx, ny) array, the
 intensity control zeta as one (N, nx, ny) array, through one base class.
 The velocity's flow maps phi_{s,t} (transporting points from time s to
-time t) are approximated by chaining one-step small deformations
-Id -+ (1/N) v_k.  Maps are stored as node-wise point arrays and composed by
-bilinearly resampling the outer map at the inner map's points, through
-grid's bilinear stencils (the library's one interpolant).  The image
-trajectory does not use these maps: it is transported one semi-Lagrangian
-step at a time (metamorphosis.py).
+time t) are its characteristics, approximated by Euler steps: every map is
+built by advecting the node points, one step x -> x +- (1/N) v_k(x) at a
+time, each sampling v_k through the bilinear stencil of the current points
+(grid's one interpolant).  Maps are stored as node-wise point arrays.  The
+image trajectory does not use these maps: it is transported one
+semi-Lagrangian step at a time (metamorphosis.py).
 
 The solver reads one builder, the generator forward_levels: it yields the
-points phi_{0,t_k}(x) of the nodes x, advected one Euler step per level,
-each with the bilinear stencil that samples v_k there, and takes no step
-before the next level is asked for.  The template part of the final
-trajectories samples zeta through the same stencil, so a level builds one.
-forward_maps lists the maps it yields.
+points phi_{0,t_k}(x) of the nodes x, each with the bilinear stencil that
+samples v_k there, and takes no step before the next level is asked for.
+The template part of the final trajectories samples zeta through the same
+stencil, so a level builds one.  forward_maps lists the maps it yields.
 
-maps_from_zero (phi_{t_i,0} = phi_{t_{i-1},0} o (Id - (1/N) v_{i-1})),
-maps_to_index (phi_{t_i,t_M}), jacobian_chain_to_index (the Jacobian
-determinants of those maps as Images, by the first-order recursion
-|det| ~= (1 + (1/N) div v_i) |det|_{i+1} o (Id + (1/N) v_i), clamped away
-from zero) and backward_advected_points (phi_{t_i,t_j} for j < i) are not
-called by the solver; they stay for the tests and because the benchmark's
-tracer wraps each of them by name.
+backward_advected_points (phi_{t_i,t_j} for j < i), maps_from_zero
+(phi_{t_i,0}, O(N^2) steps), maps_to_index (phi_{t_i,t_M}) and
+jacobian_chain_to_index (the Jacobian determinants of those maps as Images,
+by the first-order recursion |det| ~= (1 + (1/N) div v_i) |det|_{i+1} o
+(Id + (1/N) v_i), clamped away from zero) are not called by the solver;
+they stay for the tests and because the benchmark's tracer wraps each of
+them by name.  Every map runs the one loop _levels, forward or backward.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .grid import (
     _central_difference,
     _checked,
     bilinear_stencil,
-    sample_points_xy,
     sample_values_xy,
 )
 
@@ -124,10 +122,6 @@ class DeformationMap:
     def __post_init__(self):
         self.points = _checked(self.points, (*self.spec.shape, 2), "deformation map")
 
-    @classmethod
-    def identity(cls, spec: GridSpec) -> "DeformationMap":
-        return cls(spec, spec.identity_points())
-
 
 def _clamp_points(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
     # stored map points stay on the closed domain; fields vanish near the
@@ -156,52 +150,55 @@ def _advect(points: np.ndarray, stencil: Stencil, v_k: np.ndarray,
     return _clamp_points(out, stencil.spec)
 
 
-def _composed_maps(v: TimeVaryingVectorField, steps, shift: float) -> list[DeformationMap]:
-    """The identity, then for k in steps the last map composed with
-    Id + shift * v_k."""
+def _levels(v: TimeVaryingVectorField, steps, dt_signed: float):
+    """Yield (points, their stencil) level by level: the nodes, then for each
+    k of steps in turn the points advected by dt_signed * v_k through the
+    previous level's stencil.  No step is taken before its level is asked for."""
     spec = v.spec
     pts = spec.identity_points()
-    out = [DeformationMap(spec, pts)]
+    stencil = bilinear_stencil(spec, pts[..., 0], pts[..., 1])
+    yield pts, stencil
     for k in steps:
-        qx, qy = _one_step_queries(v, k, shift)
-        pts = _clamp_points(sample_points_xy(pts, spec, qx, qy), spec)
-        out.append(DeformationMap(spec, pts))
-    return out
+        pts = _advect(pts, stencil, v.values[k], dt_signed)
+        stencil = bilinear_stencil(spec, pts[..., 0], pts[..., 1])
+        yield pts, stencil
+
+
+def _advected_map(v: TimeVaryingVectorField, steps, dt_signed: float) -> DeformationMap:
+    """The map of the nodes' last level in _levels (the identity for no steps)."""
+    for pts, _ in _levels(v, steps, dt_signed):
+        pass
+    return DeformationMap(v.spec, pts)
 
 
 # the tests read this list, and the benchmark's tracer wraps it by name
 def maps_from_zero(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{t_i,0} for i = 0..end (entry 0 is the identity).
 
-    Entry i+1 composes entry i with Id - (1/N) v_i.
+    Entry i advects the nodes from t_i back to 0, by -(1/N) v_j for
+    j = i-1 down to 0.
     """
     if end is None:
         end = v.tgrid.n_steps
-    return _composed_maps(v, range(end), -v.tgrid.dt)
+    return [_advected_map(v, range(i - 1, -1, -1), -v.tgrid.dt) for i in range(end + 1)]
 
 
 # kept only because the benchmark's tracer wraps it by name
 def maps_to_index(v: TimeVaryingVectorField, end: int) -> list[DeformationMap]:
-    """Maps phi_{t_i, t_end} for i = 0..end, filled backward from the identity."""
+    """Maps phi_{t_i, t_end} for i = 0..end (entry end is the identity).
+
+    Entry i advects the nodes from t_i forward to t_end, by (1/N) v_j for
+    j = i..end-1.
+    """
     if not 0 <= end <= v.tgrid.n_steps:
         raise IndexError(f"end index {end} outside 0..{v.tgrid.n_steps}")
-    return _composed_maps(v, range(end - 1, -1, -1), v.tgrid.dt)[::-1]
+    return [_advected_map(v, range(i, end), v.tgrid.dt) for i in range(end + 1)]
 
 
 def forward_levels(v: TimeVaryingVectorField, end: int):
-    """Yield (points of phi_{0,t_k}, their stencil) for k = 0..end.
-
-    The step to level k+1 samples v_k through level k's stencil, so each
-    level builds one, and no step is taken past level end.
-    """
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    for k in range(end + 1):
-        stencil = bilinear_stencil(spec, pts[..., 0], pts[..., 1])
-        yield pts, stencil
-        if k < end:
-            pts = _advect(pts, stencil, v.values[k], dt)
+    """Yield (points of phi_{0,t_k}, their stencil) for k = 0..end; the step
+    to level k+1 samples v_k through level k's stencil."""
+    yield from _levels(v, range(end), v.tgrid.dt)
 
 
 # trajectories reads forward_levels; the tests check the advection through
@@ -219,12 +216,10 @@ def backward_advected_points(v: TimeVaryingVectorField, i: int):
 
     Each step advects the current points by -(1/N) v_j.
     """
-    spec = v.spec
-    dt = v.tgrid.dt
-    pts = spec.identity_points()
-    for j in range(i - 1, -1, -1):
-        pts = _advect(pts, bilinear_stencil(spec, pts[..., 0], pts[..., 1]),
-                      v.values[j], -dt)
+    steps = range(i - 1, -1, -1)
+    levels = _levels(v, steps, -v.tgrid.dt)
+    next(levels)  # the nodes themselves, phi_{t_i,t_i}
+    for j, (pts, _) in zip(steps, levels):
         yield j, pts
 
 

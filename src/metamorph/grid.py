@@ -22,8 +22,7 @@ stencil per point set and apply it to every array sampled there (both
 velocity components, or a velocity and an intensity control), deriving the
 weights once; sample_values_xy is one build and one apply.
 Stencil.transpose scatters values at the points back onto the grid, the
-exact transpose of apply.  sample_points_xy uses the same stencil on
-queries clamped onto the node hull.
+exact transpose of apply.
 """
 
 from __future__ import annotations
@@ -178,21 +177,6 @@ class Stencil:
         return out.reshape(nx + 2, ny + 2)[1:-1, 1:-1]
 
 
-def _stencil(spec: GridSpec, u: np.ndarray, w: np.ndarray) -> Stencil:
-    """The stencil of node coordinates (u, w), which it takes over: they
-    become its fractional offsets."""
-    # the padded array puts node (i, j) at (i + 1, j + 1)
-    i0 = np.floor(u)
-    j0 = np.floor(w)
-    u -= i0
-    w -= j0
-    i0 += 1.0
-    i0 *= spec.ny + 2
-    j0 += 1.0
-    i0 += j0
-    return Stencil(spec, i0.astype(np.intp), u, w)
-
-
 def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
     """Stencil of the points (px, py) for sampling with zero extension.
 
@@ -212,7 +196,17 @@ def bilinear_stencil(spec: GridSpec, px: np.ndarray, py: np.ndarray) -> Stencil:
     # the other three corners
     u[outside] = -1.0
     w[outside] = -1.0
-    return _stencil(spec, u, w)
+    # the padded array puts node (i, j) at (i + 1, j + 1); (u, w) become the
+    # fractional offsets, and the build works in place on the arrays kept
+    i0 = np.floor(u)
+    j0 = np.floor(w)
+    u -= i0
+    w -= j0
+    i0 += 1.0
+    i0 *= spec.ny + 2
+    j0 += 1.0
+    i0 += j0
+    return Stencil(spec, i0.astype(np.intp), u, w)
 
 
 def sample_values_xy(values: np.ndarray, spec: GridSpec,
@@ -223,27 +217,6 @@ def sample_values_xy(values: np.ndarray, spec: GridSpec,
     the domain itself return exactly zero.
     """
     return bilinear_stencil(spec, px, py).apply(values)
-
-
-def sample_points_xy(points: np.ndarray, spec: GridSpec,
-                     px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear sample of an (nx, ny, 2) point array at physical coordinates.
-
-    Queries are clamped onto the node hull, so the lookup is always a convex
-    combination of stored points (used for composing deformation maps).
-    """
-    L = spec.half_width
-    nx, ny = spec.nx, spec.ny
-    u = np.clip((px + L) / spec.h - 0.5, 0.0, nx - 1.0)
-    w = np.clip((py + L) / spec.h - 0.5, 0.0, ny - 1.0)
-    # a query on the far edge u = nx - 1 gives the corners past it weight 0,
-    # and they read the zero border
-    st = _stencil(spec, u, w)
-    weights = st.weights()
-    out = np.empty(u.shape + (2,))
-    out[..., 0] = st.apply(points[..., 0], weights)
-    out[..., 1] = st.apply(points[..., 1], weights)
-    return out
 
 
 def _central_difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:

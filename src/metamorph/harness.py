@@ -15,7 +15,7 @@ PSNR hits the target exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .grid import GridSpec, Image
 from .ray import Sinogram
 
 _SUPER = 4  # supersampling factor per axis
+# the PhantomSpec fields that animate an evolving sequence
+_MOTION = ("times", "drift", "growth", "appear", "appear_time", "appear_ramp")
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,8 @@ class PhantomSpec:
     (1 + t * growth) about their centres (a triangle's is its centroid), and
     `appear` fades in with weight clip((t - appear_time) / appear_ramp, 0, 1).
     Its frames are drawn at `times`, or at t = 0 and 1 when it is empty, and
-    the scale must stay positive at each of them.
+    the scale must stay positive at each of them.  The other kinds are
+    static: they leave the motion fields at their defaults.
     """
 
     kind: str
@@ -97,7 +100,13 @@ class PhantomSpec:
             for size in {Disc: ("r",), Ellipse: ("a", "b")}.get(type(shape), ()):
                 if not getattr(shape, size) > 0:
                     raise ValueError(f"{name} needs {size} > 0, got {shape}")
-        if self.kind == "evolving_sequence":
+        if self.kind != "evolving_sequence":
+            moved = [f.name for f in fields(self)
+                     if f.name in _MOTION and not np.array_equal(getattr(self, f.name), f.default)]
+            if moved:
+                raise ValueError(f"{', '.join(moved)}: kind {self.kind!r} is static; "
+                                 f"only evolving_sequence moves")
+        else:
             for t in self.frame_times():
                 if not 1.0 + t * self.growth > 0:
                     raise ValueError(f"growth shrinks the shapes to nothing at t = {t} "

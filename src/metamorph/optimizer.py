@@ -25,7 +25,7 @@ the dt h^2 quadrature of the penalty terms (0.0 for row 0, as its steps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,18 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    objective_history: list[float]
     iterations_used: int
     trajectories: Trajectories
     stop_reason: str
-    log_rows: list[dict] = field(default_factory=list)
+    # one row of LOG_FIELDS per accepted iterate, row 0 the start
+    log_rows: list[dict]
     final_v: TimeVaryingVectorField | None = None
     final_zeta: TimeVaryingScalarField | None = None
+
+    @property
+    def objective_history(self) -> list[float]:
+        """The objective of each accepted iterate: the log's objective column."""
+        return [row["objective"] for row in self.log_rows]
 
 
 def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
@@ -87,7 +92,6 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
 
     *terms, state = evaluate_parts(v, zeta, I0, gates, params)
     total = terms[0]
-    history = [total]
     rows = [dict(zip(LOG_FIELDS, (0, *terms, 0.0, 0.0, 1, 0.0, 0.0)))]
     stop_reason = "max_iters"
 
@@ -120,7 +124,6 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
         previous = total
         *terms, state = cand
         total = terms[0]
-        history.append(total)
         rows.append(dict(zip(LOG_FIELDS, (it, *terms, sv, 0.0 if lddmm else sz, evals, *norms))))
         if previous - total <= cfg.rel_tol * abs(previous):
             stop_reason = "converged"
@@ -129,7 +132,6 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     # the last accepted state, unless a failed line search dropped it
     known = (state.images, state.stencils) if state is not None else ()
     return SolveReport(
-        objective_history=history,
         iterations_used=it,
         trajectories=trajectories(v, zeta, I0, *known),
         stop_reason=stop_reason,

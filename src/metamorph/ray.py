@@ -102,8 +102,7 @@ class Geometry:
     Detector offsets are bin midpoints in [-det_extent, det_extent].  The
     angle quadrature weight is fixed to pi / n_angles.  The angles are kept
     as a read-only copy, since the ray operators kept per geometry depend on
-    them.  Two geometries are equal when they sample the same rays: the
-    same bin count, extent and angle values.
+    them.
     """
 
     angles: np.ndarray
@@ -147,17 +146,6 @@ class Geometry:
 
     def det_offsets(self) -> np.ndarray:
         return -self.det_extent + (np.arange(self.n_det) + 0.5) * self.delta_det
-
-    def __eq__(self, other):
-        if not isinstance(other, Geometry):
-            return NotImplemented
-        return (self.n_det == other.n_det
-                and self.det_extent == other.det_extent
-                and np.array_equal(self.angles, other.angles))
-
-    def __hash__(self):
-        # the angle count, not their bytes: array_equal holds -0.0 == 0.0
-        return hash((self.n_det, self.det_extent, self.n_angles))
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Shared builders for the gradient finite-difference checks, and per-sample
-references for the ray transform, the bilinear samplers, the SSIM window
-mean and the phantom rasteriser.
+"""Shared builders for the gradient finite-difference checks, per-sample
+references for the ray transform, the bilinear sampler, the SSIM window
+mean and the phantom rasteriser, and a map composition for the flow tests.
 
 The fields are kernel-smoothed noise, tapered to vanish near the boundary
 (velocities are compactly supported in the model), and the template/target
@@ -213,8 +213,10 @@ def masked_sample_values(values, spec, px, py):
 
 
 def hull_sample_points(points, spec, px, py):
-    """Reference for sample_points_xy: queries clamped onto the node hull,
-    then four direct corner lookups in the (nx, ny, 2) point array."""
+    """Bilinear lookup of an (nx, ny, 2) point array, such as a deformation
+    map's, at queries clamped onto the node hull: four direct corner lookups,
+    so the result is a convex combination of stored points (the flow tests
+    compose two maps with it)."""
     L = spec.half_width
     h = spec.h
     nx, ny = spec.nx, spec.ny

@@ -47,3 +47,31 @@ def test_traced_solve_times_the_kernel_smoothing_and_the_image_gradients():
     assert summary["objective.gradient_core"]["calls"] == 2
     for name in ("kernel.kernel_apply", "grid.gradient_central"):
         assert summary.get(name, {"calls": 0})["calls"] == 2 * 3, name
+
+
+# traced names the solver does not call: they stay only for the tests and
+# the tracer, so a solve that reaches one of them has taken a second path
+NOT_IN_THE_SOLVER = ("flow.maps_from_zero", "flow.maps_to_index", "flow.forward_maps",
+                     "flow.jacobian_chain_to_index", "flow.backward_advected_points",
+                     "metamorphosis.group_action", "grid.sample_values_xy")
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_traced_solve_calls_no_name_the_solver_does_not_use(gated):
+    from metamorph.experiments import (evolving_gated_case, shifted_disc_case, solve_case,
+                                       solve_gated)
+
+    tracer = TRACER.Tracer()
+    if gated:
+        case = evolving_gated_case(nx=16, n_gates=2, per_gate=4)
+        with tracer:
+            report, _ = solve_gated(case, max_iters=2, step_v=5e-4, step_zeta=1e-2)
+    else:
+        case = shifted_disc_case(nx=16, n_angles=8)
+        with tracer:
+            report, _ = solve_case(case, n_steps=3, max_iters=2, step_v=5e-4, step_zeta=1e-2)
+    summary = tracer.summary()
+    assert report.iterations_used == 2
+    assert summary["objective.gradient_core"]["calls"] == 2
+    for name in NOT_IN_THE_SOLVER:
+        assert summary.get(name, {"calls": 0})["calls"] == 0, name

@@ -351,9 +351,10 @@ out_dir = {out}
 
 
 def test_project_gated_matches_evolving_gated_case(tmp_path):
-    # one gate per time step: the CLI's gates are the preset's, byte for byte
+    # one gate per time step, and the preset's 2 nx detector bins: the CLI's
+    # gates are the preset's, byte for byte
     out = tmp_path / "gated"
-    cfg = write_config(tmp_path / "g.ini", BASE + f"""
+    cfg = write_config(tmp_path / "g.ini", BASE.replace("n_det = 48", "n_det = 64") + f"""
 [phantom]
 kind = evolving_sequence
 disc0 = -3, -2, 4.0, 1.0
@@ -375,7 +376,7 @@ psnr_db = 25.0
 out_dir = {out}
 """)
     assert main(["project-gated", "--config", cfg]) == 0
-    case = evolving_gated_case(nx=32, n_gates=4, per_gate=6, seed=5, psnr_db=25.0, n_det=48)
+    case = evolving_gated_case(nx=32, n_gates=4, per_gate=6, seed=5, psnr_db=25.0)
     write_gated_bundle(tmp_path / "case", case.gated.gates, seed=5)
     cli_gates = read_gated_bundle(out)
     assert [k for k, _ in cli_gates] == [k for k, _ in case.gated.gates] == [1, 2, 3, 4]
@@ -747,3 +748,113 @@ test = {garbage}
     assert main(["metrics", "--config", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and "Traceback" not in err
+
+
+def disc_template_and_data(tmp_path, n_angles, n_det):
+    """A 32^2 disc template and its sinogram at n_angles x n_det, on disk."""
+    spec = GridSpec(16.0, 32, 32)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec)
+    write_image_raw(disc, tmp_path / "disc.mimg")
+    geo = Geometry.uniform(n_angles, n_det, 16.0 * math.sqrt(2.0))
+    write_sinogram(forward_project(disc, geo), tmp_path / "data.sino")
+    return tmp_path / "disc.mimg", tmp_path / "data.sino"
+
+
+@pytest.mark.parametrize("mode", ["metamorphosis", "fbp"])
+def test_geometry_the_data_contradicts_is_a_config_problem(tmp_path, capsys, mode):
+    # the data file holds the angles and the bins; a config that says
+    # otherwise is a mistake, not a setting to ignore
+    template, data = disc_template_and_data(tmp_path, 20, 48)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.ini", BASE.replace("n_angles = 12\nn_det = 48",
+                                                        "n_angles = 7\nn_det = 11") + f"""
+mode = {mode}
+
+[io]
+template = {template}
+data = {data}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 2 problem(s): [geometry] n_angles: the config sets 7, but {data} "
+        f"holds 20; [geometry] n_det: the config sets 11, but {data} holds 48")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "gated", "sweep"])
+def test_grid_the_template_contradicts_is_a_config_problem(tmp_path, capsys, command):
+    # a descent solve runs on the template's grid; [grid] ny is not set, so
+    # it is not compared
+    template, data = disc_template_and_data(tmp_path, 12, 48)
+    write_gated_bundle(tmp_path / "bundle", [(4, read_sinogram(data, 16.0 * math.sqrt(2.0)))])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.ini", BASE.replace("nx = 32\nny = 32", "nx = 64") + f"""
+[io]
+template = {template}
+data = {data}
+target = {template}
+gated_dir = {tmp_path / 'bundle'}
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [grid] nx: the config sets 64, but {template} holds 32")
+    assert not out.exists()
+
+
+def test_keys_the_config_leaves_unset_are_not_compared(tmp_path):
+    template, data = disc_template_and_data(tmp_path, 20, 48)
+    out = tmp_path / "out"
+    base = BASE.replace("[grid]\nhalf_width = 16.0\nnx = 32\nny = 32\n", "")
+    cfg = write_config(tmp_path / "r.ini", base.replace("n_angles = 12\nn_det = 48\n", "") + f"""
+[io]
+template = {template}
+data = {data}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 0
+    assert read_image_raw(out / "image_04.mimg").spec == GridSpec(16.0, 32, 32)
+
+
+def test_gate_past_the_time_grid_is_a_config_problem(tmp_path, capsys):
+    template, data = disc_template_and_data(tmp_path, 6, 48)
+    sino = read_sinogram(data, 16.0 * math.sqrt(2.0))
+    bundle = tmp_path / "bundle"
+    write_gated_bundle(bundle, [(2, sino), (6, sino)])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "g.ini", BASE + f"""
+[io]
+template = {template}
+gated_dir = {bundle}
+out_dir = {out}
+""")
+    assert main(["gated", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [time] steps: gate index 6 outside the time grid "
+        f"1..4, in {bundle}")
+    assert not out.exists()
+    # a bundle that does not read is still a runtime error
+    (bundle / "gates.toml").write_text("n_gates = two\n")
+    assert main(["gated", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ValueError: ")
+
+
+def test_motion_keys_on_a_static_phantom_are_a_config_problem(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", BASE + f"""
+[phantom]
+kind = discs
+disc0 = 0, 0, 3.0, 1.0
+drift = 5, 0
+growth = 0.5
+appear = 3, 3, 2
+
+[io]
+out_dir = {out}
+""")
+    assert main(["phantom", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [phantom]: drift, growth, appear: kind 'discs' is "
+        "static; only evolving_sequence moves")
+    assert not out.exists()

@@ -311,7 +311,8 @@ def test_sinogram_roundtrip_and_prefixes(data):
         path = Path(tmp) / "data.sino"
         write_sinogram(sino, path)
         back = read_sinogram(path, det_extent=20.0)
-        assert back.geometry == geo
+        assert (back.geometry.n_det, back.geometry.det_extent) == (geo.n_det, geo.det_extent)
+        assert back.geometry.angles.tobytes() == geo.angles.tobytes()
         assert back.values.tobytes() == sino.values.tobytes()
         blob = path.read_bytes()
         for cut in range(len(blob)):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import vector_from_function
+from helpers import hull_sample_points, vector_from_function
 from metamorph.grid import GridSpec, Image
 from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.flow import (
@@ -120,15 +120,13 @@ def test_rotation_flow_first_order_convergence():
 
 
 def test_forward_backward_composition_near_identity():
-    from metamorph.grid import sample_points_xy
-
     omega = 0.4
     errs = []
     for n in (8, 16):
         v = rotation_field(TimeGrid(n), omega)
         fwd = maps_to_index(v, n)[0].points  # phi_{0,1}
         back = maps_from_zero(v)[-1].points  # phi_{1,0}
-        composed = sample_points_xy(fwd, SPEC, back[..., 0], back[..., 1])
+        composed = hull_sample_points(fwd, SPEC, back[..., 0], back[..., 1])
         comp, ident = interior(composed)
         errs.append(np.linalg.norm(comp - ident, axis=-1).max())
     assert errs[1] <= errs[0]

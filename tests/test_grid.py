@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hull_sample_points, image_l2_inner, masked_sample_values, vector_from_function
+from helpers import image_l2_inner, masked_sample_values, vector_from_function
 from metamorph.grid import (
     GridSpec,
     Image,
     _central_difference,
     bilinear_stencil,
     gradient_central,
-    sample_points_xy,
     sample_values_xy,
 )
 
@@ -92,7 +91,7 @@ def test_sample_linear_in_image(alpha, beta, seed):
 
 
 def query_points(spec, rng, n=64):
-    """Coordinates drawn from every region the samplers treat apart: anywhere
+    """Coordinates drawn from every region the sampler treats apart: anywhere
     in [-1.06 L, 1.06 L], node coordinates, exactly +-L, the last
     half-pixel before either edge, and just or far outside the domain."""
     L = spec.half_width
@@ -126,9 +125,6 @@ def test_samplers_match_reference_bitwise(n, half_width, seed):
     values = rng.normal(size=spec.shape)
     assert np.array_equal(bits(sample_values_xy(values, spec, px, py)),
                           bits(masked_sample_values(values, spec, px, py)))
-    points = rng.uniform(-half_width, half_width, size=spec.shape + (2,))
-    assert np.array_equal(bits(sample_points_xy(points, spec, px, py)),
-                          bits(hull_sample_points(points, spec, px, py)))
 
 
 def test_one_stencil_serves_several_arrays():

@@ -96,6 +96,28 @@ def test_drift_without_two_entries_rejected(drift):
         PhantomSpec("evolving_sequence", discs=(Disc(0, 0, 3),), drift=drift)
 
 
+@pytest.mark.parametrize("kind", ["discs", "triangle_pair", "shepp_like"])
+@pytest.mark.parametrize("field, value", [
+    ("times", (0.0, 1.0)),
+    ("drift", (5.0, 0.0)),
+    ("growth", 0.5),
+    ("appear", Disc(3, 3, 2.0)),
+    ("appear_time", 0.25),
+    ("appear_ramp", 0.5),
+])
+def test_motion_on_a_static_phantom_rejected(kind, field, value):
+    # it used to rasterise one unmoved image
+    with pytest.raises(ValueError, match=rf"^{field}: kind '{kind}' is static"):
+        PhantomSpec(kind, discs=(Disc(0, 0, 3),), **{field: value})
+
+
+def test_static_phantom_takes_motion_fields_at_their_defaults():
+    spec = PhantomSpec("discs", discs=(Disc(0, 0, 3),), times=(), drift=[0, 0], growth=0.0,
+                       appear=None, appear_time=0.5, appear_ramp=0.2)
+    plain = PhantomSpec("discs", discs=(Disc(0, 0, 3),))
+    assert np.array_equal(make_phantom(spec, SPEC).values, make_phantom(plain, SPEC).values)
+
+
 @pytest.mark.parametrize("times, growth, when", [
     ((0.0, 0.5, 1.0), -2.0, "t = 0.5"),  # the disc vanishes there
     ((0.0, 0.25), -4.0, "t = 0.25"),

@@ -33,7 +33,7 @@ def smooth_img(rng, scale, spec=SPEC, sigma=3.0):
 def test_group_action_identity_returns_image():
     rng = np.random.default_rng(0)
     img = Image(SPEC, rng.normal(size=SPEC.shape))
-    out = group_action(DeformationMap.identity(SPEC), img)
+    out = group_action(DeformationMap(SPEC, SPEC.identity_points()), img)
     assert np.array_equal(out.values, img.values)
 
 

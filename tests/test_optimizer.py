@@ -62,7 +62,7 @@ def test_consistent_data_stops_immediately():
 
 
 def test_shifted_disc_recovers_target():
-    case = shifted_disc_case(nx=64, n_angles=60, shift_pixels=2.0)
+    case = shifted_disc_case(nx=64, n_angles=60)
     report, score = solve_case(case, sigma=2.0, max_iters=200,
                                step_v=5e-4, step_zeta=1e-2)
     assert score >= 0.90
@@ -107,6 +107,16 @@ def test_log_rows_schema():
         assert row["objective"] == pytest.approx(
             row["data_term"] + row["v_term"] + row["zeta_term"])
         assert row["evals"] >= 1
+
+
+def test_objective_history_is_the_log_objective_column():
+    # one record of the objective: the history reads the log and is not set
+    case = shifted_disc_case(nx=32, n_angles=20)
+    report, _ = solve_case(case, max_iters=3, step_v=5e-4, step_zeta=1e-2)
+    assert report.objective_history == [row["objective"] for row in report.log_rows]
+    assert len(report.objective_history) == report.iterations_used + 1
+    with pytest.raises(AttributeError):
+        report.objective_history = []
 
 
 @pytest.mark.parametrize("mode", ["metamorphosis", "lddmm"])

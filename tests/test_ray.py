@@ -51,21 +51,6 @@ def test_geometry_rejects_a_non_integer_bin_count():
     assert Geometry(np.array([0.5]), np.int64(10), EXTENT).n_det == 10
 
 
-def test_geometry_equality_is_same_sampling():
-    angles = np.linspace(0.0, np.pi, 8, endpoint=False)
-    geo = Geometry(angles, 8, 4.0)
-    twin = Geometry(angles.copy(), 8, 4.0)
-    assert geo == twin and hash(geo) == hash(twin)
-    assert len({geo, twin}) == 1
-    for other in (Geometry(angles[:-1], 8, 4.0), Geometry(angles + 0.01, 8, 4.0),
-                  Geometry(angles, 9, 4.0), Geometry(angles, 8, 5.0)):
-        assert geo != other and not geo == other
-    assert geo != "geometry"
-    signed = Geometry(np.array([-0.0, 1.0]), 8, 4.0)
-    unsigned = Geometry(np.array([0.0, 1.0]), 8, 4.0)
-    assert signed == unsigned and hash(signed) == hash(unsigned)
-
-
 def test_zero_image_zero_sinogram():
     spec = GridSpec(16.0, 32, 32)
     geo = Geometry.uniform(8, 32, EXTENT)
