@@ -292,12 +292,15 @@ def _phantom_spec(cfg: ConfigReader, spec):
     return phantom
 
 
-def _agrees(cfg: ConfigReader, section: str, key: str, configured, found, path):
-    """Record a problem if the config sets [section] key and the file at path
-    holds another value (to float32 precision, a version-1 image's)."""
+def _agrees(cfg: ConfigReader, section: str, key: str, configured, found, path) -> bool:
+    """Whether [section] key is unset or agrees with the value the file at
+    path holds (to float32 precision, a version-1 image's); records the
+    problem if not."""
     if cfg.parser.has_option(section, key) and not math.isclose(configured, found, rel_tol=1e-6):
         cfg.problems.append(f"[{section}] {key}: the config sets {configured!r}, "
                             f"but {path} holds {found!r}")
+        return False
+    return True
 
 
 def _read_template(cfg: ConfigReader, spec, path):
@@ -366,8 +369,9 @@ def cmd_project(args) -> int:
     src = cfg.get_input_path("io", "image")
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
+    image = read_image_raw(src)
     out = _out_dir(cfg, args)
-    sino = project_with_noise(read_image_raw(src), geo, psnr_db, seed)
+    sino = project_with_noise(image, geo, psnr_db, seed)
     write_sinogram(sino, out / "data.sino")
     write_pgm(sino.values, out / "data.pgm")
     print(f"wrote {out / 'data.sino'}")
@@ -437,6 +441,8 @@ def cmd_gated(args) -> int:
     mode, solver = _solver(cfg)
     if mode == "fbp":
         cfg.problems.append("[solver] mode: gated reconstruction needs a descent mode")
+    n_angles = cfg.get_int("geometry", "n_angles", None)
+    detector = _detector(cfg, spec)
     template_path = cfg.get_input_path("io", "template")
     bundle = cfg.get_str("io", "gated_dir", required=True)
     if bundle and not Path(bundle).is_dir():
@@ -449,6 +455,14 @@ def cmd_gated(args) -> int:
         gated.check_against(tgrid)
     except ValueError as exc:
         cfg.problems.append(f"[time] steps: {exc}, in {bundle}")
+    # each gate's file holds its own detector; the angles are all the gates'
+    geos = [sino.geometry for _, sino in gated.gates]
+    for key, configured in zip(("n_det", "det_extent"), detector):
+        for num, geo in enumerate(geos, start=1):
+            if not _agrees(cfg, "geometry", key, configured, getattr(geo, key),
+                           f"[gate_{num}] of {bundle}"):
+                break  # the first gate that disagrees is the one problem
+    _agrees(cfg, "geometry", "n_angles", n_angles, sum(geo.n_angles for geo in geos), bundle)
     cfg.finish()
     out = _out_dir(cfg, args)
     report = reconstruct_gated(template, gated, kernel, params, tgrid, solver)
@@ -466,6 +480,7 @@ def cmd_project_gated(args) -> int:
     elif phantom is not None:
         steps = len(phantom.times) - 1
     detector = _detector(cfg, spec)
+    n_angles = cfg.get_int("geometry", "n_angles", None)
     per_gate = cfg.get_int("gated", "angles_per_gate", 10)
     n_gates = cfg.get_int("gated", "n_gates", steps)
     psnr_db, seed = _noise(cfg, args, seed_section="gated")
@@ -475,6 +490,11 @@ def cmd_project_gated(args) -> int:
         cfg.problems.append(f"[gated] n_gates: need at least 1, got {n_gates}")
     elif n_gates is not None and steps is not None and n_gates > steps:
         cfg.problems.append(f"[gated] n_gates: {n_gates} exceeds time steps {steps}")
+    elif not cfg.problems:
+        # the bundle will hold n_gates x angles_per_gate angles; compared
+        # only once the rest is valid, since n_gates defaults to the steps
+        _agrees(cfg, "geometry", "n_angles", n_angles, n_gates * per_gate,
+                f"a bundle of {n_gates} gates x {per_gate} angles")
     cfg.finish()
     out = _out_dir(cfg, args)
     frames = make_phantom(phantom, spec)
@@ -495,9 +515,9 @@ def cmd_metrics(args) -> int:
     gamma = cfg.get_float("reg", "gamma", 0.0)
     tau = cfg.get_float("reg", "tau", 0.0)
     cfg.finish()
-    out = _out_dir(cfg, args)
     ref = read_image_raw(ref_path)
     test = read_image_raw(test_path)
+    out = _out_dir(cfg, args)
     row = {"id": exp_id, "sigma": sigma, "gamma": gamma, "tau": tau,
            "ssim": ssim(ref, test), "psnr": psnr(ref, test)}
     _write_rows_csv(out / "metrics.csv", list(row.keys()), [row])
@@ -527,10 +547,14 @@ def cmd_sweep(args) -> int:
             for g in gammas or [params.gamma] for t in taus or [params.tau]] if params else []
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
+    # the inputs are read, and checked against the config, before any output
     template = _read_template(cfg, spec, template_path)
+    target = read_image_raw(target_path)
+    if target.spec != template.spec:
+        cfg.problems.append(f"[io] target: {target_path} is on {target.spec}, "
+                            f"but the template {template_path} is on {template.spec}")
     cfg.finish()
     out = _out_dir(cfg, args)
-    target = read_image_raw(target_path)
     case = Case(spec, template, target, geo,
                 project_with_noise(target, geo, psnr_db, seed))
     rows = []

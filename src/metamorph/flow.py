@@ -38,6 +38,7 @@ from .grid import (
     Stencil,
     _central_difference,
     _checked,
+    _unchecked,
     bilinear_stencil,
     sample_values_xy,
 )
@@ -85,11 +86,12 @@ class _Control:
         return cls(tgrid, spec, np.zeros((tgrid.n_steps, *cls.component, *spec.shape)))
 
     def add_scaled(self, other: "_Control", alpha: float):
-        """self + alpha * other, for controls on the same time grid and grid."""
+        """self + alpha * other, for controls on the same time grid and grid;
+        the sum of two checked controls is not checked again."""
         if other.tgrid != self.tgrid or other.spec != self.spec:
             raise ValueError(f"cannot add a {other.what} on {other.tgrid}, {other.spec} "
                              f"to a {self.what} on {self.tgrid}, {self.spec}")
-        return type(self)(self.tgrid, self.spec, self.values + alpha * other.values)
+        return _unchecked(type(self), self.tgrid, self.spec, self.values + alpha * other.values)
 
     def norm_sq(self) -> float:
         """dt h^2 <x, x> over all the controls, the left-rectangle time

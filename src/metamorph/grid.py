@@ -23,6 +23,13 @@ velocity components, or a velocity and an intensity control), deriving the
 weights once; sample_values_xy is one build and one apply.
 Stencil.transpose scatters values at the points back onto the grid, the
 exact transpose of apply.
+
+_checked is every container's one shape and finiteness test, and each
+container's constructor runs it, so every array that enters the library
+from outside is checked once.  The solver builds the containers it derives
+from checked arrays (its controls, projections, back projections and the
+levels it hands out) through _unchecked, which skips it, so a solve checks
+what it starts from and no more as its iterations grow.
 """
 
 from __future__ import annotations
@@ -85,6 +92,16 @@ def _checked(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{what} values must be finite")
     return values
+
+
+def _unchecked(cls, *fields):
+    """An instance of the container dataclass cls (Image, Sinogram or a
+    control) holding fields in their declared order, built without its
+    constructor's _checked.  Only for values the library derived from
+    checked ones: float64 arrays of the container's shape, finite entries."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
 
 
 @dataclass

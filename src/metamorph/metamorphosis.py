@@ -26,18 +26,24 @@ Three trajectories are exposed:
 
 The objective runs image_levels from f_0 and keeps each step's stencil S_k
 with the levels, so S_k is built once per accepted iterate and read again by
-the gradient and by trajectories.  The optimizer calls trajectories once,
-when the solve is done, with the last accepted evaluation's levels and
-stencils; it resumes image_levels after the last gate, builds the template
-part through evolve_template and wraps the levels it returns as Images.
-group_action is a standalone form the solver does not call.  The intensity
-control is defined in flow.py, with v.
+the gradient.  The optimizer calls trajectories once, when the solve is
+done, with the last accepted evaluation's levels f_0..f_M; it resumes
+image_levels after the last gate and wraps each level as an Image without
+checking it again, since it derives from checked controls.  That is all a
+solve builds.  The other two parts are built on their first read
+(Trajectories): the deformation part builds each S_k again with
+transport_stencil and applies it to the template, N builds and N applies,
+and the template part runs evolve_template, N levels of forward_levels.
+Callers that read only the image part (solve_case, solve_gated, sweep, the
+benchmark) never pay for them; the CLI's reconstruct and gated, which write
+all three, read both.  group_action is a standalone form the solver does
+not call.  The intensity control is defined in flow.py, with v.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .flow import (
     DeformationMap,
@@ -46,16 +52,38 @@ from .flow import (
     _one_step_queries,
     forward_levels,
 )
-from .grid import Image, Stencil, bilinear_stencil, sample_values_xy
+from .grid import Image, Stencil, _unchecked, bilinear_stencil, sample_values_xy
 
 
-@dataclass
 class Trajectories:
-    """Image, deformation-only and template-only evolutions, each N+1 images."""
+    """Image, deformation-only and template-only evolutions, each N+1 images.
 
-    image_traj: list[Image]
-    deformation_traj: list[Image]
-    template_traj: list[Image]
+    image_traj is built with the object.  deformation_traj and template_traj
+    are built from the controls (v, zeta) and the template I0 when first
+    read, and kept; a solve whose caller reads only the image part never
+    builds them.
+    """
+
+    def __init__(self, v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Image,
+                 image_traj: list[Image]):
+        self.image_traj = image_traj
+        self._controls = (v, zeta, I0)
+
+    @functools.cached_property
+    def deformation_traj(self) -> list[Image]:
+        """The template moved by each step's S_k alone, zeta = 0."""
+        v, _, I0 = self._controls
+        d = I0.values
+        out = [I0.copy()]
+        for k in range(v.tgrid.n_steps):
+            d = transport_stencil(v, k).apply(d)
+            out.append(_unchecked(Image, v.spec, d))
+        return out
+
+    @functools.cached_property
+    def template_traj(self) -> list[Image]:
+        """The template part I(t_i), through evolve_template."""
+        return evolve_template(*self._controls)
 
 
 def group_action(phi_inv: DeformationMap, img: Image) -> Image:
@@ -81,7 +109,7 @@ def evolve_template(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     # level j's stencil carries zeta_j to I(t_{j+1})
     for j, (_, stencil) in enumerate(forward_levels(v, v.tgrid.n_steps - 1)):
         acc = acc + dt * stencil.apply(zeta.values[j])
-        out.append(Image(v.spec, acc))
+        out.append(_unchecked(Image, v.spec, acc))
     return out
 
 
@@ -103,23 +131,16 @@ def image_levels(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
 
 
 def trajectories(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField, I0: Image,
-                 images: Sequence = (), stencils: Sequence[Stencil] = ()
-                 ) -> Trajectories:
+                 images: Sequence = ()) -> Trajectories:
     """All three output trajectories; entry 0 of each is a copy of the template.
 
-    Levels f_0..f_M and stencils S_0..S_{M-1}, as an evaluation built them
-    for these (v, zeta, I0), are read instead of being built again;
-    image_levels resumes from f_M for the steps after M.
+    Levels f_0..f_M, as an evaluation built them for these (v, zeta, I0),
+    are read instead of being built again; image_levels resumes from f_M for
+    the steps after M.  Only the image part is built here (Trajectories).
     """
-    out = Trajectories([I0.copy()], [I0.copy()], evolve_template(v, zeta, I0))
-    stencils = list(stencils)
+    _check_consistent(v, zeta, I0)
     levels = [I0.values, *images[1:]]
-    for stencil, f in image_levels(v, zeta, levels[-1], len(stencils), v.tgrid.n_steps):
-        stencils.append(stencil)
-        levels.append(f)
-    out.image_traj += [Image(v.spec, f) for f in levels[1:]]
-    d = I0.values
-    for stencil in stencils:
-        d = stencil.apply(d)
-        out.deformation_traj.append(Image(v.spec, d))
-    return out
+    levels += [f for _, f in image_levels(v, zeta, levels[-1], len(levels) - 1,
+                                          v.tgrid.n_steps)]
+    image_traj = [I0.copy(), *(_unchecked(Image, v.spec, f) for f in levels[1:])]
+    return Trajectories(v, zeta, I0, image_traj)

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeVaryingScalarField, TimeVaryingVectorField
-from .grid import Image, Stencil, gradient_central
+from .grid import Image, Stencil, _unchecked, gradient_central
 from .kernel import KernelSpec, kernel_apply
 from .metamorphosis import _check_consistent, image_levels
 from .ray import Sinogram, back_project, forward_project
@@ -126,7 +126,7 @@ def evaluate_parts(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
             stencils.append(stencil)
             images.append(f)
         geo = g.geometry
-        r = forward_project(Image(v.spec, images[end]), geo).values - g.values
+        r = forward_project(_unchecked(Image, v.spec, images[end]), geo).values - g.values
         residuals.append(r)
         data = data + float(np.sum(r * r)) * geo.delta_angle * geo.delta_det
         if not (v_term + z_term + data <= bound):
@@ -152,14 +152,17 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
     h = spec.h
     dt = v.tgrid.dt
     # 2 T^*(T f_e - g_e), the image-space gradient of gate e's discrepancy
-    residuals = {end: back_project(Sinogram(g.geometry, 2.0 * r), spec).values
+    residuals = {end: back_project(_unchecked(Sinogram, g.geometry, 2.0 * r), spec).values
                  for r, (end, g) in zip(state.residuals, gates)}
     last = gates[-1][0]
 
-    # the penalty gradients; the data terms enter the controls before the
-    # last gate
-    grad_v = params.gamma * v.values
-    grad_z = params.tau * zeta.values
+    # the penalty gradients, written level by level; the data terms enter
+    # the controls before the last gate, and the ones after it carry the
+    # penalty gradients alone
+    grad_v = np.empty_like(v.values)
+    grad_z = np.empty_like(zeta.values)
+    np.multiply(params.gamma, v.values[last:], out=grad_v[last:])
+    np.multiply(params.tau, zeta.values[last:], out=grad_z[last:])
     # L holds the residual carried back to level k+1, summed over the gates
     # at k+1 and later
     L = residuals[last]
@@ -173,10 +176,14 @@ def gradient_core(v: TimeVaryingVectorField, zeta: TimeVaryingScalarField,
         Gx = stencil.apply(fx, weights)
         Gy = stencil.apply(fy, weights)
         smoothed_x, smoothed_y = kernel_apply(kernel, spec, L * Gx, L * Gy)
+        np.multiply(params.gamma, v.values[k], out=grad_v[k])
         grad_v[k, 0] -= smoothed_x
         grad_v[k, 1] -= smoothed_y
         carried = stencil.transpose(L, weights)
+        np.multiply(params.tau, zeta.values[k], out=grad_z[k])
         grad_z[k] += carried
         L = carried + residuals.get(k, 0.0)
-    return (TimeVaryingVectorField(v.tgrid, spec, grad_v),
-            TimeVaryingScalarField(zeta.tgrid, spec, grad_z))
+    # built from checked arrays, so not checked again (descend tests the
+    # norms it computes anyway)
+    return (_unchecked(TimeVaryingVectorField, v.tgrid, spec, grad_v),
+            _unchecked(TimeVaryingScalarField, zeta.tgrid, spec, grad_z))

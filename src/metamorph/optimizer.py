@@ -13,6 +13,14 @@ previous gradient is dropped first, which makes room for the stencils.
 The last accepted state also gives the final trajectories their image part
 up to the last gate, unless a line search that found no decrease dropped it.
 
+Only the solve's inputs are checked (grid._checked): the template and the
+data by their constructors, before descend.  The containers the loop
+derives from them, the gradients of gradient_core, the candidates of
+add_scaled and the projections, are not checked again, so no iteration runs
+_checked.  The one test left in the loop is on the gradient: its two norms,
+computed for the log anyway, must be finite, or descend raises a
+ValueError naming them, rather than searching along a NaN direction.
+
 Each candidate is evaluated against the current objective as a bound, so a
 rejected one stops at the first gate whose running objective exceeds it;
 accepted candidates are evaluated in full, and the iterates are those of a
@@ -102,6 +110,9 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             break
         norms = (math.sqrt(grad_v.norm_sq()),
                  0.0 if lddmm else math.sqrt(grad_zeta.norm_sq()))
+        if not math.isfinite(norms[0] + norms[1]):
+            raise ValueError(f"the gradient is not finite: velocity norm {norms[0]!r}, "
+                             f"intensity norm {norms[1]!r}")
         state = cand = None  # the line search holds one trajectory at a time
 
         sv, sz = cfg.step_v, cfg.step_zeta
@@ -129,11 +140,11 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
             stop_reason = "converged"
             break
 
-    # the last accepted state, unless a failed line search dropped it
-    known = (state.images, state.stencils) if state is not None else ()
+    # the last accepted state's levels, unless a failed line search dropped it
+    known = state.images if state is not None else ()
     return SolveReport(
         iterations_used=it,
-        trajectories=trajectories(v, zeta, I0, *known),
+        trajectories=trajectories(v, zeta, I0, known),
         stop_reason=stop_reason,
         log_rows=rows,
         final_v=v,

@@ -83,7 +83,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, Image, _checked, bilinear_stencil
+from .grid import GridSpec, Image, _checked, _unchecked, bilinear_stencil
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -418,21 +418,23 @@ def _operator_rows(spec: GridSpec, geo: Geometry) -> scipy.sparse.csr_matrix:
 
 
 def forward_project(img: Image, geo: Geometry) -> Sinogram:
-    """Line integrals of the image over the geometry's rays."""
+    """Line integrals of the image over the geometry's rays.  Products of a
+    checked image, the sinogram is not checked again."""
     values = _ray_operator(img.spec, geo).forward(img.values)
-    return Sinogram(geo, values.reshape(geo.n_angles, geo.n_det))
+    return _unchecked(Sinogram, geo, values.reshape(geo.n_angles, geo.n_det))
 
 
 def back_project(sino: Sinogram, spec: GridSpec) -> Image:
     """Adjoint of forward_project between the weighted inner products.
 
     Satisfies <T f, g>_sino = <f, T* g>_img with sinogram weight
-    delta_angle * delta_det and image weight h^2.
+    delta_angle * delta_det and image weight h^2.  Like forward_project's,
+    the result is not checked again.
     """
     geo = sino.geometry
     scale = geo.delta_angle * geo.delta_det / spec.h ** 2
     values = _ray_operator(spec, geo).back(sino.values)
-    return Image(spec, (scale * values).reshape(spec.shape))
+    return _unchecked(Image, spec, (scale * values).reshape(spec.shape))
 
 
 def ramp_kernel(n: int, delta: float) -> np.ndarray:

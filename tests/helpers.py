@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from metamorph import flow, grid, ray
 from metamorph.grid import GridSpec, Image
 from metamorph.harness import _SUPER, _disc_mask, _downsample, _ellipse_mask, _triangle_mask
 from metamorph.kernel import KernelSpec, kernel_apply
@@ -21,6 +22,20 @@ from metamorph.objective import evaluate_parts, gradient_core
 
 FD_SPEC = GridSpec(16.0, 32, 32)
 FD_KERNEL = KernelSpec(4.0)
+
+
+def count_checks(monkeypatch) -> list:
+    """Record the container each grid._checked call checks, by its name,
+    in every module that calls it; returns the list it appends to."""
+    check = grid._checked
+    checked = []
+
+    def counted(values, shape, what):
+        checked.append(what)
+        return check(values, shape, what)
+    for module in (grid, flow, ray):
+        monkeypatch.setattr(module, "_checked", counted)
+    return checked
 
 
 def image_l2_inner(a: Image, b: Image) -> float:

@@ -75,3 +75,25 @@ def test_traced_solve_calls_no_name_the_solver_does_not_use(gated):
     assert summary["objective.gradient_core"]["calls"] == 2
     for name in NOT_IN_THE_SOLVER:
         assert summary.get(name, {"calls": 0})["calls"] == 0, name
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_traced_solve_builds_the_template_part_only_when_read(gated):
+    # only the image trajectory is built by a solve; the benchmark reads no
+    # other part, so evolve_template runs once, on the first read
+    from metamorph.experiments import (evolving_gated_case, shifted_disc_case, solve_case,
+                                       solve_gated)
+
+    tracer = TRACER.Tracer()
+    with tracer:
+        if gated:
+            report, _ = solve_gated(evolving_gated_case(nx=16, n_gates=2, per_gate=4),
+                                    max_iters=2, step_v=5e-4, step_zeta=1e-2)
+        else:
+            report, _ = solve_case(shifted_disc_case(nx=16, n_angles=8), n_steps=3,
+                                   max_iters=2, step_v=5e-4, step_zeta=1e-2)
+        solved = tracer.summary().get("metamorphosis.evolve_template", {"calls": 0})["calls"]
+        # two reads, one build
+        assert report.trajectories.template_traj is report.trajectories.template_traj
+    assert solved == 0
+    assert tracer.summary()["metamorphosis.evolve_template"]["calls"] == 1

@@ -141,8 +141,10 @@ test = {out / 'b.mimg'}
 
 
 def test_project_gated_then_reconstruct(tmp_path):
+    # both commands compare [geometry] n_angles with the 4 x 6 gate angles
+    base = BASE.replace("n_angles = 12", "n_angles = 24")
     out = tmp_path / "gated"
-    cfg = write_config(tmp_path / "g.ini", BASE + f"""
+    cfg = write_config(tmp_path / "g.ini", base + f"""
 [phantom]
 kind = evolving_sequence
 disc0 = -3, -2, 3.0, 1.0
@@ -165,7 +167,7 @@ out_dir = {out}
     assert (out / "gates.toml").exists()
     assert (out / "truth_00.mimg").exists()
 
-    cfg2 = write_config(tmp_path / "g2.ini", BASE + f"""
+    cfg2 = write_config(tmp_path / "g2.ini", base + f"""
 [io]
 template = {out / 'truth_00.mimg'}
 gated_dir = {out}
@@ -354,7 +356,8 @@ def test_project_gated_matches_evolving_gated_case(tmp_path):
     # one gate per time step, and the preset's 2 nx detector bins: the CLI's
     # gates are the preset's, byte for byte
     out = tmp_path / "gated"
-    cfg = write_config(tmp_path / "g.ini", BASE.replace("n_det = 48", "n_det = 64") + f"""
+    cfg = write_config(tmp_path / "g.ini", BASE.replace("n_angles = 12\nn_det = 48",
+                                                        "n_angles = 24\nn_det = 64") + f"""
 [phantom]
 kind = evolving_sequence
 disc0 = -3, -2, 4.0, 1.0
@@ -858,3 +861,132 @@ out_dir = {out}
         "error: config: 1 problem(s): [phantom]: drift, growth, appear: kind 'discs' is "
         "static; only evolving_sequence moves")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "metrics", "sweep"])
+def test_an_image_that_does_not_read_leaves_no_output(tmp_path, capsys, command):
+    # every input is read before the output directory is made
+    template, _ = disc_template_and_data(tmp_path, 12, 48)
+    bad = tmp_path / "bad.mimg"
+    bad.write_bytes(b"garbage")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.ini", BASE + f"""
+[io]
+image = {bad}
+template = {template}
+target = {bad}
+out_dir = {out}
+
+[metrics]
+reference = {template}
+test = {bad}
+""")
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ValueError: ")
+    assert not out.exists()
+
+
+def test_sweep_target_on_another_grid_is_a_config_problem(tmp_path, capsys):
+    template, _ = disc_template_and_data(tmp_path, 12, 48)
+    small = GridSpec(16.0, 16, 16)
+    target = tmp_path / "small.mimg"
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(1, 0, 5.0, 1.0),)), small),
+                    target)
+    out = tmp_path / "out"
+    base = BASE.replace("[grid]\nhalf_width = 16.0\nnx = 32\nny = 32\n", "")
+    cfg = write_config(tmp_path / "s.ini", base + f"""
+[io]
+template = {template}
+target = {target}
+out_dir = {out}
+""")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [io] target: {target} is on {small}, but the "
+        f"template {template} is on {GridSpec(16.0, 32, 32)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry, problem", [
+    ("n_det = 40", "[geometry] n_det: the config sets 40, but [gate_1] of {bundle} holds 48"),
+    ("det_extent = 20.0",
+     "[geometry] det_extent: the config sets 20.0, but [gate_1] of {bundle} holds {extent!r}"),
+    ("n_angles = 10\nn_det = 48", "[geometry] n_angles: the config sets 10, but {bundle} holds 12"),
+])
+def test_geometry_a_gated_bundle_contradicts_is_a_config_problem(tmp_path, capsys, geometry,
+                                                                problem):
+    # each gate's file holds its own detector, and all the gates the angles
+    template, data = disc_template_and_data(tmp_path, 6, 48)
+    extent = 16.0 * math.sqrt(2.0)
+    sino = read_sinogram(data, extent)
+    bundle = tmp_path / "bundle"
+    write_gated_bundle(bundle, [(2, sino), (4, sino)])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "g.ini", BASE.replace("n_angles = 12\nn_det = 48", geometry)
+                       + f"""
+[io]
+template = {template}
+gated_dir = {bundle}
+out_dir = {out}
+""")
+    assert main(["gated", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): " + problem.format(bundle=bundle, extent=extent))
+    assert not out.exists()
+
+
+def test_project_gated_angle_count_the_gates_contradict_is_a_config_problem(tmp_path, capsys):
+    out = tmp_path / "gated"
+    cfg = write_config(tmp_path / "g.ini", BASE + f"""
+[phantom]
+kind = evolving_sequence
+disc0 = -3, -2, 3.0, 1.0
+
+[gated]
+n_gates = 4
+angles_per_gate = 6
+
+[io]
+out_dir = {out}
+""")
+    assert main(["project-gated", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [geometry] n_angles: the config sets 12, but a bundle "
+        "of 4 gates x 6 angles holds 24")
+    assert not out.exists()
+
+
+def test_reconstruct_writes_every_frame_of_the_three_trajectories(tmp_path):
+    # the deformation and template parts are built when first read; the
+    # command reads them, and writes each frame the library returns
+    from metamorph.flow import TimeGrid
+    from metamorph.kernel import KernelSpec
+    from metamorph.objective import RegParams
+    from metamorph.optimizer import SolveConfig, reconstruct
+
+    template, data = disc_template_and_data(tmp_path, 12, 48)
+    shifted = make_phantom(PhantomSpec("discs", discs=(Disc(1.5, 0, 5.0, 1.0),)),
+                           GridSpec(16.0, 32, 32))
+    write_sinogram(forward_project(shifted, Geometry.uniform(12, 48, 16.0 * math.sqrt(2.0))),
+                   data)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.ini", BASE + f"""
+[io]
+template = {template}
+data = {data}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 0
+    report = reconstruct(read_image_raw(template), read_sinogram(data, 16.0 * math.sqrt(2.0)),
+                         KernelSpec(2.0), RegParams(1e-5, 1e-5), TimeGrid(4),
+                         SolveConfig(max_iters=3, step_v=5e-4, step_zeta=1e-2))
+    ours = tmp_path / "library"
+    ours.mkdir()
+    for name in ("image", "deformation", "template"):
+        traj = getattr(report.trajectories, f"{name}_traj")
+        assert len(traj) == 5
+        for i, frame in enumerate(traj):
+            write_image_raw(frame, ours / f"{name}_{i:02d}.mimg")
+            written = (out / f"{name}_{i:02d}.mimg").read_bytes()
+            assert written == (ours / f"{name}_{i:02d}.mimg").read_bytes(), (name, i)
+    assert sorted(p.name for p in out.glob("*.mimg")) == sorted(p.name for p in ours.iterdir())

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     FD_KERNEL,
     FD_SPEC,
+    count_checks,
     fd_check,
     gradient_at,
     image_l2_inner,
@@ -14,6 +15,7 @@ from helpers import (
     smooth_bump,
     smooth_img,
 )
+from metamorph import objective
 from metamorph.flow import TimeGrid, TimeVaryingVectorField
 from metamorph.grid import GridSpec, Image, gradient_central
 from metamorph.harness import Disc, PhantomSpec, make_phantom
@@ -144,18 +146,23 @@ def test_evaluate_intensity_term_quadratic():
 
 
 def test_evaluation_wraps_only_the_projected_level_as_an_image(monkeypatch):
-    # the levels stay arrays; the one Image is the level forward_project reads
+    # the levels stay arrays; the one Image is the level forward_project
+    # reads, and like the projection it is built from checked arrays, so the
+    # evaluation runs _checked on nothing it built
     tg, _, I0, g = make_problem(n_steps=6)
     v, zeta = random_state(6, seed=3, amp_v=0.1, amp_z=0.3)
-    built = []
-    check = Image.__post_init__
+    projected = []
+    project = objective.forward_project
 
-    def counted(self):
-        built.append(self)
-        check(self)
-    monkeypatch.setattr(Image, "__post_init__", counted)
-    evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.3, 0.7))
-    assert len(built) == 1
+    def counted(img, geo):
+        projected.append(img)
+        return project(img, geo)
+    monkeypatch.setattr(objective, "forward_project", counted)
+    checked = count_checks(monkeypatch)
+    *_, state = evaluate_parts(v, zeta, I0, [(tg.n_steps, g)], RegParams(0.3, 0.7))
+    assert checked == []
+    assert len(projected) == 1 and isinstance(projected[0], Image)
+    assert projected[0].values is state.images[-1]
 
 
 def test_gradient_zero_at_consistent_data():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state, smooth_bump
+from helpers import count_checks, random_state, smooth_bump
 from metamorph import flow, grid, metamorphosis, objective, optimizer
 from metamorph.experiments import (
     evolving_gated_case,
@@ -211,8 +211,10 @@ def test_template_evolution_builds_one_stencil_per_level(monkeypatch):
 
 def test_gradient_and_trajectories_build_no_stencils(monkeypatch):
     # the gradient and the final trajectories read the accepted evaluation's
-    # stencils: k steps that never backtrack build (1 + k) N transport
-    # stencils, plus the template part's N levels
+    # stencils and levels: k steps that never backtrack build (1 + k) N
+    # transport stencils.  The template part's N levels are built when
+    # template_traj is first read, and the deformation part's N transport
+    # stencils again when deformation_traj is
     builds = count_stencil_builds(monkeypatch)
     counts = {}
     count_calls(monkeypatch, optimizer, "evaluate_parts", counts)
@@ -220,7 +222,41 @@ def test_gradient_and_trajectories_build_no_stencils(monkeypatch):
     case = shifted_disc_case(nx=32, n_angles=20)
     report, _ = solve_case(case, n_steps=n, max_iters=k, step_v=5e-4, step_zeta=1e-2)
     assert report.stop_reason == "max_iters" and counts["evaluate_parts"] == 1 + k
+    assert builds == {"template": 0, "total": (1 + k) * n}
+    assert len(report.trajectories.template_traj) == n + 1
     assert builds == {"template": n, "total": (1 + k) * n + n}
+    assert len(report.trajectories.template_traj) == n + 1  # kept, not rebuilt
+    assert len(report.trajectories.deformation_traj) == n + 1
+    assert builds == {"template": n, "total": (1 + k) * n + 2 * n}
+
+
+def test_solve_runs_no_checks_per_iteration(monkeypatch):
+    # the loop derives every container from checked ones, so a longer solve
+    # checks no more arrays than a shorter one
+    checked = count_checks(monkeypatch)
+    case = shifted_disc_case(nx=32, n_angles=20)
+    totals = []
+    for max_iters in (2, 4):
+        checked.clear()
+        report, _ = solve_case(case, n_steps=4, max_iters=max_iters, step_v=5e-4,
+                               step_zeta=1e-2)
+        assert report.iterations_used == max_iters and report.stop_reason == "max_iters"
+        totals.append(len(checked))
+    assert totals[0] == totals[1]
+
+
+def test_a_non_finite_gradient_is_a_named_error(monkeypatch):
+    gradient = optimizer.gradient_core
+
+    def poisoned(*args):
+        grad_v, grad_zeta = gradient(*args)
+        grad_zeta.values[-1, 0, 0] = np.nan
+        return grad_v, grad_zeta
+    monkeypatch.setattr(optimizer, "gradient_core", poisoned)
+    case = shifted_disc_case(nx=16, n_angles=8)
+    with pytest.raises(ValueError, match=r"the gradient is not finite: velocity norm "
+                                         r"[0-9.e+-]+, intensity norm nan"):
+        solve_case(case, n_steps=3, max_iters=2, step_v=5e-4, step_zeta=1e-2)
 
 
 def random_forward_state(gates, n=6, seed=4):
@@ -256,7 +292,7 @@ def test_trajectories_from_the_state_equal_recomputed_ones(ends):
     # one gate at N, and gates ending before N (steps M..N-1 built afterwards)
     v, zeta, I0, state = random_forward_state(gates_on(ends))
     assert len(state.stencils) == ends[-1] == len(state.images) - 1
-    fed = metamorphosis.trajectories(v, zeta, I0, state.images, state.stencils)
+    fed = metamorphosis.trajectories(v, zeta, I0, state.images)
     recomputed = metamorphosis.trajectories(v, zeta, I0)
     for name in ("image_traj", "deformation_traj", "template_traj"):
         assert same_bits(getattr(fed, name), getattr(recomputed, name)), name
