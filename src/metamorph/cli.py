@@ -293,23 +293,32 @@ def _phantom_spec(cfg: ConfigReader, spec):
 
 
 def _agrees(cfg: ConfigReader, section: str, key: str, configured, found, path) -> bool:
-    """Whether [section] key is unset or agrees with the value the file at
-    path holds (to float32 precision, a version-1 image's); records the
-    problem if not."""
-    if cfg.parser.has_option(section, key) and not math.isclose(configured, found, rel_tol=1e-6):
+    """Whether [section] key is unset or equals the value the file at path
+    holds; records the problem if not."""
+    if cfg.parser.has_option(section, key) and configured != found:
         cfg.problems.append(f"[{section}] {key}: the config sets {configured!r}, "
                             f"but {path} holds {found!r}")
         return False
     return True
 
 
-def _read_template(cfg: ConfigReader, spec, path):
-    """The template image; the solve runs on its grid, so every [grid] key
-    the config sets must agree with it."""
-    template = read_image_raw(path)
+def _read_on_grid(cfg: ConfigReader, spec, path):
+    """The image at path; the command works on its grid, so every [grid]
+    key the config sets must agree with it."""
+    image = read_image_raw(path)
     for key in ("half_width", "nx", "ny"):
-        _agrees(cfg, "grid", key, getattr(spec, key), getattr(template.spec, key), path)
-    return template
+        _agrees(cfg, "grid", key, getattr(spec, key), getattr(image.spec, key), path)
+    return image
+
+
+def _data_agrees(cfg: ConfigReader, n_angles, detector, geos, names, whole):
+    """Checks [geometry] against data files that hold their geometry: n_angles
+    against their total (in whole), n_det and det_extent against each's own."""
+    _agrees(cfg, "geometry", "n_angles", n_angles, sum(geo.n_angles for geo in geos), whole)
+    for key, configured in zip(("n_det", "det_extent"), detector):
+        for geo, name in zip(geos, names):
+            if not _agrees(cfg, "geometry", key, configured, getattr(geo, key), name):
+                break  # the first file that disagrees is the one problem
 
 
 def _out_dir(cfg: ConfigReader, args) -> Path:
@@ -369,7 +378,8 @@ def cmd_project(args) -> int:
     src = cfg.get_input_path("io", "image")
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
-    image = read_image_raw(src)
+    image = _read_on_grid(cfg, spec, src)
+    cfg.finish()
     out = _out_dir(cfg, args)
     sino = project_with_noise(image, geo, psnr_db, seed)
     write_sinogram(sino, out / "data.sino")
@@ -405,7 +415,8 @@ def _write_report(report, out: Path):
 def cmd_reconstruct(args) -> int:
     cfg = ConfigReader(args.config)
     spec, tgrid, kernel, params = _load_common(cfg)
-    geo = _geometry(cfg, spec)
+    n_angles = cfg.get_int("geometry", "n_angles", None)
+    detector = _detector(cfg, spec)
     mode, solver = _solver(cfg)
     fbp_cutoff = cfg.get_float("solver", "fbp_cutoff", 0.8)
     # NaN fails this comparison
@@ -417,11 +428,10 @@ def cmd_reconstruct(args) -> int:
     data_path = cfg.get_input_path("io", "data")
     cfg.finish()
     # the inputs are read, and checked against the config, before any output
-    data = read_sinogram(data_path, geo.det_extent)
-    _agrees(cfg, "geometry", "n_angles", geo.n_angles, data.geometry.n_angles, data_path)
-    _agrees(cfg, "geometry", "n_det", geo.n_det, data.geometry.n_det, data_path)
+    data = read_sinogram(data_path)
+    _data_agrees(cfg, n_angles, detector, [data.geometry], [data_path], data_path)
     if mode != "fbp":
-        template = _read_template(cfg, spec, template_path)
+        template = _read_on_grid(cfg, spec, template_path)
     cfg.finish()
     out = _out_dir(cfg, args)
     if mode == "fbp":
@@ -449,20 +459,14 @@ def cmd_gated(args) -> int:
         cfg.problems.append(f"[io] gated_dir: {bundle!r} is not a directory")
     cfg.finish()
     # the inputs are read, and checked against the config, before any output
-    template = _read_template(cfg, spec, template_path)
+    template = _read_on_grid(cfg, spec, template_path)
     gated = GatedData(read_gated_bundle(bundle))
     try:
         gated.check_against(tgrid)
     except ValueError as exc:
         cfg.problems.append(f"[time] steps: {exc}, in {bundle}")
-    # each gate's file holds its own detector; the angles are all the gates'
-    geos = [sino.geometry for _, sino in gated.gates]
-    for key, configured in zip(("n_det", "det_extent"), detector):
-        for num, geo in enumerate(geos, start=1):
-            if not _agrees(cfg, "geometry", key, configured, getattr(geo, key),
-                           f"[gate_{num}] of {bundle}"):
-                break  # the first gate that disagrees is the one problem
-    _agrees(cfg, "geometry", "n_angles", n_angles, sum(geo.n_angles for geo in geos), bundle)
+    _data_agrees(cfg, n_angles, detector, [sino.geometry for _, sino in gated.gates],
+                 [f"[gate_{num}] of {bundle}" for num in range(1, len(gated.gates) + 1)], bundle)
     cfg.finish()
     out = _out_dir(cfg, args)
     report = reconstruct_gated(template, gated, kernel, params, tgrid, solver)
@@ -517,9 +521,13 @@ def cmd_metrics(args) -> int:
     cfg.finish()
     ref = read_image_raw(ref_path)
     test = read_image_raw(test_path)
-    out = _out_dir(cfg, args)
+    if test.spec != ref.spec:
+        cfg.problems.append(f"[metrics] test: {test_path} is on {test.spec}, "
+                            f"but the reference {ref_path} is on {ref.spec}")
+    cfg.finish()
     row = {"id": exp_id, "sigma": sigma, "gamma": gamma, "tau": tau,
            "ssim": ssim(ref, test), "psnr": psnr(ref, test)}
+    out = _out_dir(cfg, args)
     _write_rows_csv(out / "metrics.csv", list(row.keys()), [row])
     print(f"ssim={row['ssim']:.4f} psnr={row['psnr']:.3f}")
     return 0
@@ -548,7 +556,7 @@ def cmd_sweep(args) -> int:
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
     # the inputs are read, and checked against the config, before any output
-    template = _read_template(cfg, spec, template_path)
+    template = _read_on_grid(cfg, spec, template_path)
     target = read_image_raw(target_path)
     if target.spec != template.spec:
         cfg.problems.append(f"[io] target: {target_path} is on {target.spec}, "

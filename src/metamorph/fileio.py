@@ -1,17 +1,15 @@
 """On-disk formats: raw images, PGM previews, sinograms, gated bundles.
 
-Raw image files round-trip exactly: a 20-byte header (magic ``MIM2``, u32
-nx, u32 ny, f64 half-width, little endian) followed by the float64 node
-values in x-major order.  Version-1 files (magic ``MIMG``, f32 half-width,
-16 bytes) still read, with the half-width they stored.  Sinograms use magic
-``SINO``, u32 n_angles, u32 n_det, the angle list and the row-major values,
-all little-endian float64; the detector extent is not part of the format and
-must be supplied on read.  A gated bundle's ``gates.toml`` manifest gives each
-gate's time index, sinogram file and detector extent in its own section
-``[gate_k]``, k = 1..n_gates, with no other section and no key set twice; the
-gate's angles live only in that file.  PGM output is 16-bit, min-max normalised, for viewing
-only.  All writers go through a temp-file-plus-rename so partially written
-files never appear.
+Raw images and sinograms round-trip exactly.  Each starts with one 20-byte
+header, magic, u32, u32, f64, little endian: an image (``MIM2``) gives nx, ny
+and its half-width, then its float64 node values in x-major order; a
+sinogram (``SIN2``) gives n_angles, n_det and its detector extent, then its
+float64 angles and row-major values.  Version-1 files (``MIMG``, ``SINO``)
+must be written again.  A gated bundle's ``gates.toml`` manifest gives each
+gate's time index and sinogram file in its own section ``[gate_k]``,
+k = 1..n_gates, with no other section and no key set twice.  PGM output is
+16-bit, min-max normalised, for viewing only.  All writers go through a
+temp-file-plus-rename so partially written files never appear.
 """
 
 from __future__ import annotations
@@ -28,9 +26,12 @@ from .grid import GridSpec, Image
 from .ray import Geometry, Sinogram
 
 _IMG_MAGIC = b"MIM2"
-# header layout per raw-image magic; the first is the version-1 format
-_IMG_HEADERS = {b"MIMG": "<4sIIf", _IMG_MAGIC: "<4sIId"}
-_SINO_MAGIC = b"SINO"
+_SINO_MAGIC = b"SIN2"
+# magic, two sizes and a length: an image's nx, ny and half-width, a
+# sinogram's n_angles, n_det and detector extent
+_HEADER = "<4sIId"
+_HEADER_SIZE = struct.calcsize(_HEADER)
+_VERSION_1 = {b"MIMG": "raw image", b"SINO": "sinogram"}
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -55,30 +56,33 @@ def _naming(path):
         raise ValueError(f"{path}: {err}") from err
 
 
-def _samples(path, blob: bytes, offset: int, count: int) -> np.ndarray:
-    """The count little-endian float64 samples that fill blob after offset."""
-    size = len(blob) - offset
-    if size != 8 * count:
-        raise ValueError(f"{path}: expected {8 * count} bytes of samples after the "
-                         f"{offset}-byte header, found {size}")
-    return np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+def _read_samples(path, magic: bytes, what: str, count):
+    """The header's two sizes n1, n2 and its length, and the count(n1, n2)
+    float64 samples that must fill the file after it."""
+    blob = Path(path).read_bytes()
+    if blob[:4] in _VERSION_1:
+        raise ValueError(f"{path}: a version-1 {_VERSION_1[blob[:4]]} file, which no longer "
+                         f"reads; write the file again")
+    if blob[:4] != magic or len(blob) < _HEADER_SIZE:
+        raise ValueError(f"{path} is not a {what} file")
+    _, n1, n2, length = struct.unpack_from(_HEADER, blob)
+    size, expected = len(blob) - _HEADER_SIZE, 8 * count(n1, n2)
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes of samples after the "
+                         f"{_HEADER_SIZE}-byte header, found {size}")
+    return n1, n2, length, np.frombuffer(blob, dtype="<f8", offset=_HEADER_SIZE).copy()
 
 
 def write_image_raw(img: Image, path):
-    header = struct.pack(_IMG_HEADERS[_IMG_MAGIC], _IMG_MAGIC, img.spec.nx, img.spec.ny,
+    header = struct.pack(_HEADER, _IMG_MAGIC, img.spec.nx, img.spec.ny,
                          float(img.spec.half_width))
     atomic_write_bytes(path, header + img.values.astype("<f8").tobytes())
 
 
 def read_image_raw(path) -> Image:
-    blob = Path(path).read_bytes()
-    layout = _IMG_HEADERS.get(blob[:4])
-    if layout is None or len(blob) < struct.calcsize(layout):
-        raise ValueError(f"{path} is not a raw image file")
-    magic, nx, ny, half_width = struct.unpack_from(layout, blob)
-    values = _samples(path, blob, struct.calcsize(layout), nx * ny)
+    nx, ny, half_width, values = _read_samples(path, _IMG_MAGIC, "raw image", lambda m, n: m * n)
     with _naming(path):
-        return Image(GridSpec(float(half_width), nx, ny), values.reshape(nx, ny))
+        return Image(GridSpec(half_width, nx, ny), values.reshape(nx, ny))
 
 
 def write_pgm(values_or_img, path):
@@ -95,17 +99,14 @@ def write_pgm(values_or_img, path):
 
 def write_sinogram(sino: Sinogram, path):
     geo = sino.geometry
-    header = struct.pack("<4sII", _SINO_MAGIC, geo.n_angles, geo.n_det)
+    header = struct.pack(_HEADER, _SINO_MAGIC, geo.n_angles, geo.n_det, float(geo.det_extent))
     blob = header + geo.angles.astype("<f8").tobytes() + sino.values.astype("<f8").tobytes()
     atomic_write_bytes(path, blob)
 
 
-def read_sinogram(path, det_extent: float) -> Sinogram:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != _SINO_MAGIC:
-        raise ValueError(f"{path} is not a sinogram file")
-    magic, n_angles, n_det = struct.unpack("<4sII", blob[:12])
-    samples = _samples(path, blob, 12, n_angles * (1 + n_det))
+def read_sinogram(path) -> Sinogram:
+    n_angles, n_det, det_extent, samples = _read_samples(path, _SINO_MAGIC, "sinogram",
+                                                         lambda m, n: m * (1 + n))
     with _naming(path):
         geo = Geometry(samples[:n_angles], n_det, det_extent)
         return Sinogram(geo, samples[n_angles:].reshape(n_angles, n_det))
@@ -124,8 +125,6 @@ def write_gated_bundle(directory, gates: list[tuple[int, Sinogram]], seed: int |
         lines.append(f"[gate_{num}]")
         lines.append(f"t_index = {t_index}")
         lines.append(f"file = {fname}")
-        # repr of a plain float reads back exactly; numpy scalars print as np.float64(...)
-        lines.append(f"det_extent = {float(sino.geometry.det_extent)!r}")
     atomic_write_bytes(directory / "gates.toml", ("\n".join(lines) + "\n").encode())
 
 
@@ -167,14 +166,13 @@ def _manifest_value(manifest: dict[str, dict[str, str]], path: Path,
     return manifest[section][key]
 
 
-def _manifest_number(manifest: dict[str, dict[str, str]], path: Path,
-                     section: str, key: str, kind: type):
+def _manifest_int(manifest: dict[str, dict[str, str]], path: Path, section: str, key: str):
     raw = _manifest_value(manifest, path, section, key)
     try:
-        return kind(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{path}: {_where(section)} key {key!r} has bad value {raw!r}, "
-                         f"expected {'an integer' if kind is int else 'a number'}") from None
+                         "expected an integer") from None
 
 
 def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
@@ -183,7 +181,7 @@ def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
     directory = Path(directory)
     path = directory / "gates.toml"
     manifest, repeats = _parse_manifest(path)
-    n_gates = _manifest_number(manifest, path, "", "n_gates", int)
+    n_gates = _manifest_int(manifest, path, "", "n_gates")
     if n_gates < 1:
         raise ValueError(f"{path}: top level key 'n_gates' must be at least 1, got {n_gates}")
     sections = [f"gate_{num}" for num in range(1, n_gates + 1)]
@@ -191,14 +189,12 @@ def read_gated_bundle(directory) -> list[tuple[int, Sinogram]]:
     if extra:
         raise ValueError(f"{path}: section [{extra[0]}] is not one of the "
                          f"n_gates = {n_gates} gate sections")
-    entries = [(_manifest_number(manifest, path, section, "t_index", int),
-                _manifest_value(manifest, path, section, "file"),
-                _manifest_number(manifest, path, section, "det_extent", float))
+    entries = [(_manifest_int(manifest, path, section, "t_index"),
+                _manifest_value(manifest, path, section, "file"))
                for section in sections]
     # checked after the sections: a lost [gate_k] line moves gate k's keys
     # into the section before it, where the missing section is the news
     if repeats:
         section, key = repeats[0]
         raise ValueError(f"{path}: {_where(section)} sets key {key!r} more than once")
-    return [(t_index, read_sinogram(directory / fname, det_extent))
-            for t_index, fname, det_extent in entries]
+    return [(t_index, read_sinogram(directory / fname)) for t_index, fname in entries]

@@ -203,8 +203,8 @@ def forward_levels(v: TimeVaryingVectorField, end: int):
     yield from _levels(v, range(end), v.tgrid.dt)
 
 
-# trajectories reads forward_levels; the tests check the advection through
-# this list, and the benchmark's tracer wraps it by name
+# evolve_template reads forward_levels (for Trajectories.template_traj); the tests
+# check the advection through this list, and the benchmark's tracer wraps it by name
 def forward_maps(v: TimeVaryingVectorField, end: int | None = None) -> list[DeformationMap]:
     """Maps phi_{0,t_j} for j = 0..end, built by advecting the node points."""
     if end is None:

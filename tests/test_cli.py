@@ -9,8 +9,12 @@ from metamorph.cli import main
 from metamorph.experiments import evolving_gated_case, head_phantom_case, kernel_size_sweep
 from metamorph.fileio import (read_gated_bundle, read_image_raw, read_sinogram,
                               write_gated_bundle, write_image_raw, write_sinogram)
-from metamorph.grid import GridSpec
+from metamorph.flow import TimeGrid
+from metamorph.grid import GridSpec, Image
 from metamorph.harness import Disc, PhantomSpec, make_phantom, psnr, ssim
+from metamorph.kernel import KernelSpec
+from metamorph.objective import RegParams
+from metamorph.optimizer import SolveConfig, reconstruct
 from metamorph.ray import forward_project, Geometry
 
 
@@ -77,7 +81,7 @@ template = {out / 'truth.mimg'}
 out_dir = {out}
 """)
     assert main(["project", "--config", cfg]) == 0
-    sino = read_sinogram(out / "data.sino", det_extent=16.0 * math.sqrt(2.0))
+    sino = read_sinogram(out / "data.sino")
     assert sino.values.max() > 0
 
     cfg2 = write_config(tmp_path / "c2.ini", BASE + f"""
@@ -138,6 +142,52 @@ test = {out / 'b.mimg'}
     text = (out / "metrics.csv").read_text()
     assert text.splitlines()[0] == "id,sigma,gamma,tau,ssim,psnr"
     assert "demo" in text
+
+
+@pytest.mark.parametrize("test_spec", [GridSpec(16.0, 16, 16), GridSpec(8.0, 32, 32)],
+                         ids=["nx", "half_width"])
+def test_metrics_test_image_on_another_grid_is_a_config_problem(tmp_path, capsys, test_spec):
+    # images on two grids have no common pixels to compare, even at one size
+    ref_spec = GridSpec(16.0, 32, 32)
+    disc = PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),))
+    ref, test = tmp_path / "ref.mimg", tmp_path / "test.mimg"
+    write_image_raw(make_phantom(disc, ref_spec), ref)
+    write_image_raw(make_phantom(disc, test_spec), test)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "m.ini", f"""
+[metrics]
+reference = {ref}
+test = {test}
+
+[io]
+out_dir = {out}
+""")
+    assert main(["metrics", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [metrics] test: {test} is on {test_spec}, but the "
+        f"reference {ref} is on {ref_spec}")
+    assert not out.exists()
+
+
+def test_metrics_that_do_not_compute_leave_no_output(tmp_path, capsys):
+    # SSIM and PSNR are undefined against a constant reference
+    spec = GridSpec(16.0, 32, 32)
+    ref, test = tmp_path / "ref.mimg", tmp_path / "test.mimg"
+    write_image_raw(Image.full(spec, 1.0), ref)
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 5.0, 1.0),)), spec),
+                    test)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "m.ini", f"""
+[metrics]
+reference = {ref}
+test = {test}
+
+[io]
+out_dir = {out}
+""")
+    assert main(["metrics", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ValueError: ")
+    assert not out.exists()
 
 
 def test_project_gated_then_reconstruct(tmp_path):
@@ -785,15 +835,74 @@ out_dir = {out}
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "gated", "sweep"])
-def test_grid_the_template_contradicts_is_a_config_problem(tmp_path, capsys, command):
-    # a descent solve runs on the template's grid; [grid] ny is not set, so
-    # it is not compared
+@pytest.mark.parametrize("mode", ["metamorphosis", "fbp"])
+def test_det_extent_the_data_contradicts_is_a_config_problem(tmp_path, capsys, mode):
+    # the data file holds its detector extent too; [geometry] det_extent is a check
     template, data = disc_template_and_data(tmp_path, 12, 48)
-    write_gated_bundle(tmp_path / "bundle", [(4, read_sinogram(data, 16.0 * math.sqrt(2.0)))])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.ini", BASE.replace("n_det = 48", "n_det = 48\n"
+                                                        "det_extent = 20.0") + f"""
+mode = {mode}
+
+[io]
+template = {template}
+data = {data}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: config: 1 problem(s): [geometry] det_extent: the config sets 20.0, but {data} "
+        f"holds {16.0 * math.sqrt(2.0)!r}")
+    assert not out.exists()
+
+
+def test_reconstruct_solves_with_the_extent_its_data_holds(tmp_path):
+    # data projected on half-width 8 has extent 8 sqrt 2; a config without
+    # [grid] or det_extent must not put it on the default grid's 16 sqrt 2
+    spec = GridSpec(8.0, 32, 32)
+    template, truth = tmp_path / "template.mimg", tmp_path / "truth.mimg"
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 2.5, 1.0),)), spec),
+                    template)
+    write_image_raw(make_phantom(PhantomSpec("discs", discs=(Disc(0.5, 0, 2.5, 1.0),)), spec),
+                    truth)
+    projected = tmp_path / "projected"
+    cfg = write_config(tmp_path / "p.ini", BASE.replace("half_width = 16.0", "half_width = 8.0")
+                       + f"""
+[io]
+image = {truth}
+out_dir = {projected}
+""")
+    assert main(["project", "--config", cfg]) == 0
+    data = projected / "data.sino"
+    assert read_sinogram(data).geometry.det_extent == 8.0 * math.sqrt(2.0)
+    out = tmp_path / "out"
+    base = BASE.replace("[grid]\nhalf_width = 16.0\nnx = 32\nny = 32\n", "")
+    cfg = write_config(tmp_path / "r.ini", base + f"""
+[io]
+template = {template}
+data = {data}
+out_dir = {out}
+""")
+    assert main(["reconstruct", "--config", cfg]) == 0
+    report = reconstruct(read_image_raw(template), read_sinogram(data), KernelSpec(2.0),
+                         RegParams(1e-5, 1e-5), TimeGrid(4),
+                         SolveConfig(max_iters=3, step_v=5e-4, step_zeta=1e-2))
+    with open(out / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows == [{k: repr(v) if isinstance(v, float) else str(v) for k, v in row.items()}
+                    for row in report.log_rows]
+
+
+@pytest.mark.parametrize("command", ["project", "reconstruct", "gated", "sweep"])
+def test_grid_the_template_contradicts_is_a_config_problem(tmp_path, capsys, command):
+    # a descent solve runs on the template's grid, and project on its image's;
+    # [grid] ny is not set, so it is not compared
+    template, data = disc_template_and_data(tmp_path, 12, 48)
+    write_gated_bundle(tmp_path / "bundle", [(4, read_sinogram(data))])
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "r.ini", BASE.replace("nx = 32\nny = 32", "nx = 64") + f"""
 [io]
+image = {template}
 template = {template}
 data = {data}
 target = {template}
@@ -822,7 +931,7 @@ out_dir = {out}
 
 def test_gate_past_the_time_grid_is_a_config_problem(tmp_path, capsys):
     template, data = disc_template_and_data(tmp_path, 6, 48)
-    sino = read_sinogram(data, 16.0 * math.sqrt(2.0))
+    sino = read_sinogram(data)
     bundle = tmp_path / "bundle"
     write_gated_bundle(bundle, [(2, sino), (6, sino)])
     out = tmp_path / "out"
@@ -918,7 +1027,7 @@ def test_geometry_a_gated_bundle_contradicts_is_a_config_problem(tmp_path, capsy
     # each gate's file holds its own detector, and all the gates the angles
     template, data = disc_template_and_data(tmp_path, 6, 48)
     extent = 16.0 * math.sqrt(2.0)
-    sino = read_sinogram(data, extent)
+    sino = read_sinogram(data)
     bundle = tmp_path / "bundle"
     write_gated_bundle(bundle, [(2, sino), (4, sino)])
     out = tmp_path / "out"
@@ -959,11 +1068,6 @@ out_dir = {out}
 def test_reconstruct_writes_every_frame_of_the_three_trajectories(tmp_path):
     # the deformation and template parts are built when first read; the
     # command reads them, and writes each frame the library returns
-    from metamorph.flow import TimeGrid
-    from metamorph.kernel import KernelSpec
-    from metamorph.objective import RegParams
-    from metamorph.optimizer import SolveConfig, reconstruct
-
     template, data = disc_template_and_data(tmp_path, 12, 48)
     shifted = make_phantom(PhantomSpec("discs", discs=(Disc(1.5, 0, 5.0, 1.0),)),
                            GridSpec(16.0, 32, 32))
@@ -977,7 +1081,7 @@ data = {data}
 out_dir = {out}
 """)
     assert main(["reconstruct", "--config", cfg]) == 0
-    report = reconstruct(read_image_raw(template), read_sinogram(data, 16.0 * math.sqrt(2.0)),
+    report = reconstruct(read_image_raw(template), read_sinogram(data),
                          KernelSpec(2.0), RegParams(1e-5, 1e-5), TimeGrid(4),
                          SolveConfig(max_iters=3, step_v=5e-4, step_zeta=1e-2))
     ours = tmp_path / "library"

@@ -41,15 +41,6 @@ def test_image_raw_keeps_half_width_exactly(tmp_path):
     assert read_image_raw(tmp_path / "img.mimg").spec == spec
 
 
-def test_image_raw_reads_version_1(tmp_path):
-    values = np.arange(64, dtype="<f8").reshape(8, 8)
-    path = tmp_path / "v1.mimg"
-    path.write_bytes(struct.pack("<4sIIf", b"MIMG", 8, 8, 16.0) + values.tobytes())
-    img = read_image_raw(path)
-    assert img.spec == GridSpec(16.0, 8, 8)
-    assert np.array_equal(img.values, values)
-
-
 def test_image_raw_rejects_garbage(tmp_path):
     path = tmp_path / "junk.mimg"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -85,9 +76,10 @@ def test_sinogram_roundtrip(tmp_path):
     sino = Sinogram(geo, rng.normal(size=(3, 24)))
     path = tmp_path / "data.sino"
     write_sinogram(sino, path)
-    back = read_sinogram(path, det_extent=20.0)
+    assert path.stat().st_size == 20 + 3 * 25 * 8
+    back = read_sinogram(path)
     assert np.array_equal(back.geometry.angles, geo.angles)
-    assert back.geometry.n_det == 24
+    assert (back.geometry.n_det, back.geometry.det_extent) == (24, 20.0)
     assert np.array_equal(back.values, sino.values)
 
 
@@ -95,7 +87,29 @@ def test_sinogram_rejects_garbage(tmp_path):
     path = tmp_path / "junk.sino"
     path.write_bytes(b"XXXX")
     with pytest.raises(ValueError):
-        read_sinogram(path, det_extent=20.0)
+        read_sinogram(path)
+
+
+@pytest.mark.parametrize("extent", [20.0, 16.0 * math.sqrt(2.0), 0.1 + 0.2,
+                                    np.float64(8.0 * math.sqrt(2.0))],
+                         ids=["whole", "irrational", "inexact_sum", "numpy_scalar"])
+def test_sinogram_keeps_its_detector_extent_exactly(tmp_path, extent):
+    # the extent is part of the file's ray transform, not a value to supply on read
+    write_sinogram(Sinogram.zeros(Geometry.uniform(3, 8, extent)), tmp_path / "data.sino")
+    back = read_sinogram(tmp_path / "data.sino").geometry.det_extent
+    assert struct.pack("<d", back) == struct.pack("<d", extent)
+
+
+@pytest.mark.parametrize("reader, header", [
+    (read_image_raw, struct.pack("<4sIIf", b"MIMG", 2, 2, 16.0) + b"\x00" * 32),
+    (read_sinogram, struct.pack("<4sII", b"SINO", 1, 2) + b"\x00" * 24),
+], ids=["MIMG", "SINO"])
+def test_version_1_file_is_named_and_must_be_written_again(tmp_path, reader, header):
+    path = tmp_path / "old"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a version-1 .* file, "
+                                         r"which no longer reads; write the file again$"):
+        reader(path)
 
 
 def test_gated_bundle_roundtrip(tmp_path):
@@ -116,10 +130,12 @@ def test_gated_bundle_roundtrip(tmp_path):
         assert s1.geometry.det_extent == 22.0
     text = (out / "gates.toml").read_text()
     assert "seed = 99" in text
+    # each gate's geometry lives only in its .sino file
+    assert "det_extent" not in text
 
 
 def test_gated_bundle_manifest_holds_plain_numbers(tmp_path):
-    # the repr of a numpy scalar is np.float64(...), which no reader parses
+    # a numpy scalar extent reads back as the number it holds
     geo = Geometry.uniform(3, 8, np.float64(22.6))
     write_gated_bundle(tmp_path, [(1, Sinogram.zeros(geo))])
     assert read_gated_bundle(tmp_path)[0][1].geometry.det_extent == 22.6
@@ -155,7 +171,7 @@ def test_gated_manifest_with_a_section_past_n_gates_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("extra, key", [
     ("[gate_2]\nt_index = 5\n", "t_index"),  # 5 would replace gate 2's index
-    ("det_extent = 13.0\n", "det_extent"),  # the same section, with no second header
+    ("file = gate_1.sino\n", "file"),  # the same section, with no second header
 ], ids=["second_header", "same_section"])
 def test_gated_manifest_with_a_repeated_key_is_rejected(tmp_path, extra, key):
     manifest = _bundle(tmp_path, (1, 2))
@@ -186,7 +202,7 @@ def test_gated_manifest_missing_gate_section(tmp_path):
         read_gated_bundle(out)
 
 
-@pytest.mark.parametrize("key", ["t_index", "file", "det_extent"])
+@pytest.mark.parametrize("key", ["t_index", "file"])
 def test_gated_manifest_missing_gate_key(tmp_path, key):
     out = _bundle_without(tmp_path, key)
     with pytest.raises(ValueError, match=rf"gates\.toml: section \[gate_1\] lacks key '{key}'"):
@@ -196,7 +212,6 @@ def test_gated_manifest_missing_gate_key(tmp_path, key):
 @pytest.mark.parametrize("section, key, bad", [
     ("top level", "n_gates", "two"),
     ("section [gate_1]", "t_index", "x"),
-    ("section [gate_1]", "det_extent", "wide"),
 ])
 def test_gated_manifest_bad_value(tmp_path, section, key, bad):
     out = _bundle_without(tmp_path, key)
@@ -226,9 +241,10 @@ def _image_file(nx, ny, half_width, payload: bytes) -> bytes:
     return struct.pack("<4sIId", b"MIM2", nx, ny, half_width) + payload
 
 
-def _sino_file(angles, n_det, payload: bytes) -> bytes:
+def _sino_file(angles, n_det, det_extent, payload: bytes) -> bytes:
     angles = np.asarray(angles, dtype="<f8")
-    return struct.pack("<4sII", b"SINO", angles.size, n_det) + angles.tobytes() + payload
+    header = struct.pack("<4sIId", b"SIN2", angles.size, n_det, det_extent)
+    return header + angles.tobytes() + payload
 
 
 def test_image_raw_payload_of_partial_samples_is_named(tmp_path):
@@ -240,10 +256,10 @@ def test_image_raw_payload_of_partial_samples_is_named(tmp_path):
 
 def test_sinogram_payload_of_partial_samples_is_named(tmp_path):
     path = tmp_path / "odd.sino"
-    path.write_bytes(struct.pack("<4sII", b"SINO", 3, 2) + b"\x00" * 13)
+    path.write_bytes(struct.pack("<4sIId", b"SIN2", 3, 2, 20.0) + b"\x00" * 13)
     # three angles and 3 x 2 values
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected 72 bytes .* found 13"):
-        read_sinogram(path, det_extent=20.0)
+        read_sinogram(path)
 
 
 @pytest.mark.parametrize("nx, ny, half_width, values", [
@@ -267,9 +283,9 @@ def test_image_raw_bad_contents_are_named(tmp_path, nx, ny, half_width, values):
 ])
 def test_sinogram_bad_contents_are_named(tmp_path, angles, values, det_extent):
     path = tmp_path / "bad.sino"
-    path.write_bytes(_sino_file(angles, 2, np.array(values, dtype="<f8").tobytes()))
+    path.write_bytes(_sino_file(angles, 2, det_extent, np.array(values, dtype="<f8").tobytes()))
     with _named(path):
-        read_sinogram(path, det_extent)
+        read_sinogram(path)
 
 
 @pytest.mark.parametrize("n_gates", [0, -1])
@@ -310,7 +326,7 @@ def test_sinogram_roundtrip_and_prefixes(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.sino"
         write_sinogram(sino, path)
-        back = read_sinogram(path, det_extent=20.0)
+        back = read_sinogram(path)
         assert (back.geometry.n_det, back.geometry.det_extent) == (geo.n_det, geo.det_extent)
         assert back.geometry.angles.tobytes() == geo.angles.tobytes()
         assert back.values.tobytes() == sino.values.tobytes()
@@ -318,7 +334,7 @@ def test_sinogram_roundtrip_and_prefixes(data):
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with _named(path):
-                read_sinogram(path, det_extent=20.0)
+                read_sinogram(path)
 
 
 @settings(deadline=None, max_examples=15)
@@ -332,7 +348,7 @@ def test_gated_manifest_without_a_required_key_is_named(data):
         manifest = Path(tmp) / "gates.toml"
         lines = manifest.read_text().splitlines()
         required = [i for i, line in enumerate(lines)
-                    if line.split(" = ")[0] in ("n_gates", "t_index", "file", "det_extent")]
+                    if line.split(" = ")[0] in ("n_gates", "t_index", "file")]
         drop = data.draw(st.sampled_from(required))
         key = lines.pop(drop).split(" = ")[0]
         manifest.write_text("\n".join(lines) + "\n")
