@@ -12,7 +12,7 @@ from .kernel import KernelSpec
 from .metamorphosis import Trajectories, evolve_template, trajectories
 from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, reconstruct
-from .ray import Geometry, Sinogram, back_project, fbp, forward_project, lumped_fbp
-from .spatiotemporal import GatedData, gate_angles, reconstruct_gated
+from .ray import Geometry, Sinogram, back_project, fbp, forward_project
+from .spatiotemporal import GatedData, gate_angles
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .kernel import KernelSpec
 from .objective import RegParams
 from .optimizer import LOG_FIELDS, SolveConfig, reconstruct
 from .ray import Geometry, fbp
-from .spatiotemporal import GatedData, reconstruct_gated
+from .spatiotemporal import GatedData
 
 
 # every key a section may hold, whichever command or mode reads it; [phantom]
@@ -197,7 +197,7 @@ def _grid(cfg: ConfigReader):
 
 def _detector(cfg: ConfigReader, spec):
     """[geometry] (n_det, det_extent), or None if either is out of range; the
-    extent defaults to the grid's half-diagonal."""
+    extent defaults to the half-diagonal of spec, the grid the data is on."""
     n_det = cfg.get_int("geometry", "n_det", 362)
     default_extent = spec.half_width * math.sqrt(2.0) if spec else 22.6
     det_extent = cfg.get_float("geometry", "det_extent", default_extent)
@@ -374,12 +374,14 @@ def cmd_phantom(args) -> int:
 def cmd_project(args) -> int:
     cfg = ConfigReader(args.config)
     spec = _grid(cfg)
-    geo = _geometry(cfg, spec)
+    # checked here with the rest, built on the image's grid once it is read
+    _geometry(cfg, spec)
     src = cfg.get_input_path("io", "image")
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
     image = _read_on_grid(cfg, spec, src)
     cfg.finish()
+    geo = _geometry(cfg, image.spec)
     out = _out_dir(cfg, args)
     sino = project_with_noise(image, geo, psnr_db, seed)
     write_sinogram(sino, out / "data.sino")
@@ -469,7 +471,7 @@ def cmd_gated(args) -> int:
                  [f"[gate_{num}] of {bundle}" for num in range(1, len(gated.gates) + 1)], bundle)
     cfg.finish()
     out = _out_dir(cfg, args)
-    report = reconstruct_gated(template, gated, kernel, params, tgrid, solver)
+    report = reconstruct(template, gated, kernel, params, tgrid, solver)
     _write_report(report, out)
     return 0
 
@@ -536,7 +538,8 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = ConfigReader(args.config)
     spec, tgrid, kernel, params = _load_common(cfg)
-    geo = _geometry(cfg, spec)
+    # checked here with the rest, built on the template's grid once it is read
+    _geometry(cfg, spec)
     mode, solver = _solver(cfg)
     if mode == "fbp":
         cfg.problems.append("[solver] mode: sweeps need a descent mode")
@@ -562,8 +565,9 @@ def cmd_sweep(args) -> int:
         cfg.problems.append(f"[io] target: {target_path} is on {target.spec}, "
                             f"but the template {template_path} is on {template.spec}")
     cfg.finish()
+    geo = _geometry(cfg, template.spec)
     out = _out_dir(cfg, args)
-    case = Case(spec, template, target, geo,
+    case = Case(template.spec, template, target, geo,
                 project_with_noise(target, geo, psnr_db, seed))
     rows = []
     # [solver] step_v is the step at [kernel] sigma; sweep scales it per kernel

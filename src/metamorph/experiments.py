@@ -23,8 +23,8 @@ from .harness import Disc, Ellipse, PhantomSpec, add_noise, make_phantom, psnr, 
 from .kernel import KernelSpec
 from .objective import RegParams
 from .optimizer import SolveConfig, SolveReport, reconstruct
-from .ray import Geometry, Sinogram, forward_project, lumped_fbp
-from .spatiotemporal import GatedData, gate_angles, reconstruct_gated
+from .ray import Geometry, Sinogram, fbp, forward_project
+from .spatiotemporal import GatedData, gate_angles
 
 DEFAULT_HALF_WIDTH = 16.0
 # columns of a sweep row, in sweep.csv order after the CLI's id
@@ -227,17 +227,18 @@ def concatenated_fbp(case: GatedCase, cutoff: float = 0.8) -> Image:
     Each gate's rows go through its own detector and the operator its
     geometry already holds, so the call builds no ray operator.
     """
-    return lumped_fbp([sino for _, sino in case.gated.gates], case.spec, cutoff)
+    return fbp([sino for _, sino in case.gated.gates], case.spec, cutoff)
 
 
 def solve_gated(case: GatedCase, sigma: float = 2.0, gamma: float = 1e-5,
-                tau: float = 1e-5, max_iters: int = 150, step_v: float = 2e-5,
-                step_zeta: float = 2e-3) -> tuple[SolveReport, list[float]]:
-    """Gated reconstruction; returns the report and per-gate SSIM values."""
-    report = reconstruct_gated(
-        case.template, case.gated, KernelSpec(sigma), RegParams(gamma, tau),
-        case.tgrid, SolveConfig(max_iters=max_iters, step_v=step_v, step_zeta=step_zeta),
-    )
+                tau: float = 1e-5, **solve_kw) -> tuple[SolveReport, list[float]]:
+    """Gated reconstruction; returns the report and per-gate SSIM values.
+
+    solve_kw are solve_case's solver keywords but n_steps, which the case's
+    time grid sets.
+    """
+    report = reconstruct(case.template, case.gated, KernelSpec(sigma), RegParams(gamma, tau),
+                         *_solve_settings(n_steps=case.tgrid.n_steps, **solve_kw))
     scores = [ssim(case.frames[k], report.trajectories.image_traj[k])
               for k, _ in case.gated.gates]
     return report, scores

@@ -40,8 +40,8 @@ it verbatim; a gate contributes only to the controls before its index, and
 controls M..N-1 carry the penalty gradients alone.
 
 Gate indices must be strictly increasing in 1..N; nothing here checks
-that.  spatiotemporal.GatedData does, where a gate list enters the library,
-and optimizer.reconstruct builds its one gate at N.
+that.  spatiotemporal.GatedData does, and optimizer.reconstruct runs its
+check on every solve's gates, a lone sinogram's being the one gate at N.
 
 The forward model is built in one place, evaluate_parts, and returned as a
 ForwardState: the levels f_0..f_M as plain arrays (f_0 is the template's

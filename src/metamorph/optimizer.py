@@ -43,6 +43,7 @@ from .kernel import KernelSpec
 from .metamorphosis import Trajectories, trajectories
 from .objective import RegParams, evaluate_parts, gradient_core
 from .ray import Sinogram
+from .spatiotemporal import GatedData
 
 MODES = ("metamorphosis", "lddmm")
 # columns of SolveReport.log_rows, in report.csv order
@@ -152,7 +153,11 @@ def descend(I0: Image, gates: list[tuple[int, Sinogram]], kernel: KernelSpec,
     )
 
 
-def reconstruct(I0: Image, g: Sinogram, kernel: KernelSpec, params: RegParams,
-                tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
-    """Register a template against one data set acquired at the end time."""
-    return descend(I0, [(tgrid.n_steps, g)], kernel, params, tgrid, cfg)
+def reconstruct(I0: Image, data: Sinogram | GatedData, kernel: KernelSpec,
+                params: RegParams, tgrid: TimeGrid, cfg: SolveConfig) -> SolveReport:
+    """Register a template against data: one sinogram, acquired at the end
+    time (the one gate at N), or gated data, whose gates must lie on tgrid."""
+    if isinstance(data, Sinogram):
+        data = GatedData([(tgrid.n_steps, data)])
+    data.check_against(tgrid)
+    return descend(I0, data.gates, kernel, params, tgrid, cfg)

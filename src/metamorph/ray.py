@@ -58,7 +58,7 @@ or its transpose three times per step, while a one-shot projection or FBP
 pays the build for one product and holds the matrix until the process
 ends.  An acquisition lumped from parts that have their own operators, such
 as the gates of a gated solve, builds none: filtering is row by row and the
-backprojection is a sum over angles, so lumped_fbp filters each part's rows
+backprojection is a sum over angles, so fbp of parts filters each part's rows
 on its own detector and backprojects them through its own operator, with
 the lumped weight pi / (total angle count).  For 10 gates x 10 angles on one
 core of a 2-vCPU host that takes 5-8 ms at 64^2 and 13-19 ms at 128^2,
@@ -78,6 +78,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -461,14 +462,23 @@ def _filter_rows(values: np.ndarray, delta: float, cutoff: float) -> np.ndarray:
     return filtered[:, :n_det] * delta
 
 
-def _fbp_sum(sinos, spec: GridSpec, cutoff: float) -> Image:
-    """The FBP of the parts of one acquisition: each part's rows filtered on
-    its own detector and backprojected through its own operator, with the
-    angle weight pi / (angles of all parts).  Called by fbp and lumped_fbp
-    only: its warning points at their caller."""
+def fbp(data: Sinogram | Sequence[Sinogram], spec: GridSpec, cutoff: float = 0.8) -> Image:
+    """Filtered backprojection with cosine-windowed Ram-Lak filter, of one
+    sinogram or of several lumped into one acquisition.
+
+    cutoff is the window's corner as a fraction of the detector Nyquist
+    frequency.  Each part's rows are filtered on its own detector and
+    backprojected through the operator its geometry holds (built only for a
+    part that has none), so parts may differ in angles, bin count and
+    extent; the angle weight is pi / (angles of all parts).  It warns once
+    if all parts together have fewer than 2 angles.
+    """
+    sinos = [data] if isinstance(data, Sinogram) else list(data)
+    if not sinos:
+        raise ValueError("need at least one sinogram")
     n_angles = sum(sino.geometry.n_angles for sino in sinos)
     if n_angles < 2:
-        warnings.warn("fbp with fewer than 2 angles is badly underdetermined", stacklevel=3)
+        warnings.warn("fbp with fewer than 2 angles is badly underdetermined", stacklevel=2)
     if not 0 < cutoff <= 1:
         raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
     out = np.zeros(spec.shape)
@@ -478,27 +488,3 @@ def _fbp_sum(sinos, spec: GridSpec, cutoff: float) -> Image:
         # back_project weighs by pi / (this part's angles)
         out += geo.n_angles / n_angles * back_project(Sinogram(geo, filtered), spec).values
     return Image(spec, out)
-
-
-def fbp(sino: Sinogram, spec: GridSpec, cutoff: float = 0.8) -> Image:
-    """Filtered backprojection with cosine-windowed Ram-Lak filter.
-
-    cutoff is the window's corner as a fraction of the detector Nyquist
-    frequency.  The pi / n_angles backprojection weight is carried by the
-    geometry's angle quadrature.
-    """
-    return _fbp_sum([sino], spec, cutoff)
-
-
-def lumped_fbp(sinos, spec: GridSpec, cutoff: float = 0.8) -> Image:
-    """fbp of the sinograms' rows lumped into one acquisition.
-
-    Each sinogram keeps its own geometry, so parts may differ in angles,
-    bin count and extent.  The sum reads the operators the parts' geometries
-    already hold and builds one only for a part that has none.  It warns
-    once if all parts together have fewer than 2 angles.
-    """
-    sinos = list(sinos)
-    if not sinos:
-        raise ValueError("need at least one sinogram")
-    return _fbp_sum(sinos, spec, cutoff)

@@ -5,7 +5,8 @@ geometry; the data terms add up and every gate contributes gradient only to
 the controls before its time (its residual enters the gradient's backward
 sweep at the gate index instead of at 1).  objective.evaluate_parts and
 gradient_core take any gate list, so a single gate at the final index is the
-single-target objective exactly; this module checks a gate list and solves.
+single-target objective exactly; this module checks a gate list, and
+optimizer.reconstruct solves against it.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TimeGrid
-from .grid import Image
-from .kernel import KernelSpec
-from .objective import RegParams
-from .optimizer import SolveConfig, SolveReport, descend
 from .ray import Sinogram
 
 
@@ -65,11 +62,3 @@ def gate_angles(n_gates: int, per_gate: int, seed: int) -> list[np.ndarray]:
         hi = i * np.pi / n_gates
         out.append(np.sort(rng.uniform(lo, hi, size=per_gate)))
     return out
-
-
-def reconstruct_gated(I0: Image, gated: GatedData, kernel: KernelSpec,
-                      params: RegParams, tgrid: TimeGrid,
-                      cfg: SolveConfig) -> SolveReport:
-    """Recover one trajectory matching all gates by gradient descent."""
-    gated.check_against(tgrid)
-    return descend(I0, gated.gates, kernel, params, tgrid, cfg)

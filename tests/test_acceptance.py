@@ -39,7 +39,7 @@ from metamorph.metamorphosis import TimeVaryingScalarField, trajectories
 from metamorph.objective import RegParams, evaluate_parts
 from metamorph.optimizer import SolveConfig, reconstruct
 from metamorph.ray import Geometry, Sinogram, back_project, forward_project
-from metamorph.spatiotemporal import GatedData, reconstruct_gated
+from metamorph.spatiotemporal import GatedData
 
 EXTENT = 16.0 * math.sqrt(2.0)
 
@@ -159,7 +159,7 @@ def test_05_degeneracies():
     params = RegParams(1e-4, 1e-3)
     cfg = SolveConfig(max_iters=2)
     single = reconstruct(I0, g, KernelSpec(2.0), params, tg, cfg)
-    gated = reconstruct_gated(I0, GatedData([(5, g)]), KernelSpec(2.0), params, tg, cfg)
+    gated = reconstruct(I0, GatedData([(5, g)]), KernelSpec(2.0), params, tg, cfg)
     collapse_ok = (gated.objective_history == single.objective_history
                    and all(np.array_equal(a.values, b.values) for a, b in
                            zip(gated.trajectories.image_traj, single.trajectories.image_traj)))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from metamorph.cli import main
-from metamorph.experiments import evolving_gated_case, head_phantom_case, kernel_size_sweep
+from metamorph.experiments import (Case, evolving_gated_case, head_phantom_case,
+                                   kernel_size_sweep, sweep)
 from metamorph.fileio import (read_gated_bundle, read_image_raw, read_sinogram,
                               write_gated_bundle, write_image_raw, write_sinogram)
 from metamorph.flow import TimeGrid
@@ -891,6 +892,57 @@ out_dir = {out}
         rows = list(csv.DictReader(f))
     assert rows == [{k: repr(v) if isinstance(v, float) else str(v) for k, v in row.items()}
                     for row in report.log_rows]
+
+
+# a config with no [grid] and no [geometry]: the default grid is 256^2 on
+# half-width 16, the default geometry 100 angles x 362 bins
+NO_GRID_NOR_GEOMETRY = BASE.replace("[grid]\nhalf_width = 16.0\nnx = 32\nny = 32\n", "").replace(
+    "[geometry]\nn_angles = 12\nn_det = 48\n", "")
+
+
+def half_width_8_discs(tmp_path):
+    """A 32^2 template and target on half-width 8, on disk, and their images."""
+    spec = GridSpec(8.0, 32, 32)
+    template = make_phantom(PhantomSpec("discs", discs=(Disc(0, 0, 2.5, 1.0),)), spec)
+    target = make_phantom(PhantomSpec("discs", discs=(Disc(0.5, 0, 2.5, 1.0),)), spec)
+    write_image_raw(template, tmp_path / "template.mimg")
+    write_image_raw(target, tmp_path / "target.mimg")
+    return template, target
+
+
+def test_project_defaults_det_extent_to_its_images_half_diagonal(tmp_path):
+    # on the default grid's 16 sqrt 2 the image lit 52 of the 362 bins
+    _, target = half_width_8_discs(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.ini", NO_GRID_NOR_GEOMETRY + f"""
+[io]
+image = {tmp_path / 'target.mimg'}
+out_dir = {out}
+""")
+    assert main(["project", "--config", cfg]) == 0
+    sino = read_sinogram(out / "data.sino")
+    geo = Geometry.uniform(100, 362, 8.0 * math.sqrt(2.0))
+    assert sino.geometry.det_extent == geo.det_extent
+    assert np.array_equal(sino.values, forward_project(target, geo).values)
+
+
+def test_sweep_defaults_det_extent_to_its_templates_half_diagonal(tmp_path):
+    template, target = half_width_8_discs(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "s.ini", NO_GRID_NOR_GEOMETRY + f"""
+[io]
+template = {tmp_path / 'template.mimg'}
+target = {tmp_path / 'target.mimg'}
+out_dir = {out}
+""")
+    assert main(["sweep", "--config", cfg]) == 0
+    geo = Geometry.uniform(100, 362, 8.0 * math.sqrt(2.0))
+    case = Case(template.spec, template, target, geo, forward_project(target, geo))
+    expected = sweep(case, [KernelSpec(2.0)], [RegParams(1e-5, 1e-5)], TimeGrid(4),
+                     SolveConfig(max_iters=3, step_v=5e-4, step_zeta=1e-2), sigma_ref=2.0)
+    with open(out / "sweep.csv", newline="") as f:
+        rows = [{k: v for k, v in row.items() if k != "id"} for row in csv.DictReader(f)]
+    assert rows == [{k: repr(v) for k, v in row.items()} for row in expected]
 
 
 @pytest.mark.parametrize("command", ["project", "reconstruct", "gated", "sweep"])

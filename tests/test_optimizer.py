@@ -19,6 +19,7 @@ from metamorph.metamorphosis import TimeVaryingScalarField
 from metamorph.objective import RegParams
 from metamorph.optimizer import SolveConfig, reconstruct
 from metamorph.ray import Geometry, forward_project
+from metamorph.spatiotemporal import GatedData
 
 EXTENT = 16.0 * math.sqrt(2.0)
 
@@ -324,6 +325,27 @@ def test_forward_state_holds_one_image_and_one_compact_stencil_per_level():
     assert all(a.base is None for a in arrays)  # no view hides a larger array
     held = sum(a.nbytes for a in arrays)
     assert held <= (8 + 24) * I0.values.size * levels
+
+
+def test_reconstruct_of_a_sinogram_is_the_one_gate_at_n():
+    spec, I0, geo, _ = consistent_problem(nx=32)
+    target = make_phantom(PhantomSpec("discs", discs=(Disc(1.0, 0.0, 5.0, 1.0),)), spec)
+    g = forward_project(target, geo)
+    settings = (KernelSpec(2.0), RegParams(1e-5, 1e-5), TimeGrid(4),
+                SolveConfig(max_iters=3, step_v=5e-4, step_zeta=1e-2))
+    lone = reconstruct(I0, g, *settings)
+    gated = reconstruct(I0, GatedData([(4, g)]), *settings)
+    assert lone.stop_reason == "max_iters"
+    assert lone.log_rows == gated.log_rows
+    assert same_bits([lone.final_v, lone.final_zeta], [gated.final_v, gated.final_zeta])
+    assert same_bits(lone.trajectories.image_traj, gated.trajectories.image_traj)
+
+
+def test_reconstruct_rejects_a_gate_past_the_time_grid():
+    _, I0, _, g = consistent_problem(nx=32)
+    with pytest.raises(ValueError, match=r"^gate index 5 outside the time grid 1\.\.4$"):
+        reconstruct(I0, GatedData([(5, g)]), KernelSpec(2.0), RegParams(1e-5, 1e-5),
+                    TimeGrid(4), SolveConfig(max_iters=1))
 
 
 def backtracking_gated_solve():

@@ -17,7 +17,6 @@ from metamorph.ray import (
     back_project,
     fbp,
     forward_project,
-    lumped_fbp,
 )
 from metamorph.spatiotemporal import gate_angles
 
@@ -288,6 +287,13 @@ def test_fbp_single_angle_warns():
         fbp(Sinogram.zeros(geo), spec)
 
 
+def test_fbp_of_a_sinogram_is_the_fbp_of_a_list_of_one():
+    spec = GridSpec(16.0, 32, 32)
+    disc = make_phantom(PhantomSpec("discs", discs=(Disc(3.0, -2.0, 6.0, 1.0),)), spec)
+    sino = forward_project(disc, Geometry.uniform(20, 48, EXTENT))
+    assert fbp(sino, spec).values.tobytes() == fbp([sino], spec).values.tobytes()
+
+
 def test_lumped_fbp_of_consecutive_gates_is_the_full_fbp():
     # the full geometry stores 16 of its 60 angles under 4 symmetries; 8 parts
     # store all 6 under the identity, the two around pi/4 and 3pi/4 store 4
@@ -300,7 +306,7 @@ def test_lumped_fbp_of_consecutive_gates_is_the_full_fbp():
     for gate in gates:
         _ray_operator(spec, gate.geometry)
     before = _build_operator.cache_info().misses
-    lumped = lumped_fbp(gates, spec)
+    lumped = fbp(gates, spec)
     assert _build_operator.cache_info().misses == before
     expected = fbp(full, spec).values
     assert np.abs(lumped.values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -312,15 +318,15 @@ def test_lumped_fbp_warns_once_below_two_angles_in_all():
                for a in np.linspace(0.0, np.pi, 10, endpoint=False)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lumped_fbp(singles, spec)
+        fbp(singles, spec)
     with pytest.warns(UserWarning, match="fewer than 2 angles") as record:
-        lumped_fbp(singles[:1], spec)
+        fbp(singles[:1], spec)
     assert len(record) == 1
     assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("reconstruct",
-                         [fbp, lambda sino, spec, cutoff: lumped_fbp([sino], spec, cutoff)],
+                         [fbp, lambda sino, spec, cutoff: fbp([sino], spec, cutoff)],
                          ids=["fbp", "lumped_fbp"])
 @pytest.mark.parametrize("cutoff", [0.0, 1.5, math.nan])
 def test_fbp_rejects_a_cutoff_outside_0_1(reconstruct, cutoff):
@@ -331,18 +337,18 @@ def test_fbp_rejects_a_cutoff_outside_0_1(reconstruct, cutoff):
 
 def test_lumped_fbp_needs_a_sinogram():
     with pytest.raises(ValueError, match="at least one sinogram"):
-        lumped_fbp([], GridSpec(16.0, 32, 32))
+        fbp([], GridSpec(16.0, 32, 32))
 
 
 def _two_gate_disc_fbp(detectors):
-    """lumped_fbp of a disc seen through the even and the odd angles of a
+    """fbp of a disc seen through the even and the odd angles of a
     uniform 60-angle set, each gate through its own (n_det, det_extent)."""
     spec = GridSpec(16.0, 64, 64)
     disc = make_phantom(PhantomSpec("discs", discs=(Disc(3.0, -2.0, 6.0, 1.0),)), spec)
     angles = np.linspace(0.0, np.pi, 60, endpoint=False)
     gates = [forward_project(disc, Geometry(angles[i::2], n_det, extent))
              for i, (n_det, extent) in enumerate(detectors)]
-    return lumped_fbp(gates, spec).values
+    return fbp(gates, spec).values
 
 
 @pytest.mark.parametrize("other", [(128, 1.5 * EXTENT), (192, EXTENT)],
