@@ -380,8 +380,8 @@ def cmd_project(args) -> int:
     psnr_db, seed = _noise(cfg, args)
     cfg.finish()
     image = _read_on_grid(cfg, spec, src)
-    cfg.finish()
     geo = _geometry(cfg, image.spec)
+    cfg.finish()
     out = _out_dir(cfg, args)
     sino = project_with_noise(image, geo, psnr_db, seed)
     write_sinogram(sino, out / "data.sino")
@@ -564,8 +564,8 @@ def cmd_sweep(args) -> int:
     if target.spec != template.spec:
         cfg.problems.append(f"[io] target: {target_path} is on {target.spec}, "
                             f"but the template {template_path} is on {template.spec}")
-    cfg.finish()
     geo = _geometry(cfg, template.spec)
+    cfg.finish()
     out = _out_dir(cfg, args)
     case = Case(template.spec, template, target, geo,
                 project_with_noise(target, geo, psnr_db, seed))

@@ -231,14 +231,13 @@ def concatenated_fbp(case: GatedCase, cutoff: float = 0.8) -> Image:
 
 
 def solve_gated(case: GatedCase, sigma: float = 2.0, gamma: float = 1e-5,
-                tau: float = 1e-5, **solve_kw) -> tuple[SolveReport, list[float]]:
-    """Gated reconstruction; returns the report and per-gate SSIM values.
-
-    solve_kw are solve_case's solver keywords but n_steps, which the case's
-    time grid sets.
-    """
+                tau: float = 1e-5, *, max_iters: int, step_v: float,
+                step_zeta: float) -> tuple[SolveReport, list[float]]:
+    """Gated reconstruction on the case's time grid; returns the report and
+    per-gate SSIM values."""
     report = reconstruct(case.template, case.gated, KernelSpec(sigma), RegParams(gamma, tau),
-                         *_solve_settings(n_steps=case.tgrid.n_steps, **solve_kw))
+                         *_solve_settings(n_steps=case.tgrid.n_steps, max_iters=max_iters,
+                                          step_v=step_v, step_zeta=step_zeta))
     scores = [ssim(case.frames[k], report.trajectories.image_traj[k])
               for k, _ in case.gated.gates]
     return report, scores

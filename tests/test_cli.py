@@ -945,6 +945,26 @@ out_dir = {out}
     assert rows == [{k: repr(v) for k, v in row.items()} for row in expected]
 
 
+@pytest.mark.parametrize("command", ["project", "sweep"])
+def test_image_whose_half_diagonal_overflows_is_a_config_problem(tmp_path, capsys, command):
+    # a grid may hold any finite half-width; its half-diagonal, the default
+    # det_extent, is then inf, and that is reported before any output exists
+    image = tmp_path / "huge.mimg"
+    write_image_raw(Image.zeros(GridSpec(1.5e308, 32, 32)), image)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.ini", NO_GRID_NOR_GEOMETRY + f"""
+[io]
+image = {image}
+template = {image}
+target = {image}
+out_dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config: 1 problem(s): [geometry] det_extent: need a positive number, got inf")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["project", "reconstruct", "gated", "sweep"])
 def test_grid_the_template_contradicts_is_a_config_problem(tmp_path, capsys, command):
     # a descent solve runs on the template's grid, and project on its image's;
